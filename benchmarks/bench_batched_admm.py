@@ -2,26 +2,42 @@
 
 The fusion pass groups sweep cells that share a victim model, configuration
 and anchor count and solves them as lanes of one stacked tensor solve.  This
-benchmark runs the same grid twice — scalar and fused — on a warm model
-registry (so both runs measure solve throughput, not training) and records
-the jobs/sec of each plus their ratio.  The committed acceptance bar: fusing
-a ci-scale grid with several lanes per group is at least 3x faster per job.
+benchmark runs the same grid twice — scalar and fused — each on a registry
+holding the trained victim but no per-victim context yet (so both runs
+measure solve throughput, not training, and both pay for the one clean
+evaluation of the context).  It records the jobs/sec of each plus their
+ratio, and asserts that each run evaluated the clean model on the
+evaluation split exactly once.  The committed acceptance bar: fusing a
+ci-scale grid with several lanes per group is at least ``MIN_SPEEDUP``
+times faster per job.
 
 The two throughput numbers and the speedup ratio feed the perf-trajectory
 gate (``benchmarks/bench_gate.py`` against ``benchmarks/BENCH_ci.baseline.json``).
 """
 
 import time
+from unittest import mock
 
 import pytest
 
 from repro.experiments.campaign import Campaign, run_campaign
-from repro.experiments.common import get_setting, get_trained_model, sweep_cell_spec, usable_r_values
+from repro.experiments.common import (
+    get_setting,
+    get_trained_model,
+    sweep_cell_spec,
+    usable_r_values,
+    victim_context,
+)
+from repro.nn.model import Sequential
+from repro.zoo.registry import ModelRegistry
 
 # Lanes per fused group: the Monte-Carlo plan-seed axis (PR-5 style trials)
 # fuses naturally — cells differ only in their target draw.
 PLAN_SEEDS = range(16)
-MIN_SPEEDUP = 3.0
+# Fused must not be slower than scalar.  Over 12 runs on a 2-vCPU x86 VM the
+# ratio ranged 1.03-1.54x (median 1.30x).  The old 3x bar measured scalar
+# cells re-evaluating the clean model, which the per-victim context removed.
+MIN_SPEEDUP = 1.0
 
 
 def _grid(scale: str) -> Campaign:
@@ -45,22 +61,49 @@ def warm_grid(scale, registry):
     return _grid(scale)
 
 
-def bench_fused_campaign_speedup(benchmark, scale, registry, warm_grid, record_bench):
-    started = time.perf_counter()
-    scalar = run_campaign(warm_grid, registry=registry, fuse=False)
-    scalar_elapsed = time.perf_counter() - started
+def _timed_run(grid, scale, registry, *, fuse, call=lambda thunk: thunk()):
+    """Run ``grid`` through ``call`` on a fresh in-memory registry and time it.
 
-    started = time.perf_counter()
-    fused = benchmark.pedantic(
-        lambda: run_campaign(warm_grid, registry=registry, fuse=True),
-        rounds=1,
-        iterations=1,
+    The fresh registry loads the victim from the disk cache before the clock
+    starts, so the run builds its own per-victim context.  Returns the
+    result, the wall time, the row counts of the clean victim's
+    ``predict_logits`` calls and the size of the evaluation split.
+    """
+    fresh = ModelRegistry(registry.disk_cache)
+    trained = get_trained_model("mnist_like", scale, registry=fresh, seed=0)
+    rows = []
+    original = Sequential.predict_logits
+
+    def counting(self, x, **kwargs):
+        if self is trained.model:
+            rows.append(len(x))
+        return original(self, x, **kwargs)
+
+    with mock.patch.object(Sequential, "predict_logits", counting):
+        started = time.perf_counter()
+        result = call(lambda: run_campaign(grid, registry=fresh, fuse=fuse))
+        elapsed = time.perf_counter() - started
+    return result, elapsed, rows, len(victim_context(trained).eval_set)
+
+
+def bench_fused_campaign_speedup(benchmark, scale, registry, warm_grid, record_bench):
+    scalar, scalar_elapsed, scalar_rows, eval_rows = _timed_run(
+        warm_grid, scale, registry, fuse=False
     )
-    fused_elapsed = time.perf_counter() - started
+    fused, fused_elapsed, fused_rows, _ = _timed_run(
+        warm_grid,
+        scale,
+        registry,
+        fuse=True,
+        call=lambda thunk: benchmark.pedantic(thunk, rounds=1, iterations=1),
+    )
 
     # Fusion is an execution-plan rewrite: identical results, cell for cell.
     assert fused.canonical_manifest() == scalar.canonical_manifest()
     assert fused.stats.executed == scalar.stats.executed == len(warm_grid.jobs)
+    # Deterministic work count: the cells share one per-victim context, so
+    # each run evaluates the clean model on the evaluation split once.
+    assert scalar_rows == fused_rows == [eval_rows]
 
     jobs = len(warm_grid.jobs)
     scalar_jps = jobs / scalar_elapsed

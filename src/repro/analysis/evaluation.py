@@ -8,14 +8,18 @@ The paper reports three kinds of numbers for every attack configuration:
 * the test accuracy of the modified model on the full held-out test set
   (Table 4), compared against the clean model's accuracy.
 
-:func:`evaluate_attack_result` computes all of them for a
-:class:`~repro.attacks.fault_sneaking.FaultSneakingResult` (or any result
-object exposing the same small interface) against a test dataset.
+:func:`evaluate_attack_results` computes all of them for
+:class:`~repro.attacks.fault_sneaking.FaultSneakingResult` objects (or any
+result object exposing the same small interface) against a test dataset;
+:func:`evaluate_attack_result` is its one-result case.  An
+:class:`EvaluationContext` holds the clean model's share of that work so a
+sweep computes it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from repro.nn.model import Sequential
 
 __all__ = [
     "AttackEvaluation",
+    "EvaluationContext",
     "count_modified_parameters",
     "evaluate_modification",
     "evaluate_attack_result",
@@ -94,105 +99,169 @@ def evaluate_modification(
     return clean, attacked
 
 
+class EvaluationContext:
+    """The clean victim's share of scoring attacks on one test set.
+
+    Every attack on a victim is scored on the same test set, and the layers
+    below its first attacked layer run unmodified copies of the clean
+    weights.  The context does that work once: it computes the clean accuracy
+    and, per first attacked layer ``start``, the activations entering layer
+    ``start`` for each ``batch_size``-row mini-batch of the test set.  Both
+    are built on first use and kept.  Scoring an attack then runs only the
+    suffix layers under the attacked weights.
+
+    The cached numbers describe ``model`` as it was when they were computed,
+    so its parameters must not change while the context is in use; attacks
+    restore the victim after every solve.
+    """
+
+    def __init__(
+        self,
+        model: Sequential,
+        test_set: Dataset,
+        *,
+        batch_size: int = 256,
+        clean_accuracy: float | None = None,
+    ):
+        self.model = model
+        self.test_set = test_set
+        self.batch_size = int(batch_size)
+        self._clean_accuracy = clean_accuracy
+        self._prefixes: dict[int, tuple[np.ndarray, ...]] = {}
+
+    @property
+    def clean_accuracy(self) -> float:
+        """Accuracy of the clean model on the test set."""
+        if self._clean_accuracy is None:
+            self._clean_accuracy = self.model.evaluate(
+                self.test_set.images, self.test_set.labels, batch_size=self.batch_size
+            )
+        return self._clean_accuracy
+
+    def prefix_batches(self, start: int) -> tuple[np.ndarray, ...]:
+        """Clean activations entering layer ``start``, one per mini-batch."""
+        if start not in self._prefixes:
+            images = self.test_set.images
+            self._prefixes[start] = tuple(
+                self.model.forward_between(images[i : i + self.batch_size], 0, start)
+                for i in range(0, images.shape[0], self.batch_size)
+            )
+        return self._prefixes[start]
+
+    def accuracies(self, models: Sequence[Sequential], start: int) -> list[float]:
+        """Test accuracy of each model, running only its layers from ``start``.
+
+        Every model's layers below ``start`` must equal the clean model's.
+        Each accuracy is then bit-identical to ``model.evaluate`` on the test
+        set, which runs the same layers on the same mini-batches.
+        """
+        chunks: list[list[np.ndarray]] = [[] for _ in models]
+        for prefix in self.prefix_batches(start):
+            for model, logits in zip(models, chunks):
+                logits.append(model.forward_between(prefix, start, model.logits_end))
+        labels = self.test_set.labels
+        return [
+            _accuracy(labels, np.argmax(np.concatenate(logits, axis=0), axis=1))
+            for logits in chunks
+        ]
+
+
 def evaluate_attack_result(
     result,
-    test_set: Dataset,
+    test_set: Dataset | None = None,
     *,
+    context: EvaluationContext | None = None,
     clean_model: Sequential | None = None,
     clean_accuracy: float | None = None,
     zero_tolerance: float = 1e-8,
     batch_size: int = 256,
 ) -> AttackEvaluation:
-    """Evaluate an attack result object against a held-out test set.
+    """Evaluate one attack result against a held-out test set.
 
-    Parameters
-    ----------
-    result:
-        Any object exposing ``delta``, ``plan`` (with ``num_targets`` /
-        ``num_images``), ``success_mask``, ``keep_mask`` and
-        ``modified_model()`` — both :class:`FaultSneakingResult` and
-        :class:`GradientDescentResult` qualify.
-    test_set:
-        The full held-out test set used for the accuracy-retention numbers.
-    clean_model:
-        The unmodified victim model.  Defaults to ``result.view.model``.
-    clean_accuracy:
-        Pass a pre-computed clean accuracy to avoid re-evaluating the clean
-        model for every attack in a sweep.
-    zero_tolerance:
-        Threshold below which a modification entry counts as zero.
+    ``result`` is any object exposing ``delta``, ``view``, ``plan`` (with
+    ``num_targets`` / ``num_images``), ``success_mask``, ``keep_mask`` and
+    ``modified_model()`` — both :class:`FaultSneakingResult` and
+    :class:`GradientDescentResult` qualify.  This is the one-result case of
+    :func:`evaluate_attack_results` and takes the same keyword arguments;
+    pass ``context`` to reuse the clean accuracy and prefix activations
+    across a sweep.
     """
-    delta = np.asarray(result.delta)
-    model = clean_model if clean_model is not None else result.view.model
-    if clean_accuracy is None:
-        clean_accuracy = model.evaluate(
-            test_set.images, test_set.labels, batch_size=batch_size
-        )
-    attacked_model = result.modified_model()
-    attacked_accuracy = attacked_model.evaluate(
-        test_set.images, test_set.labels, batch_size=batch_size
-    )
-    return _build_evaluation(
-        result, delta, clean_accuracy, attacked_accuracy, zero_tolerance
-    )
+    return evaluate_attack_results(
+        [result],
+        test_set,
+        context=context,
+        clean_model=clean_model,
+        clean_accuracy=clean_accuracy,
+        zero_tolerance=zero_tolerance,
+        batch_size=batch_size,
+    )[0]
 
 
 def evaluate_attack_results(
     results,
-    test_set: Dataset,
+    test_set: Dataset | None = None,
     *,
+    context: EvaluationContext | None = None,
     clean_model: Sequential | None = None,
     clean_accuracy: float | None = None,
     zero_tolerance: float = 1e-8,
     batch_size: int = 256,
 ) -> list[AttackEvaluation]:
-    """Evaluate several attacks on one victim, sharing the prefix forward.
+    """Evaluate attacks on one victim, sharing the clean prefix forward.
 
-    Every result must attack the same victim through the same parameter
-    selection (a fused campaign group by construction).  The test-set
-    activations below the first attacked layer are computed once per
-    mini-batch on the clean model and only the suffix layers re-run per
-    attack.  The prefix layers are unmodified copies in every attacked
-    model, so each returned accuracy is bit-identical to what
-    :func:`evaluate_attack_result` computes for that result alone.
+    Every result must attack the same victim through parameters whose first
+    layer is the same (a fused campaign group by construction).  The
+    test-set activations below that layer come from an
+    :class:`EvaluationContext` and only the suffix layers run per attack, so
+    each attacked accuracy is bit-identical to evaluating
+    ``result.modified_model()`` on the whole test set.
+
+    Parameters
+    ----------
+    results:
+        Attack results as described in :func:`evaluate_attack_result`.
+    test_set:
+        The held-out test set used for the accuracy-retention numbers.
+    context:
+        A context shared across calls, given instead of ``test_set``; its
+        model, clean accuracy and batch size then apply.
+    clean_model:
+        The unmodified victim model.  Defaults to ``results[0].view.model``.
+    clean_accuracy:
+        A pre-computed clean accuracy; computed on the test set when omitted.
+    zero_tolerance:
+        Threshold below which a modification entry counts as zero.
     """
+    if (test_set is None) == (context is None):
+        raise ValueError("pass exactly one of test_set and context")
     if not results:
         return []
-    model = clean_model if clean_model is not None else results[0].view.model
     starts = {result.view.first_layer_index for result in results}
     if len(starts) != 1:
         raise ValueError(
             f"results must share one attacked-parameter selection, got "
             f"first layer indices {sorted(starts)}"
         )
-    if clean_accuracy is None:
-        clean_accuracy = model.evaluate(
-            test_set.images, test_set.labels, batch_size=batch_size
+    if context is None:
+        context = EvaluationContext(
+            clean_model if clean_model is not None else results[0].view.model,
+            test_set,
+            batch_size=batch_size,
+            clean_accuracy=clean_accuracy,
         )
-    start = starts.pop()
-    attacked_models = [result.modified_model() for result in results]
-    images, labels = test_set.images, test_set.labels
-    logit_chunks: list[list[np.ndarray]] = [[] for _ in results]
-    for batch_start in range(0, images.shape[0], batch_size):
-        batch = images[batch_start : batch_start + batch_size]
-        prefix = model.forward_between(batch, 0, start)
-        for index, attacked in enumerate(attacked_models):
-            logit_chunks[index].append(
-                attacked.forward_between(prefix, start, attacked.logits_end)
-            )
-    evaluations = []
-    for result, chunks in zip(results, logit_chunks):
-        predictions = np.argmax(np.concatenate(chunks, axis=0), axis=1)
-        evaluations.append(
-            _build_evaluation(
-                result,
-                np.asarray(result.delta),
-                clean_accuracy,
-                _accuracy(labels, predictions),
-                zero_tolerance,
-            )
+    attacked_accuracies = context.accuracies(
+        [result.modified_model() for result in results], starts.pop()
+    )
+    return [
+        _build_evaluation(
+            result,
+            np.asarray(result.delta),
+            context.clean_accuracy,
+            attacked_accuracy,
+            zero_tolerance,
         )
-    return evaluations
+        for result, attacked_accuracy in zip(results, attacked_accuracies)
+    ]
 
 
 def _build_evaluation(

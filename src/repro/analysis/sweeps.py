@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.evaluation import AttackEvaluation, evaluate_attack_result
+from repro.analysis.evaluation import (
+    AttackEvaluation,
+    EvaluationContext,
+    evaluate_attack_result,
+)
 from repro.attacks.fault_sneaking import FaultSneakingAttack, FaultSneakingConfig
 from repro.attacks.targets import make_attack_plan
 from repro.data.dataset import Dataset
@@ -76,7 +80,7 @@ def sweep_s_r_grid(
     config = config or FaultSneakingConfig()
     test_set = test_set if test_set is not None else dataset
     attack = FaultSneakingAttack(model, config)
-    clean_accuracy = model.evaluate(test_set.images, test_set.labels)
+    context = EvaluationContext(model, test_set)
 
     records: list[SweepRecord] = []
     for r in r_values:
@@ -92,11 +96,7 @@ def sweep_s_r_grid(
             )
             result = attack.attack(plan)
             evaluation = evaluate_attack_result(
-                result,
-                test_set,
-                clean_model=model,
-                clean_accuracy=clean_accuracy,
-                zero_tolerance=config.zero_tolerance,
+                result, context=context, zero_tolerance=config.zero_tolerance
             )
             _LOGGER.info(
                 "sweep %s S=%d R=%d: success=%.2f keep=%.2f l0=%d acc=%.3f",

@@ -23,11 +23,11 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.common import (
     S1_BASELINE_ATTACKS,
-    anchor_and_eval_split,
     get_setting,
     get_trained_model,
     run_s1_attack,
     s1_num_images,
+    victim_context,
 )
 from repro.zoo.registry import ModelRegistry
 
@@ -59,29 +59,29 @@ def _baseline_attack_job(
 ) -> dict:
     """Run one of the three S = 1 attacks and evaluate accuracy retention."""
     trained = get_trained_model(dataset, scale, registry=registry, seed=seed)
-    model = trained.model
-    anchor_pool, test_set = anchor_and_eval_split(trained)
-    clean_accuracy = model.evaluate(test_set.images, test_set.labels)
-    plan = make_attack_plan(anchor_pool, num_targets=1, num_images=num_images, seed=plan_seed)
-    result, success = run_s1_attack(attack, model, plan, scale)
+    context = victim_context(trained)
+    plan = make_attack_plan(
+        context.anchor_pool, num_targets=1, num_images=num_images, seed=plan_seed
+    )
+    result, success = run_s1_attack(attack, trained.model, plan, scale)
 
     if attack == "fault_sneaking":
         # The paper's method is scored through the full evaluation pipeline
         # (shared zero tolerance for the l0 count).
-        evaluation = evaluate_attack_result(
-            result, test_set, clean_model=model, clean_accuracy=clean_accuracy
-        )
+        evaluation = evaluate_attack_result(result, context=context.evaluation)
         l0, l2 = evaluation.l0_norm, evaluation.l2_norm
         success = evaluation.success_rate
         attacked = evaluation.attacked_test_accuracy
     else:
         l0, l2 = result.l0_norm, result.l2_norm
-        attacked = result.modified_model().evaluate(test_set.images, test_set.labels)
+        [attacked] = context.evaluation.accuracies(
+            [result.modified_model()], result.view.first_layer_index
+        )
     return {
         "l0": l0,
         "l2": l2,
         "success": success,
-        "clean_accuracy": clean_accuracy,
+        "clean_accuracy": context.evaluation.clean_accuracy,
         "attacked_accuracy": attacked,
     }
 

@@ -9,6 +9,9 @@ module centralises:
   or at the paper's scale;
 * trained-model acquisition through the :mod:`repro.zoo.registry` so that a
   model is trained at most once per process / cache directory;
+* the per-victim context every campaign cell reads its anchor pool,
+  evaluation set, clean accuracy and clean prefix activations from, built
+  once per process;
 * the ``sweep-cell`` campaign job shared by Table 4 and Figures 1–2 (one
   fault-sneaking attack at a single (S, R) grid point, evaluated against the
   anchor/evaluation split).
@@ -18,7 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.analysis.evaluation import evaluate_attack_result, evaluate_attack_results
+from repro.analysis.evaluation import (
+    EvaluationContext,
+    evaluate_attack_result,
+    evaluate_attack_results,
+)
 from repro.attacks.baselines import (
     GradientDescentAttack,
     GradientDescentAttackConfig,
@@ -27,6 +34,7 @@ from repro.attacks.baselines import (
 )
 from repro.attacks.fault_sneaking import FaultSneakingAttack, FaultSneakingConfig
 from repro.attacks.targets import make_attack_plan
+from repro.data.dataset import Dataset
 from repro.experiments.campaign import JobSpec, register_job
 from repro.experiments.fusion import register_fusion
 from repro.utils.errors import ConfigurationError
@@ -39,6 +47,8 @@ __all__ = [
     "get_trained_model",
     "attack_config_for",
     "anchor_and_eval_split",
+    "VictimContext",
+    "victim_context",
     "anchor_pool_size",
     "usable_r_values",
     "sweep_cell_spec",
@@ -224,6 +234,10 @@ def anchor_and_eval_split(trained: TrainedModel):
     pool, odd-indexed samples form the evaluation set.  The test split is
     i.i.d., so the parity split is unbiased and deterministic.
 
+    Each call builds fresh copies.  Campaign cells read the split from
+    :func:`victim_context` instead, which makes it once per victim and
+    process.
+
     Returns
     -------
     (anchor_pool, eval_set):
@@ -234,6 +248,38 @@ def anchor_and_eval_split(trained: TrainedModel):
     anchor_pool = test.subset(indices[0::2])
     eval_set = test.subset(indices[1::2])
     return anchor_pool, eval_set
+
+
+@dataclass(frozen=True)
+class VictimContext:
+    """The clean-victim work every campaign cell on one victim shares.
+
+    ``anchor_pool`` and ``eval_set`` are the victim's
+    :func:`anchor_and_eval_split`.  ``evaluation`` scores attacks on the
+    evaluation set; it computes the clean accuracy and, per first attacked
+    layer, the clean activations below that layer once.
+    """
+
+    anchor_pool: Dataset
+    evaluation: EvaluationContext
+
+    @property
+    def eval_set(self) -> Dataset:
+        return self.evaluation.test_set
+
+
+def victim_context(trained: TrainedModel) -> VictimContext:
+    """Return the victim's shared context, building it on first use.
+
+    The context is kept on the registry's in-memory ``trained`` entry, so all
+    cells of a campaign that run in one process share it, and each pool or
+    fleet worker process builds its own.  It is never written to the disk
+    cache.
+    """
+    if trained.context is None:
+        anchor_pool, eval_set = anchor_and_eval_split(trained)
+        trained.context = VictimContext(anchor_pool, EvaluationContext(trained.model, eval_set))
+    return trained.context
 
 
 def attack_config_for(
@@ -360,11 +406,10 @@ def _sweep_cell_job(
 ) -> dict:
     """Attack one (S, R) grid point and return the full evaluation metrics."""
     trained = get_trained_model(dataset, scale, registry=registry, seed=seed)
-    anchor_pool, eval_set = anchor_and_eval_split(trained)
+    context = victim_context(trained)
     config = attack_config_for(scale, norm=norm)
-    clean_accuracy = trained.model.evaluate(eval_set.images, eval_set.labels)
     plan = make_attack_plan(
-        anchor_pool,
+        context.anchor_pool,
         num_targets=s,
         num_images=r,
         target_strategy=target_strategy,
@@ -372,11 +417,7 @@ def _sweep_cell_job(
     )
     result = FaultSneakingAttack(trained.model, config).attack(plan)
     evaluation = evaluate_attack_result(
-        result,
-        eval_set,
-        clean_model=trained.model,
-        clean_accuracy=clean_accuracy,
-        zero_tolerance=config.zero_tolerance,
+        result, context=context.evaluation, zero_tolerance=config.zero_tolerance
     )
     return evaluation.as_dict()
 
@@ -403,12 +444,12 @@ def _sweep_cell_group_key(params: dict) -> tuple:
 def _sweep_cell_batch(specs, *, registry: ModelRegistry | None = None) -> list[dict]:
     """Attack a group of compatible (S, R) grid points in one stacked solve.
 
-    The victim model, the anchor/evaluation split, the attack configuration
-    and the clean accuracy are computed once for the whole group; each cell
-    contributes its own attack plan as one lane of the batched solver.  Each
-    lane's metrics are bit-identical to what :func:`_sweep_cell_job` returns
-    for that cell alone (the batched solver mirrors the scalar arithmetic
-    ULP for ULP), so fusing is invisible to manifests and tables.
+    The group reads the victim's shared context and builds one attack
+    configuration; each cell contributes its own attack plan as one lane of
+    the batched solver.  Each lane's metrics are bit-identical to what
+    :func:`_sweep_cell_job` returns for that cell alone (the batched solver
+    mirrors the scalar arithmetic ULP for ULP), so fusing is invisible to
+    manifests and tables.
     """
     from repro.attacks.batched import BatchedFaultSneakingAttack
 
@@ -416,12 +457,11 @@ def _sweep_cell_batch(specs, *, registry: ModelRegistry | None = None) -> list[d
     trained = get_trained_model(
         first["dataset"], first["scale"], registry=registry, seed=int(first["seed"])
     )
-    anchor_pool, eval_set = anchor_and_eval_split(trained)
+    context = victim_context(trained)
     config = attack_config_for(first["scale"], norm=first.get("norm", "l0"))
-    clean_accuracy = trained.model.evaluate(eval_set.images, eval_set.labels)
     plans = [
         make_attack_plan(
-            anchor_pool,
+            context.anchor_pool,
             num_targets=int(params["s"]),
             num_images=int(params["r"]),
             target_strategy=params.get("target_strategy", "random"),
@@ -431,10 +471,6 @@ def _sweep_cell_batch(specs, *, registry: ModelRegistry | None = None) -> list[d
     ]
     results = BatchedFaultSneakingAttack(trained.model, config).attack_batch(plans)
     evaluations = evaluate_attack_results(
-        results,
-        eval_set,
-        clean_model=trained.model,
-        clean_accuracy=clean_accuracy,
-        zero_tolerance=config.zero_tolerance,
+        results, context=context.evaluation, zero_tolerance=config.zero_tolerance
     )
     return [evaluation.as_dict() for evaluation in evaluations]

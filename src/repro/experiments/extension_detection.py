@@ -34,11 +34,11 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.common import (
     S1_BASELINE_ATTACKS,
-    anchor_and_eval_split,
     get_setting,
     get_trained_model,
     run_s1_attack,
     s1_num_images,
+    victim_context,
 )
 from repro.zoo.registry import ModelRegistry
 
@@ -71,8 +71,10 @@ def _detection_attack_job(
     """Run one S = 1 attack and score it against the probing/auditing defenders."""
     trained = get_trained_model(dataset, scale, registry=registry, seed=seed)
     model = trained.model
-    anchor_pool, eval_set = anchor_and_eval_split(trained)
-    plan = make_attack_plan(anchor_pool, num_targets=1, num_images=num_images, seed=plan_seed)
+    context = victim_context(trained)
+    plan = make_attack_plan(
+        context.anchor_pool, num_targets=1, num_images=num_images, seed=plan_seed
+    )
     layer_size = ParameterView(model, ParameterSelector(layers=("fc_logits",))).size
 
     result, _ = run_s1_attack(attack, model, plan, scale)
@@ -81,7 +83,7 @@ def _detection_attack_job(
     report = detection_report(
         model,
         attacked_model,
-        eval_set,
+        context.eval_set,
         num_modified_parameters=l0_norm,
         attacked_parameter_count=layer_size,
     )

@@ -21,11 +21,11 @@ from repro.experiments.campaign import (
     run_experiment,
 )
 from repro.experiments.common import (
-    anchor_and_eval_split,
     anchor_pool_size,
     attack_config_for,
     get_setting,
     get_trained_model,
+    victim_context,
 )
 from repro.zoo.registry import ModelRegistry
 
@@ -62,7 +62,7 @@ def _tolerance_cell_job(
 ) -> dict:
     """One point of the fault-tolerance curve: attack S targets at fixed R."""
     trained = get_trained_model(dataset, scale, registry=registry, seed=seed)
-    anchor_pool, _ = anchor_and_eval_split(trained)
+    anchor_pool = victim_context(trained).anchor_pool
     config = attack_config_for(scale, norm="l0")
     plan = make_attack_plan(anchor_pool, num_targets=s, num_images=num_images, seed=plan_seed)
     result = FaultSneakingAttack(trained.model, config).attack(plan)

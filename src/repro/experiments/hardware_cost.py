@@ -65,11 +65,11 @@ from repro.experiments.campaign import (
     run_experiment,
 )
 from repro.experiments.common import (
-    anchor_and_eval_split,
     anchor_pool_size,
     attack_config_for,
     get_setting,
     get_trained_model,
+    victim_context,
 )
 from repro.hardware.device import get_pattern, get_profile
 from repro.nn.quantization import STORAGE_FORMATS
@@ -243,8 +243,6 @@ class LoweredCell:
 
     solved: _SolvedAttack
     report: LoweringReport
-    eval_set: object
-    clean_accuracy: float
     l0: int
 
     def metrics(self) -> dict:
@@ -282,10 +280,9 @@ def lowered_cell(
     ``hardware_cost`` Monte-Carlo columns bit for bit.
     """
     trained = get_trained_model(dataset, scale, registry=registry, seed=seed)
-    anchor_pool, eval_set = anchor_and_eval_split(trained)
+    context = victim_context(trained)
     config = attack_config_for(scale, norm="l0")
-    clean_accuracy = trained.model.evaluate(eval_set.images, eval_set.labels)
-    plan = make_attack_plan(anchor_pool, num_targets=s, num_images=r, seed=plan_seed)
+    plan = make_attack_plan(context.anchor_pool, num_targets=s, num_images=r, seed=plan_seed)
     solved = _solve_attack(
         trained,
         config,
@@ -335,14 +332,12 @@ def lowered_cell(
         # that sharing is the whole point of common random numbers.
         crn_seed=int(flip_seed),
         env_drift=env_drift,
-        eval_set=eval_set,
-        clean_accuracy=clean_accuracy,
+        eval_set=context.eval_set,
+        clean_accuracy=context.evaluation.clean_accuracy,
     )
     return LoweredCell(
         solved=solved,
         report=report,
-        eval_set=eval_set,
-        clean_accuracy=clean_accuracy,
         l0=int(np.count_nonzero(np.abs(solved.delta) > config.zero_tolerance)),
     )
 

@@ -9,6 +9,7 @@ acceptable CPU performance out of pure numpy.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.utils.errors import ShapeError
 
@@ -33,16 +34,9 @@ def pad_nhwc(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
 
 
-def _window_indices(height: int, width: int, kernel: int, stride: int, out_h: int, out_w: int):
-    """Return (row, col) index grids selecting every receptive field."""
-    del height, width
-    i0 = np.repeat(np.arange(kernel), kernel)
-    j0 = np.tile(np.arange(kernel), kernel)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    rows = i0.reshape(1, -1) + i1.reshape(-1, 1)
-    cols = j0.reshape(1, -1) + j1.reshape(-1, 1)
-    return rows, cols
+def _window_slice(offset: int, stride: int, count: int) -> slice:
+    """Positions ``offset, offset + stride, ...`` of ``count`` windows."""
+    return slice(offset, offset + stride * (count - 1) + 1, stride)
 
 
 def im2col(
@@ -72,11 +66,14 @@ def im2col(
     out_w = conv_output_size(w, kernel, stride, padding)
     x_padded = pad_nhwc(x, padding)
 
-    rows, cols_idx = _window_indices(h, w, kernel, stride, out_h, out_w)
-    # patches: (N, out_h*out_w, kernel*kernel, C)
-    patches = x_padded[:, rows, cols_idx, :]
-    cols = patches.reshape(n * out_h * out_w, kernel * kernel * c)
-    return cols, (out_h, out_w)
+    # A strided view of shape (N, out_h, out_w, C, kernel, kernel), copied
+    # once with C moved last.  The copy is explicit so that ``cols`` never
+    # aliases ``x`` (a 1x1 kernel would otherwise reshape to a view).
+    windows = sliding_window_view(x_padded, (kernel, kernel), axis=(1, 2))[
+        :, _window_slice(0, stride, out_h), _window_slice(0, stride, out_w)
+    ]
+    patches = np.array(windows.transpose(0, 1, 2, 4, 5, 3), order="C")
+    return patches.reshape(n * out_h * out_w, kernel * kernel * c), (out_h, out_w)
 
 
 def col2im(
@@ -101,10 +98,15 @@ def col2im(
         )
 
     padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
-    patches = cols.reshape(n, out_h * out_w, kernel * kernel, c)
-    rows, cols_idx = _window_indices(h, w, kernel, stride, out_h, out_w)
-    # np.add.at performs unbuffered scatter-add over the repeated indices.
-    np.add.at(padded, (slice(None), rows, cols_idx, slice(None)), patches)
+    patches = cols.reshape(n, out_h, out_w, kernel, kernel, c)
+    # One strided add per kernel offset, walked in reverse.  A pixel hit by
+    # several windows gets its terms in increasing window order (a later
+    # window covers the pixel at a smaller offset), which is the order of a
+    # scatter-add over the patch rows, so the sums are the same bits.
+    for qy in reversed(range(kernel)):
+        rows = _window_slice(qy, stride, out_h)
+        for qx in reversed(range(kernel)):
+            padded[:, rows, _window_slice(qx, stride, out_w)] += patches[:, :, :, qy, qx]
     if padding == 0:
         return padded
     return padded[:, padding:-padding, padding:-padding, :]

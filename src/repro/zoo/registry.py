@@ -10,7 +10,7 @@ returns exactly the same model/dataset pair a cache miss would have produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.data.benchmarks import cifar_like, mnist_like
 from repro.data.dataset import DataSplit
@@ -90,7 +90,13 @@ class ModelSpec:
 
 @dataclass
 class TrainedModel:
-    """A trained model bundled with its data split and provenance."""
+    """A trained model bundled with its data split and provenance.
+
+    ``context`` is a slot for work derived from the trained model that
+    callers want to share within the process (the experiment drivers keep
+    their per-victim evaluation context there).  It lives only as long as
+    this in-memory entry and is never written to the disk cache.
+    """
 
     spec: ModelSpec
     model: Sequential
@@ -98,6 +104,7 @@ class TrainedModel:
     test_accuracy: float
     history: TrainingHistory | None = None
     from_cache: bool = False
+    context: object | None = field(default=None, repr=False, compare=False)
 
 
 class ModelRegistry:

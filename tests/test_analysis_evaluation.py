@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.evaluation import (
+    EvaluationContext,
     count_modified_parameters,
     evaluate_attack_result,
     evaluate_attack_results,
@@ -115,6 +116,39 @@ class TestEvaluateAttackResults:
             for result in results
         ]
         assert [e.as_dict() for e in batched] == [e.as_dict() for e in scalar]
+
+    def test_matches_full_model_evaluation_bitwise(self, results, tiny_model, tiny_split):
+        """The suffix-only forward equals running each whole attacked model."""
+        images, labels = tiny_split.test.images, tiny_split.test.labels
+        for evaluation, result in zip(
+            evaluate_attack_results(results, tiny_split.test, batch_size=64), results
+        ):
+            assert evaluation.clean_test_accuracy == tiny_model.evaluate(
+                images, labels, batch_size=64
+            )
+            assert evaluation.attacked_test_accuracy == result.modified_model().evaluate(
+                images, labels, batch_size=64
+            )
+
+    def test_context_computes_clean_work_once(self, results, tiny_model, tiny_split):
+        context = EvaluationContext(tiny_model, tiny_split.test)
+        first = evaluate_attack_results(results[:1], context=context)
+        start = results[0].view.first_layer_index
+        prefixes = context.prefix_batches(start)
+        second = evaluate_attack_results(results, context=context)
+        assert context.prefix_batches(start) is prefixes
+        assert first[0].as_dict() == second[0].as_dict()
+        assert [e.as_dict() for e in second] == [
+            e.as_dict()
+            for e in evaluate_attack_results(results, tiny_split.test, clean_model=tiny_model)
+        ]
+
+    def test_needs_exactly_one_of_test_set_and_context(self, results, tiny_model, tiny_split):
+        context = EvaluationContext(tiny_model, tiny_split.test)
+        with pytest.raises(ValueError, match="exactly one"):
+            evaluate_attack_results(results, tiny_split.test, context=context)
+        with pytest.raises(ValueError, match="exactly one"):
+            evaluate_attack_results(results)
 
     def test_empty_input(self, tiny_split):
         assert evaluate_attack_results([], tiny_split.test) == []

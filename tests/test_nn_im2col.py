@@ -1,8 +1,14 @@
 """Tests for repro.nn.im2col."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from repro.nn import layers
 from repro.nn.im2col import col2im, conv_output_size, im2col, pad_nhwc
 from repro.utils.errors import ShapeError
 
@@ -111,3 +117,197 @@ class TestCol2Im:
     def test_wrong_row_count_raises(self):
         with pytest.raises(ShapeError):
             col2im(np.ones((5, 4)), (1, 4, 4, 1), kernel=2, stride=2)
+
+
+# -- bit-identity against the index-gather / np.add.at kernels --------------------
+#
+# The strided im2col and the reversed-offset col2im replaced a fancy-index
+# gather and an ``np.add.at`` scatter.  The originals live on here as
+# references only: every layer built on the kernels must keep producing the
+# same bits, not merely close values.
+
+
+def _reference_indices(kernel, stride, out_h, out_w):
+    i0 = np.repeat(np.arange(kernel), kernel)
+    j0 = np.tile(np.arange(kernel), kernel)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    return i0.reshape(1, -1) + i1.reshape(-1, 1), j0.reshape(1, -1) + j1.reshape(-1, 1)
+
+
+def reference_im2col(x, kernel, stride=1, padding=0):
+    n, h, w, c = x.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    rows, cols = _reference_indices(kernel, stride, out_h, out_w)
+    patches = pad_nhwc(x, padding)[:, rows, cols, :]
+    return patches.reshape(n * out_h * out_w, kernel * kernel * c), (out_h, out_w)
+
+
+def reference_col2im(cols, input_shape, kernel, stride=1, padding=0):
+    n, h, w, c = input_shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+    rows, cols_idx = _reference_indices(kernel, stride, out_h, out_w)
+    patches = cols.reshape(n, out_h * out_w, kernel * kernel, c)
+    np.add.at(padded, (slice(None), rows, cols_idx, slice(None)), patches)
+    if padding == 0:
+        return padded
+    return padded[:, padding:-padding, padding:-padding, :]
+
+
+def _spread(rng, shape):
+    """Values over many orders of magnitude, so summation order shows in the bits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+@st.composite
+def geometries(draw):
+    """(input_shape, kernel, stride, padding) with a positive output size."""
+    kernel = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, 4))
+    padding = draw(st.integers(0, 2))
+    low = max(1, kernel - 2 * padding)
+    shape = (
+        draw(st.integers(1, 3)),
+        draw(st.integers(low, low + 8)),
+        draw(st.integers(low, low + 8)),
+        draw(st.integers(1, 4)),
+    )
+    return shape, kernel, stride, padding
+
+
+# stride < kernel (overlapping windows), stride > kernel (gaps), padding 0,
+# and this package's two conv geometries.
+KERNEL_EXAMPLES = (
+    ((2, 7, 7, 3), 3, 1, 1),
+    ((1, 9, 8, 2), 2, 3, 0),
+    ((3, 6, 6, 1), 3, 2, 0),
+    ((2, 28, 28, 1), 5, 2, 2),
+    ((2, 14, 14, 8), 3, 2, 1),
+)
+
+
+def _with_examples(**extra):
+    def decorate(test):
+        for geometry in KERNEL_EXAMPLES:
+            test = example(geometry=geometry, seed=0, **extra)(test)
+        return test
+
+    return decorate
+
+
+class TestKernelsMatchReference:
+    @_with_examples()
+    @given(geometry=geometries(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_im2col(self, geometry, seed):
+        shape, kernel, stride, padding = geometry
+        x = _spread(np.random.default_rng(seed), shape)
+        cols, size = im2col(x, kernel, stride, padding)
+        expected, expected_size = reference_im2col(x, kernel, stride, padding)
+        assert size == expected_size
+        _assert_same_bits(cols, expected)
+        assert not np.shares_memory(cols, x)
+
+    @_with_examples()
+    @given(geometry=geometries(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_col2im(self, geometry, seed):
+        shape, kernel, stride, padding = geometry
+        rows = reference_im2col(np.zeros(shape), kernel, stride, padding)[0].shape
+        grad = _spread(np.random.default_rng(seed), rows)
+        _assert_same_bits(
+            col2im(grad, shape, kernel, stride, padding),
+            reference_col2im(grad, shape, kernel, stride, padding),
+        )
+
+
+@contextlib.contextmanager
+def _reference_kernels():
+    with mock.patch.object(layers, "im2col", reference_im2col), mock.patch.object(
+        layers, "col2im", reference_col2im
+    ):
+        yield
+
+
+def _forward_backward(layer, x, grad):
+    """Output, input gradient and parameter gradients of one pass."""
+    out = layer.forward(x)
+    back = layer.backward(grad)
+    return [out, back, *(layer.grads[name].copy() for name in sorted(layer.grads))]
+
+
+def _assert_layer_matches_reference(layer, x, seed):
+    grad = _spread(np.random.default_rng(seed + 1), layer.forward(x).shape)
+    actual = _forward_backward(layer, x, grad)
+    with _reference_kernels():
+        expected = _forward_backward(layer, x, grad)
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        _assert_same_bits(got, want)
+
+
+def _assume_reference_layout_is_c_ordered(shape, kernel, stride, padding):
+    """Skip the one geometry where the old gather's matrix was Fortran-ordered.
+
+    For a single-channel input with a single output pixel the old gather
+    returned the same values in Fortran order, which sends the conv GEMM
+    down another BLAS path and changes its last bits.  No model in this
+    package has such a layer; everywhere else both matrices are C-ordered.
+    """
+    _, h, w, c = shape
+    out = conv_output_size(h, kernel, stride, padding) * conv_output_size(
+        w, kernel, stride, padding
+    )
+    assume(c > 1 or out > 1)
+
+
+class TestLayersMatchReference:
+    @_with_examples()
+    @given(geometry=geometries(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_conv2d(self, geometry, seed):
+        (n, h, w, c), kernel, stride, padding = geometry
+        _assume_reference_layout_is_c_ordered(*geometry)
+        rng = np.random.default_rng(seed)
+        layer = layers.Conv2D(c, 2, kernel, stride=stride, padding=padding, seed=1)
+        layer.params["W"] = _spread(rng, layer.params["W"].shape)
+        _assert_layer_matches_reference(layer, _spread(rng, (n, h, w, c)), seed)
+
+    @_with_examples(lanes=3, per_lane_weights=True)
+    @given(
+        geometry=geometries(),
+        seed=st.integers(0, 2**32 - 1),
+        lanes=st.integers(1, 3),
+        per_lane_weights=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_conv2d_folded_lanes(self, geometry, seed, lanes, per_lane_weights):
+        """The stacked (lanes, N, H, W, C) path folds the lanes into one im2col."""
+        (n, h, w, c), kernel, stride, padding = geometry
+        _assume_reference_layout_is_c_ordered(*geometry)
+        rng = np.random.default_rng(seed)
+        layer = layers.Conv2D(c, 3, kernel, stride=stride, padding=padding, seed=1)
+        if per_lane_weights:
+            layer.params["W"] = _spread(rng, (lanes, *layer.params["W"].shape))
+            layer.params["b"] = _spread(rng, (lanes, 3))
+        _assert_layer_matches_reference(layer, _spread(rng, (lanes, n, h, w, c)), seed)
+
+    @_with_examples(lanes=2)
+    @given(geometry=geometries(), seed=st.integers(0, 2**32 - 1), lanes=st.integers(0, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_maxpool2d(self, geometry, seed, lanes):
+        """Backward scatters through col2im; ``lanes=0`` is the plain 4-D path."""
+        (n, h, w, c), kernel, stride, padding = geometry
+        # Pooling has no padding; grow the input so the window still fits.
+        shape = (n, h + 2 * padding, w + 2 * padding, c)
+        x = _spread(np.random.default_rng(seed), (lanes, *shape) if lanes else shape)
+        _assert_layer_matches_reference(layers.MaxPool2D(kernel, stride=stride), x, seed)
