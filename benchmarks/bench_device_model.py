@@ -6,7 +6,9 @@ and the SECDED syndrome computation (an XOR reduction per codeword).  Both
 are pure NumPy pipelines with pure-Python references kept next to them; this
 benchmark verifies the implementations agree bit for bit on a many-thousand
 flip workload and gates a >= 10x speedup so a regression fails CI instead of
-silently slowing every campaign cell.
+silently slowing every campaign cell.  ``bench_repair_plan`` times a whole
+device-aware repair and gates its template lookup count, which is
+deterministic.
 
 Run with::
 
@@ -16,19 +18,26 @@ Run with::
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.hardware.bitflip import BitFlipPlan
+from repro.attacks.lowering import repair_plan
+from repro.attacks.parameter_view import ParameterSelector, ParameterView
+from repro.hardware.bitflip import BitFlipPlan, plan_bit_flips
 from repro.hardware.device import (
     DramGeometry,
     FlipTemplate,
     OnDieEcc,
     SecdedCode,
     TrrSampler,
+    get_profile,
     plan_hammer,
 )
+from repro.hardware.memory import ParameterMemoryMap
+from repro.nn.quantization import storage_spec
+from repro.zoo.architectures import mlp
 
 # Vectorisation must beat the reference loop by at least this factor on the
 # benchmark workload (both are >= 50x in practice; 10x leaves CI noise room).
@@ -162,3 +171,53 @@ def bench_plan_hammer_many_sided(benchmark):
     )
     assert hammer.feasible_victims.size > 0
     assert hammer.hammered_rows.size >= hammer.aggressors.size
+
+
+def bench_repair_plan(benchmark):
+    """A float32 repair on the 256-frame ``ddr3-noecc`` profile.
+
+    The massaging stage hashes the template once for every frame candidate
+    of every touched word, and re-routing reads that table, so the repair
+    makes exactly one ``feasible_cells`` call however many words it
+    re-routes (the profile has no ECC stage).  The count is gated; the wall
+    time is recorded only.
+    """
+    profile = get_profile("ddr3-noecc")
+    assert profile.massage_frames == 256 and profile.ecc is None
+    model = mlp((12, 12, 1), 10, seed=0, hidden=(64, 32))
+    view = ParameterView(model, ParameterSelector(layers=("fc2",)))
+    memory = ParameterMemoryMap(view, spec=storage_spec("float32"), layout=profile.layout())
+    rng = np.random.default_rng(5)
+    target = view.baseline
+    touched = rng.choice(view.size, size=500, replace=False)
+    target[touched] += rng.normal(0.0, 0.05, size=touched.size)
+    plan = plan_bit_flips(memory, target)
+    template = profile.template(0)
+
+    calls = 0
+    original = FlipTemplate.feasible_cells
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(self, *args, **kwargs)
+
+    with mock.patch.object(FlipTemplate, "feasible_cells", counting):
+        seconds, repair = benchmark.pedantic(
+            lambda: best_of(
+                lambda: repair_plan(
+                    plan, memory, target, template=template,
+                    massage_frames=profile.massage_frames,
+                ),
+                repeats=1,
+            ),
+            rounds=1,
+            iterations=1,
+        )
+    print(
+        f"\nrepair_plan: {seconds * 1e3:.1f} ms, {plan.num_flips} planned flips on "
+        f"{np.unique(plan.as_arrays()[0]).size} words, {repair.flips_infeasible} "
+        f"infeasible, {calls} feasible_cells call(s)"
+    )
+    assert repair.flips_infeasible > 0
+    assert calls == 1

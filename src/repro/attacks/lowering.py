@@ -66,6 +66,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -87,12 +89,17 @@ from repro.nn.quantization import QuantizationSpec, dequantize, storage_spec
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomState, derive_seed, fork_rng
 
+if TYPE_CHECKING:  # imported in lower_attack: repro.analysis imports repro.defenses
+    from repro.analysis.evaluation import EvaluationContext
+
 __all__ = [
     "HardwareBudget",
     "PlanRepair",
     "TrialOutcome",
     "TrialStatistics",
     "LoweringReport",
+    "BitTrueMeasurement",
+    "BitTrueScorer",
     "VARIANCE_REDUCTION_SCHEMES",
     "repair_plan",
     "lower_attack",
@@ -208,13 +215,6 @@ class PlanRepair:
     def modified(self) -> bool:
         return self.flips_dropped > 0 or self.flips_added > 0
 
-    @property
-    def pages_massaged(self) -> int:
-        """Pages steered onto a non-default templated frame."""
-        if not self.placement:
-            return 0
-        return sum(1 for choice in self.placement.values() if choice != 0)
-
 
 def _decode_word(word, spec: QuantizationSpec) -> float:
     return float(dequantize(np.array([word], dtype=spec.storage_dtype()), spec)[0])
@@ -261,11 +261,16 @@ def _round_overfull_words(
 _MASSAGE_BITS = 12
 
 
-def _popcounts(indices: np.ndarray, bits: int) -> np.ndarray:
-    counts = np.zeros(indices.shape, dtype=np.int64)
-    for shift in range(bits):
-        counts += (indices >> shift) & 1
-    return counts
+def _subset_masks(search: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """XOR masks of every subset of the bit positions ``search``, and their sizes."""
+    masks = np.zeros(1, dtype=np.int64)
+    for b in search.tolist():
+        masks = np.concatenate([masks, masks ^ np.int64(1 << b)])
+    indices = np.arange(masks.size, dtype=np.int64)
+    flips = np.zeros(masks.size, dtype=np.int64)
+    for shift in range(search.size):
+        flips += (indices >> shift) & 1
+    return masks, flips
 
 
 def _best_feasible_mask(
@@ -289,18 +294,15 @@ def _best_feasible_mask(
     """
     if not feasible_bits.size:
         return 0
-    search = np.sort(feasible_bits)[::-1][:_MASSAGE_BITS]
-    masks = np.zeros(1, dtype=np.int64)
-    for b in search.tolist():
-        masks = np.concatenate([masks, masks ^ np.int64(1 << b)])
-    flips = _popcounts(np.arange(masks.size, dtype=np.int64), search.size)
+    masks, flips = _subset_masks(np.sort(feasible_bits)[::-1][:_MASSAGE_BITS])
     if limit is not None:
         allowed = flips <= limit
         masks, flips = masks[allowed], flips[allowed]
     dtype = spec.storage_dtype()
     candidates = np.bitwise_xor(dtype.type(original_word), masks.astype(dtype))
     values = dequantize(candidates, spec)
-    distance = np.abs(values - target)
+    with np.errstate(invalid="ignore"):  # NaN decodes: ranked last on the next line
+        distance = np.abs(values - target)
     distance = np.where(np.isfinite(distance), distance, np.inf)
     best = int(np.lexsort((flips, distance))[0])
     if distance[best] < abs(original_value - target):
@@ -357,10 +359,32 @@ def _frames_for(
     return pages * k_total + choices
 
 
+def _placed_feasibility(memory, template, placement, k_total, page_bytes):
+    """``feasible(words, cell_bits, stored_bits)``: template feasibility of
+    cells on their placed frames (all feasible without a template)."""
+
+    def feasible(words, cell_bits, stored_bits):
+        if template is None:
+            return np.ones(np.broadcast(words, cell_bits).shape, dtype=bool)
+        addresses = memory.layout.base_address + words * memory.bytes_per_word
+        frames = _frames_for(addresses, placement, k_total, page_bytes)
+        return template.feasible_cells(addresses, cell_bits, stored_bits, frames)
+
+    return feasible
+
+
+def _touched_cells(plan, memory) -> tuple[np.ndarray, np.ndarray]:
+    """A plan's sorted touched words and their stored bits (words × bits)."""
+    words = np.unique(plan.as_arrays()[0])
+    cell_bits = np.arange(memory.spec.bits_per_value, dtype=np.int64)
+    stored = (memory.read_words()[words].astype(np.int64)[:, None] >> cell_bits) & 1
+    return words, stored
+
+
 def _choose_frames(
     plan, memory, original_values, target_repr, template, k_total, page_bytes,
     yield_scale: float = 1.0, optimize_expected: bool = False,
-) -> dict[int, int]:
+) -> tuple[dict[int, int], np.ndarray]:
     """Page-granular memory massaging: pick the best templated frame per page.
 
     Each page-sized block of the parameter region can be steered onto one of
@@ -379,45 +403,35 @@ def _choose_frames(
     whose feasible cells land reliably outscore frames that merely have the
     right polarities.  With probability-1.0 templates the two modes are
     identical.
+
+    Also returns the touched words' feasibility on their chosen frames
+    (words × bits, ascending word order), which re-routing reads.
     """
-    word_index = plan.as_arrays()[0]
-    words = np.unique(word_index)
-    original_words = memory.read_words()
+    words, stored = _touched_cells(plan, memory)
     spec = memory.spec
     bits = spec.bits_per_value
     word_addresses = memory.layout.base_address + words * memory.bytes_per_word
     pages = word_addresses // page_bytes
     num_words = words.size
 
+    # Broadcast grid (frame, word, bit): the template hashes each frame id
+    # once per (frame, word) and each cell once per frame.
+    addresses = word_addresses[:, None]
     cell_bits = np.arange(bits, dtype=np.int64)
-    shape = (k_total, num_words, bits)
-    addresses_grid = np.broadcast_to(word_addresses[None, :, None], shape)
-    bits_grid = np.broadcast_to(cell_bits[None, None, :], shape)
-    original_grid = original_words[words]
-    original_bits_grid = np.broadcast_to(
-        ((original_grid.astype(np.int64)[:, None] >> cell_bits) & 1)[None], shape
-    )
-    frames_grid = np.broadcast_to(
-        pages[None, :, None] * k_total
-        + np.arange(k_total, dtype=np.int64)[:, None, None],
-        shape,
-    )
-    feasible = template.feasible_cells(
-        addresses_grid.ravel(), bits_grid.ravel(), original_bits_grid.ravel(),
-        frames_grid.ravel(),
-    ).reshape(shape)
+    frames = pages[None, :, None] * k_total + np.arange(k_total, dtype=np.int64)[:, None, None]
+    feasible = template.feasible_cells(addresses, cell_bits, stored, frames)
     probabilities = None
     if optimize_expected:
         probabilities = template.cell_flip_probabilities(
-            addresses_grid.ravel(), bits_grid.ravel(), frames_grid.ravel(),
-            scale=yield_scale,
-        ).reshape(shape)
+            addresses, cell_bits, frames, scale=yield_scale
+        )
 
     # Greedy descent: walk bits most-significant first, taking any feasible
     # flip that moves the stored value closer to the target.  In expected
     # mode the error only shrinks by the flip's landing probability, so a
     # frame accumulates score in proportion to how reliably its cells land.
     dtype = spec.storage_dtype()
+    original_grid = memory.read_words()[words]
     current = np.broadcast_to(original_grid[None, :], (k_total, num_words)).copy()
     target = target_repr[words]
     error = np.abs(dequantize(current, spec) - target[None, :])
@@ -432,73 +446,60 @@ def _choose_frames(
         error = np.where(better, candidate_error, error)
 
     placement: dict[int, int] = {}
+    chosen = np.empty(num_words, dtype=np.int64)
     for page in np.unique(pages).tolist():
         in_page = pages == page
         totals = error[:, in_page].sum(axis=1)
         placement[int(page)] = int(np.argmin(totals))
-    return placement
+        chosen[in_page] = placement[int(page)]
+    return placement, feasible[chosen, np.arange(num_words)]
 
 
 def _apply_template(
-    plan, memory, original_values, target_repr, template, limit, placement, k_total,
-    page_bytes,
-) -> tuple[BitFlipPlan, int, int]:
-    """Re-route template-infeasible flips; returns (plan, #infeasible, #rerouted).
+    plan, memory, original_values, target_repr, limit, table
+) -> tuple[BitFlipPlan, int]:
+    """Re-route template-infeasible flips; returns (plan, #infeasible flips).
 
-    A flip whose direction does not match the cell's templated polarity can
-    never be realised, so it is always removed.  Every word that loses flips
-    this way is then *re-routed*: the closest value reachable through the
-    word's feasible cells replaces the exact target encoding
+    ``table`` is the feasibility of the plan's touched words (words × bits,
+    rows in ascending word order) on their placed frames.  A flip whose
+    direction does not match the cell's templated polarity can never be
+    realised, so it is always removed.  Every word that loses flips this way
+    is then *re-routed*: the closest value reachable through the word's
+    feasible cells replaces the exact target encoding
     (:func:`_best_feasible_mask`), and only words where no reachable value
     improves on the original revert entirely.
     """
-    word_index, bit, address, row = plan.as_arrays()
-    original_words = memory.read_words()
-    frames = _frames_for(address, placement, k_total, page_bytes)
-    feasible = template.feasible_mask(plan, original_words, frames)
+    word_index, bit, _, _ = plan.as_arrays()
+    words = np.unique(word_index)
+    feasible = table[np.searchsorted(words, word_index), bit]
     infeasible = int((~feasible).sum())
     if not infeasible:
-        return plan, 0, 0
+        return plan, 0
 
+    original_words = memory.read_words()
     bad_words = np.unique(word_index[~feasible])
     keep = ~np.isin(word_index, bad_words)
-    bits_per_word = memory.spec.bits_per_value
-    cell_bits = np.arange(bits_per_word, dtype=np.int64)
+    cell_bits = np.arange(memory.spec.bits_per_value, dtype=np.int64)
     new_words: list[int] = []
     new_bits: list[int] = []
-    words_rerouted = 0
-    for word in bad_words.tolist():
-        word_value = int(original_words[word])
-        original_cell_bits = (word_value >> cell_bits) & 1
-        cell_addresses = np.full(
-            bits_per_word, memory.layout.base_address + word * memory.bytes_per_word
-        )
-        cell_frames = _frames_for(cell_addresses, placement, k_total, page_bytes)
-        cell_feasible = template.feasible_cells(
-            cell_addresses, cell_bits, original_cell_bits, cell_frames
-        )
+    for word, row in zip(bad_words.tolist(), np.searchsorted(words, bad_words).tolist()):
         mask = _best_feasible_mask(
-            word_value,
+            int(original_words[word]),
             float(original_values[word]),
             float(target_repr[word]),
-            cell_bits[cell_feasible],
+            cell_bits[table[row]],
             memory.spec,
             limit,
         )
-        if not mask:
-            continue
-        words_rerouted += 1
         for b in cell_bits[((mask >> cell_bits) & 1).astype(bool)].tolist():
             new_words.append(word)
             new_bits.append(b)
 
-    repaired = plan.select(keep).with_flips(new_words, new_bits, memory)
-    return repaired, infeasible, words_rerouted
+    return plan.select(keep).with_flips(new_words, new_bits, memory), infeasible
 
 
 def _codeword_candidates(
-    memory, original_words, template, span_words, taken, impact, low_bits, placement,
-    k_total, page_bytes,
+    memory, original_words, feasible_of, span_words, taken, impact, low_bits
 ) -> list[tuple[int, int, int, int]]:
     """Feasible companion cells of one codeword, cheapest first.
 
@@ -513,12 +514,7 @@ def _codeword_candidates(
     words = np.repeat(span_words, low_bits)
     cell_bits = np.tile(np.arange(low_bits, dtype=np.int64), span_words.size)
     original_bits = (original_words[words].astype(np.int64) >> cell_bits) & 1
-    if template is not None:
-        addresses = memory.layout.base_address + words * memory.bytes_per_word
-        frames = _frames_for(addresses, placement, k_total, page_bytes)
-        feasible = template.feasible_cells(addresses, cell_bits, original_bits, frames)
-    else:
-        feasible = np.ones(words.size, dtype=bool)
+    feasible = feasible_of(words, cell_bits, original_bits)
     order = np.lexsort((cell_bits, words, impact[words]))
     candidates = []
     first_word = int(span_words[0])
@@ -540,8 +536,7 @@ _PAD_BITS = {8: 2, 16: 6, 32: 14}
 
 
 def _ecc_self_pad(
-    word, memory, original_words, original_values, target_repr,
-    template, placement, k_total, page_bytes, ecc, wpc, limit,
+    word, memory, original_words, original_values, target_repr, feasible_of, ecc, wpc, limit
 ):
     """Re-encode one word so its codeword decodes cleanly on its own.
 
@@ -558,26 +553,16 @@ def _ecc_self_pad(
     cell_bits = np.arange(bits, dtype=np.int64)
     word_value = int(original_words[word])
     original_bits = (word_value >> cell_bits) & 1
-    if template is not None:
-        addresses = np.full(
-            bits, memory.layout.base_address + word * memory.bytes_per_word
-        )
-        frames = _frames_for(addresses, placement, k_total, page_bytes)
-        feasible = template.feasible_cells(addresses, cell_bits, original_bits, frames)
-    else:
-        feasible = np.ones(bits, dtype=bool)
-    usable = cell_bits[feasible]
+    usable = cell_bits[feasible_of(np.full(bits, word), cell_bits, original_bits)]
     if usable.size < 2:
         return None
     search = np.sort(usable)[::-1][:_MASSAGE_BITS]
     offset_base = (word % wpc) * bits
-    masks = np.zeros(1, dtype=np.int64)
+    masks, flips = _subset_masks(search)
     syndromes = np.zeros(1, dtype=np.int64)
     for b in search.tolist():
         position = int(ecc.positions[offset_base + b])
-        masks = np.concatenate([masks, masks ^ np.int64(1 << b)])
         syndromes = np.concatenate([syndromes, syndromes ^ np.int64(position)])
-    flips = _popcounts(np.arange(masks.size, dtype=np.int64), search.size)
     low_bits = _PAD_BITS.get(bits, max(2, bits // 2))
     safe = np.array(
         [ecc.alias_is_safe(int(s), bits, low_bits, wpc) for s in syndromes.tolist()]
@@ -598,8 +583,8 @@ def _ecc_self_pad(
 
 
 def _apply_ecc_padding(
-    plan_arrays, keep, memory, original_values, target_repr, template, ecc,
-    limit, placement, k_total, page_bytes, row_cap=None
+    plan_arrays, keep, memory, original_values, target_repr, feasible_of, ecc, limit,
+    row_cap=None,
 ):
     """Re-route ECC-vulnerable codewords by padding them with companion flips.
 
@@ -657,7 +642,7 @@ def _apply_ecc_padding(
             if limit is None or limit >= 2:
                 mask = _ecc_self_pad(
                     word, memory, original_words, original_values, target_repr,
-                    template, placement, k_total, page_bytes, ecc, wpc, limit,
+                    feasible_of, ecc, wpc, limit,
                 )
             if mask is not None and headroom is not None:
                 # The self-pad replaces the row's lone flip with popcount(mask).
@@ -679,8 +664,7 @@ def _apply_ecc_padding(
                 continue
         taken = set(zip(word_index[in_cw].tolist(), bit[in_cw].tolist()))
         candidates = _codeword_candidates(
-            memory, original_words, template, span, taken, impact,
-            low_bits, placement, k_total, page_bytes,
+            memory, original_words, feasible_of, span, taken, impact, low_bits
         )
         if limit is not None:
             candidates = [
@@ -751,8 +735,8 @@ def _apply_ecc_padding(
 
 
 def _apply_symbol_padding(
-    plan_arrays, keep, memory, original_values, target_repr, template, ecc,
-    limit, placement, k_total, page_bytes, row_cap=None
+    plan_arrays, keep, memory, original_values, target_repr, feasible_of, ecc, limit,
+    row_cap=None,
 ):
     """Chipkill repair: spread single-symbol codewords over a second symbol.
 
@@ -798,8 +782,7 @@ def _apply_symbol_padding(
         if row_cap is None or flips_per_row.get(row_id, 0) < row_cap:
             taken = set(zip(word_index[in_cw].tolist(), bit[in_cw].tolist()))
             candidates = _codeword_candidates(
-                memory, original_words, template, span, taken, impact,
-                low_bits, placement, k_total, page_bytes,
+                memory, original_words, feasible_of, span, taken, impact, low_bits
             )
             if limit is not None:
                 candidates = [
@@ -914,19 +897,24 @@ def repair_plan(
 
     working = plan
     flips_infeasible = 0
-    placement = None
-    if template is not None:
-        if massage_frames > 1:
-            placement = _choose_frames(
-                plan, memory, original_values, target_repr, template,
-                massage_frames, page_bytes,
-                yield_scale=(pattern.flip_yield if pattern is not None else 1.0)
-                * env_scale,
-                optimize_expected=optimize_expected,
-            )
-        working, flips_infeasible, _ = _apply_template(
+    placement = table = None
+    if template is not None and massage_frames > 1:
+        placement, table = _choose_frames(
             plan, memory, original_values, target_repr, template,
-            budget.max_flips_per_word, placement, massage_frames, page_bytes,
+            massage_frames, page_bytes,
+            yield_scale=(pattern.flip_yield if pattern is not None else 1.0)
+            * env_scale,
+            optimize_expected=optimize_expected,
+        )
+    feasible_of = _placed_feasibility(memory, template, placement, massage_frames, page_bytes)
+    if template is not None:
+        # One template lookup per repair: re-routing reads the touched words'
+        # feasibility on their placed frames from the massaging stage's table.
+        if table is None:
+            words, stored = _touched_cells(plan, memory)
+            table = feasible_of(words[:, None], np.arange(stored.shape[1]), stored)
+        working, flips_infeasible = _apply_template(
+            plan, memory, original_values, target_repr, budget.max_flips_per_word, table
         )
 
     arrays = working.as_arrays()
@@ -1015,12 +1003,9 @@ def repair_plan(
             memory,
             original_values,
             target_repr,
-            template,
+            feasible_of,
             ecc,
             budget.max_flips_per_word,
-            placement,
-            massage_frames,
-            page_bytes,
             row_cap,
         )
 
@@ -1208,22 +1193,15 @@ def _trial_streams(
 
 
 def _run_trials(
-    victim: Sequential,
-    selector,
+    scorer: "BitTrueScorer",
     repair: PlanRepair,
-    spec: QuantizationSpec,
-    layout: MemoryLayout,
     template: FlipTemplate | None,
     ecc: EccScheme | None,
     trr,
     pattern: HammerPattern | None,
     massage_frames: int,
-    page_bytes: int,
     trials: int,
     rng,
-    attack_plan,
-    eval_set,
-    batch_size: int,
     variance_reduction: str = "independent",
     crn_seed: int = 0,
     env_scale: float = 1.0,
@@ -1234,15 +1212,16 @@ def _run_trials(
     a Generator, or None for fresh entropy), samples which of the repaired
     plan's flips land, re-rolls a probabilistic TRR tracker against the
     surviving victim rows, pushes the outcome through the ECC decoder, and
-    re-measures the attack on the resulting bit-true model.  Everything
-    downstream of the seed is deterministic, so equal seeds give equal
-    statistics in any process or executor.  ``env_scale`` multiplies the
-    landing probabilities on top of the pattern's ``flip_yield`` (the
-    temperature/voltage drift axis); 1.0 is the nominal environment and
-    leaves the historical streams byte-identical.
+    re-measures the attack on the resulting bit-true model
+    (:meth:`BitTrueScorer.measure`).  Everything downstream of the seed is
+    deterministic, so equal seeds give equal statistics in any process or
+    executor.  ``env_scale`` multiplies the landing probabilities on top of
+    the pattern's ``flip_yield`` (the temperature/voltage drift axis); 1.0 is
+    the nominal environment and leaves the historical streams byte-identical.
     """
     plan = repair.plan
     _, bit, address, row = plan.as_arrays()
+    page_bytes = _massage_page_bytes(scorer.memory, ecc)
     frames = _frames_for(address, repair.placement, massage_frames, page_bytes)
     yield_scale = (pattern.flip_yield if pattern is not None else 1.0) * env_scale
     # Trial-invariant sampling inputs, hoisted out of the loop: feasibility
@@ -1252,16 +1231,13 @@ def _run_trials(
     # exactly what sample_flips would consume, in the same order.
     feasible = probabilities = None
     if template is not None and plan.num_flips:
-        pristine = ParameterMemoryMap(
-            ParameterView(victim.copy(), selector), spec=spec, layout=layout
-        )
-        feasible = template.feasible_mask(plan, pristine.read_words(), frames)
+        feasible = template.feasible_mask(plan, scorer.pristine, frames)
         probabilities = template.cell_flip_probabilities(
             address, bit, frames, scale=yield_scale
         )
     success = np.empty(trials)
     keep = np.empty(trials)
-    accuracy = np.full(trials, float("nan"))
+    accuracy = np.empty(trials)
     landed = np.empty(trials, dtype=np.int64)
     outcomes: list[TrialOutcome] = []
     streams = _trial_streams(
@@ -1272,10 +1248,6 @@ def _run_trials(
         probabilities.shape if probabilities is not None else None,
     )
     for t, (uniforms, trial_rng) in enumerate(streams):
-        model = victim.copy()
-        memory = ParameterMemoryMap(
-            ParameterView(model, selector), spec=spec, layout=layout
-        )
         if feasible is not None:
             draws = trial_rng.random(probabilities.shape) if uniforms is None else uniforms
             mask = feasible & (draws < probabilities)
@@ -1291,7 +1263,7 @@ def _run_trials(
             # input to it.
             hammer = plan_hammer(
                 np.unique(row),
-                geometry=memory.layout.geometry,
+                geometry=scorer.memory.layout.geometry,
                 pattern=pattern,
                 sampler=trr,
                 rng=trial_rng,
@@ -1299,28 +1271,17 @@ def _run_trials(
             mask &= np.isin(row, hammer.feasible_victims)
         trial_plan = plan.select(mask)
         landed[t] = trial_plan.num_flips
-        trial_alarms = 0
-        if ecc is not None:
-            executed, trial_summary = ecc.apply_to_plan(trial_plan, memory)
-            trial_alarms = trial_summary.alarms
-        else:
-            executed = trial_plan
-        memory.apply_plan(executed)
-        memory.flush_to_model()
-        success_mask, keep_mask, _ = _attack_rates(model, attack_plan)
-        success[t] = float(success_mask.mean()) if success_mask.size else 1.0
-        keep[t] = float(keep_mask.mean()) if keep_mask.size else 1.0
-        if eval_set is not None:
-            accuracy[t] = model.evaluate(
-                eval_set.images, eval_set.labels, batch_size=batch_size
-            )
+        measured = scorer.measure(trial_plan, ecc, accuracy=True)
+        success[t] = measured.success_rate
+        keep[t] = measured.keep_rate
+        accuracy[t] = measured.accuracy
         outcomes.append(
             TrialOutcome(
                 landed=mask.copy(),
                 success_rate=float(success[t]),
                 keep_rate=float(keep[t]),
                 accuracy=float(accuracy[t]),
-                ecc_alarms=int(trial_alarms),
+                ecc_alarms=int(measured.ecc_summary.alarms) if ecc is not None else 0,
             )
         )
     return TrialStatistics(
@@ -1365,6 +1326,8 @@ class LoweringReport:
     # Monte-Carlo statistics of lower_attack(..., trials=N) (None when the
     # lowering ran deterministically).
     trial_stats: "TrialStatistics | None" = None
+    # Re-measures other plans on ``attacked_model`` (defenses remap trials).
+    scorer: "BitTrueScorer | None" = None
 
     @property
     def storage(self) -> str:
@@ -1439,15 +1402,103 @@ def _target_margins(logits: np.ndarray, desired: np.ndarray) -> np.ndarray:
     return desired_scores - masked.max(axis=1)
 
 
-def _attack_rates(model, attack_plan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Success/keep masks and target logits of a model on an attack plan."""
-    num_targets = attack_plan.num_targets
-    logits = model.predict_logits(attack_plan.images)
-    predictions = np.argmax(logits, axis=1)
-    desired = attack_plan.desired_labels
-    success_mask = predictions[:num_targets] == desired[:num_targets]
-    keep_mask = predictions[num_targets:] == desired[num_targets:]
-    return success_mask, keep_mask, logits[:num_targets]
+@dataclass(frozen=True)
+class BitTrueMeasurement:
+    """One plan's outcome on the bit-true model (:meth:`BitTrueScorer.measure`):
+    the plan the ECC decoder let through, the attack rates and the eval-set
+    accuracy (NaN unless requested from a scorer with a context)."""
+
+    executed: BitFlipPlan
+    ecc_summary: "EccSummary | None"
+    success_mask: np.ndarray
+    keep_mask: np.ndarray
+    target_logits: np.ndarray
+    accuracy: float
+
+    @property
+    def success_rate(self) -> float:
+        return float(self.success_mask.mean()) if self.success_mask.size else 1.0
+
+    @property
+    def keep_rate(self) -> float:
+        return float(self.keep_mask.mean()) if self.keep_mask.size else 1.0
+
+
+# Sequential.predict_logits' default batch: the attack-plan prefix uses the
+# same mini-batches, so every suffix forward below is bit-identical to it.
+_PREDICT_BATCH = 256
+
+
+class BitTrueScorer:
+    """Applies flip plans to one scratch copy of a victim and scores them.
+
+    Every bit-true measurement of a lowering (the repaired plan, the
+    decoder-corrected baseline, each Monte-Carlo trial, each remapped
+    defense trial) goes through :meth:`measure`; the victim is never
+    written.  Only layers from the first attacked one onward differ from
+    the victim, so the clean activations entering it are computed once: for
+    the attack-plan images here, for the eval set by ``context`` (the
+    victim's :class:`~repro.analysis.evaluation.EvaluationContext`).  Every
+    rate, logit and accuracy is bit-identical to a full forward of a fresh
+    victim copy carrying the same flips.
+    """
+
+    def __init__(
+        self,
+        victim: Sequential,
+        selector,
+        *,
+        spec: QuantizationSpec,
+        layout: MemoryLayout | None,
+        attack_plan,
+        context=None,
+    ):
+        self.victim = victim
+        self.model = victim.copy()
+        self.memory = ParameterMemoryMap(
+            ParameterView(self.model, selector), spec=spec, layout=layout
+        )
+        self.pristine = self.memory.read_words()
+        self.start = self.memory.view.first_layer_index
+        self.attack_plan = attack_plan
+        self.context = context
+
+    @cached_property
+    def _attack_prefix(self) -> tuple[np.ndarray, ...]:
+        images = self.attack_plan.images
+        return tuple(
+            self.victim.forward_between(images[i : i + _PREDICT_BATCH], 0, self.start)
+            for i in range(0, images.shape[0], _PREDICT_BATCH)
+        )
+
+    def rates(self, model: Sequential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Success/keep masks and target logits of ``model`` (the scratch
+        model or the victim) on the attack plan."""
+        logits = np.concatenate(
+            [model.forward_between(x, self.start, model.logits_end) for x in self._attack_prefix]
+        )
+        num_targets = self.attack_plan.num_targets
+        hits = np.argmax(logits, axis=1) == self.attack_plan.desired_labels
+        return hits[:num_targets], hits[num_targets:], logits[:num_targets]
+
+    def measure(
+        self, plan: BitFlipPlan, ecc: EccScheme | None = None, *, accuracy: bool = False
+    ) -> BitTrueMeasurement:
+        """Apply ``plan`` (through ``ecc``'s decoder) to the pristine words and score it.
+
+        The scratch model keeps the flips until the next call.  ``accuracy``
+        adds the eval-set accuracy when the scorer has a context.
+        """
+        executed, summary = (plan, None) if ecc is None else ecc.apply_to_plan(plan, self.memory)
+        self.memory.write_words(self.pristine)
+        self.memory.apply_plan(executed)
+        self.memory.flush_to_model()
+        attacked_accuracy = float("nan")
+        if accuracy and self.context is not None:
+            attacked_accuracy = self.context.accuracies([self.model], self.start)[0]
+        return BitTrueMeasurement(
+            executed, summary, *self.rates(self.model), accuracy=float(attacked_accuracy)
+        )
 
 
 def lower_attack(
@@ -1471,7 +1522,7 @@ def lower_attack(
     expected_repair: bool = False,
     env_drift: float = 0.0,
     eval_set=None,
-    clean_accuracy: float | None = None,
+    context: "EvaluationContext | None" = None,
     batch_size: int = 256,
 ) -> LoweringReport:
     """Lower a solved attack into bit flips and re-verify it bit-true.
@@ -1552,11 +1603,16 @@ def lower_attack(
         suppresses landings, negative drift boosts them.  ``0.0`` (default)
         reproduces the nominal model bit-for-bit.
     eval_set:
-        Held-out dataset for the bit-true accuracy numbers.  When ``None``
-        the accuracy fields are NaN.
-    clean_accuracy:
-        Pre-computed clean accuracy on ``eval_set`` (avoids re-evaluating the
-        clean model in sweeps).
+        Held-out dataset for the bit-true accuracy numbers, evaluated in
+        ``batch_size``-row mini-batches.  When neither it nor ``context`` is
+        given the accuracy fields are NaN.
+    context:
+        The victim's shared :class:`~repro.analysis.evaluation.EvaluationContext`,
+        given instead of ``eval_set`` (at most one of the two).  Its eval
+        set, batch size, clean accuracy and cached prefix activations then
+        apply, so a campaign evaluates the clean model once per victim and
+        every re-measurement runs only the attacked suffix layers.  The
+        context must belong to ``result.view.model``.
     """
     if trials < 0:
         raise ConfigurationError(f"trials must be >= 0, got {trials}")
@@ -1588,14 +1644,29 @@ def lower_attack(
     budget = budget or HardwareBudget()
 
     victim: Sequential = result.view.model
-    model_copy = victim.copy()
-    view = ParameterView(model_copy, result.view.selector)
+    if eval_set is not None:
+        if context is not None:
+            raise ConfigurationError("pass at most one of eval_set and context")
+        from repro.analysis.evaluation import EvaluationContext
+
+        context = EvaluationContext(victim, eval_set, batch_size=batch_size)
+    if context is not None and context.model is not victim:
+        raise ConfigurationError("the evaluation context must belong to the attacked victim")
+    scorer = BitTrueScorer(
+        victim,
+        result.view.selector,
+        spec=spec,
+        layout=layout,
+        attack_plan=result.plan,
+        context=context,
+    )
+    memory = scorer.memory
+    view = memory.view
     if view.size != result.delta.shape[0]:
         raise ConfigurationError(
             "attack result delta does not match the victim's attacked parameters"
         )
 
-    memory = ParameterMemoryMap(view, spec=spec, layout=layout)
     target_values = view.baseline + result.delta
     planned = plan_bit_flips(memory, target_values)
     repair = repair_plan(
@@ -1606,7 +1677,6 @@ def lower_attack(
         env_scale=env_scale,
     )
 
-    attack_plan = result.plan
     trial_stats = None
     if trials > 0:
         # The trials simulate exactly the pattern the plan was repaired
@@ -1617,69 +1687,40 @@ def lower_attack(
             else None
         )
         trial_stats = _run_trials(
-            victim,
-            result.view.selector,
+            scorer,
             repair,
-            spec,
-            memory.layout,
             template,
             ecc,
             trr,
             trial_pattern,
             massage_frames,
-            _massage_page_bytes(memory, ecc),
             trials,
             rng,
-            attack_plan,
-            eval_set,
-            batch_size,
             variance_reduction=variance_reduction,
             crn_seed=crn_seed,
             env_scale=env_scale,
         )
-    ecc_summary = ecc_raw_summary = None
+    ecc_raw_summary = None
     unrepaired_success = unrepaired_keep = float("nan")
     if ecc is not None:
         # What would the ECC controller have done to the *unrepaired* plan?
         # This is the baseline showing why re-routing is necessary: isolated
         # flips get corrected away and the bit-true success rate collapses.
-        raw_effective, ecc_raw_summary = ecc.apply_to_plan(repair.pre_ecc_plan, memory)
-        raw_model = victim.copy()
-        raw_memory = ParameterMemoryMap(
-            ParameterView(raw_model, result.view.selector), spec=spec, layout=layout
-        )
-        raw_memory.apply_plan(raw_effective)
-        raw_memory.flush_to_model()
-        raw_success, raw_keep, _ = _attack_rates(raw_model, attack_plan)
-        unrepaired_success = float(raw_success.mean()) if raw_success.size else 1.0
-        unrepaired_keep = float(raw_keep.mean()) if raw_keep.size else 1.0
-        executed, ecc_summary = ecc.apply_to_plan(repair.plan, memory)
-    else:
-        executed = repair.plan
+        raw = scorer.measure(repair.pre_ecc_plan, ecc)
+        ecc_raw_summary = raw.ecc_summary
+        unrepaired_success, unrepaired_keep = raw.success_rate, raw.keep_rate
 
-    memory.apply_plan(executed)
-    memory.flush_to_model()
-
+    # Measured last, so the scratch model is left carrying the attack.
+    final = scorer.measure(repair.plan, ecc, accuracy=True)
     achieved = view.gather()
     quantization_error = (
         float(np.max(np.abs(achieved - target_values))) if achieved.size else 0.0
     )
-
-    success_mask, keep_mask, target_logits = _attack_rates(model_copy, attack_plan)
-    num_targets = attack_plan.num_targets
-    margins = _target_margins(target_logits, attack_plan.desired_labels[:num_targets])
-
-    attacked_accuracy = float("nan")
-    if eval_set is not None:
-        attacked_accuracy = model_copy.evaluate(
-            eval_set.images, eval_set.labels, batch_size=batch_size
-        )
-        if clean_accuracy is None:
-            clean_accuracy = victim.evaluate(
-                eval_set.images, eval_set.labels, batch_size=batch_size
-            )
-    if clean_accuracy is None:
-        clean_accuracy = float("nan")
+    num_targets = result.plan.num_targets
+    margins = _target_margins(
+        final.target_logits, result.plan.desired_labels[:num_targets]
+    )
+    clean_accuracy = context.clean_accuracy if context is not None else float("nan")
 
     return LoweringReport(
         spec=spec,
@@ -1688,18 +1729,19 @@ def lower_attack(
         plan=repair.plan,
         repair=repair,
         quantization_error=quantization_error,
-        success_rate=float(success_mask.mean()) if success_mask.size else 1.0,
-        keep_rate=float(keep_mask.mean()) if keep_mask.size else 1.0,
+        success_rate=final.success_rate,
+        keep_rate=final.keep_rate,
         target_margins=margins,
         clean_accuracy=float(clean_accuracy),
-        attacked_accuracy=float(attacked_accuracy),
-        attacked_model=model_copy,
+        attacked_accuracy=final.accuracy,
+        attacked_model=scorer.model,
         profile=device.name if device is not None else None,
         hammer_pattern=repair.hammer_pattern,
-        executed=executed,
-        ecc_summary=ecc_summary,
+        executed=final.executed,
+        ecc_summary=final.ecc_summary,
         ecc_raw_summary=ecc_raw_summary,
         unrepaired_success_rate=unrepaired_success,
         unrepaired_keep_rate=unrepaired_keep,
         trial_stats=trial_stats,
+        scorer=scorer,
     )

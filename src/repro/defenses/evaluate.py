@@ -28,12 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.attacks.lowering import (
-    LoweringReport,
-    TrialStatistics,
-    _attack_rates,
-)
-from repro.attacks.parameter_view import ParameterView
+from repro.attacks.lowering import LoweringReport, TrialStatistics
 from repro.defenses.base import (
     Defense,
     DefenseContext,
@@ -42,7 +37,6 @@ from repro.defenses.base import (
 )
 from repro.hardware.bitflip import BitFlipPlan
 from repro.hardware.device import get_pattern, get_profile
-from repro.hardware.memory import ParameterMemoryMap
 from repro.nn.quantization import storage_spec
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomState, derive_seed
@@ -91,37 +85,6 @@ def _binomial_ci(outcomes: np.ndarray) -> float:
     return float(1.96 * math.sqrt(p * (1.0 - p) / n))
 
 
-def _surviving_remapped(
-    plan: BitFlipPlan,
-    select: np.ndarray,
-    occupant: np.ndarray,
-    solved: Any,
-    spec: Any,
-    layout: Any,
-    ecc: Any,
-) -> float:
-    """Re-measure one trial's success with its landed flips remapped."""
-    word_index, bit, address, row = plan.as_arrays()
-    trial_plan = BitFlipPlan.from_arrays(
-        occupant[select],
-        bit[select],
-        address[select],
-        row[select],
-        num_words_total=plan.num_words_total,
-    )
-    model = solved.view.model.copy()
-    memory = ParameterMemoryMap(
-        ParameterView(model, solved.view.selector), spec=spec, layout=layout
-    )
-    executed = trial_plan
-    if ecc is not None:
-        executed, _ = ecc.apply_to_plan(trial_plan, memory)
-    memory.apply_plan(executed)
-    memory.flush_to_model()
-    success_mask, _, _ = _attack_rates(model, solved.plan)
-    return float(success_mask.mean()) if success_mask.size else 1.0
-
-
 def evaluate_defense(
     defense: "str | Defense",
     *,
@@ -146,8 +109,9 @@ def evaluate_defense(
         ``lower_attack(..., trials=N)`` output for the same cell; its
         ``trial_stats.outcomes`` are the executions being judged.
     profile, storage:
-        Device profile and storage format the report was lowered with (they
-        rebuild the memory map, template and injector the defense needs).
+        Device profile and storage format the report was lowered with (the
+        profile supplies the template, injector and ECC the defense needs).
+        Remapped trials are re-measured through ``report.scorer``.
     defense_seed:
         Root of the defense-private trial streams.
     env_drift:
@@ -169,25 +133,24 @@ def evaluate_defense(
     )
     cost = prof.injector().cost(report.plan, pattern=pattern, trr=prof.trr)
     timeline = attack_timeline(report.plan, cost)
-    spec = storage_spec(storage)
-    layout = prof.layout()
+    scorer = report.scorer
+    if scorer is None or scorer.victim is not solved.view.model:
+        raise ConfigurationError("the report must come from lower_attack on the solved attack")
+    if storage_spec(storage) != report.spec:
+        raise ConfigurationError(f"the report was lowered to {report.storage}, not {storage}")
+    layout = scorer.memory.layout
     template = prof.template(0)
     yield_scale = (pattern.flip_yield if pattern is not None else 1.0) * (
         1.0 - env_drift
     )
 
-    victim = solved.view.model
-    memory = ParameterMemoryMap(
-        ParameterView(victim.copy(), solved.view.selector), spec=spec, layout=layout
-    )
-    original_words = memory.read_words()
     word_index, bit, address, row = report.plan.as_arrays()
     flip_times = timeline.flip_times(row)
 
-    occupant, effective = defense.remap_plan(word_index, bit, original_words)
+    occupant, effective = defense.remap_plan(word_index, bit, scorer.pristine)
     identity_placement = occupant is word_index and bool(np.all(effective))
 
-    clean_success_mask, _, _ = _attack_rates(victim, solved.plan)
+    clean_success_mask, _, _ = scorer.rates(scorer.victim)
     restored_success = (
         float(clean_success_mask.mean()) if clean_success_mask.size else 1.0
     )
@@ -206,7 +169,7 @@ def evaluate_defense(
             flip_times=flip_times,
             timeline=timeline,
             ecc_alarms=outcome.ecc_alarms,
-            region_bytes=memory.total_bytes,
+            region_bytes=scorer.memory.total_bytes,
             base_address=layout.base_address,
             row_bytes=layout.row_bytes,
             template=template,
@@ -221,15 +184,13 @@ def evaluate_defense(
         if verdict.detected:
             detection_times.append(verdict.time_to_detection)
         if not identity_placement:
-            surviving[t] = _surviving_remapped(
-                report.plan,
-                outcome.landed & effective,
-                occupant,
-                solved,
-                spec,
-                layout,
-                prof.ecc,
+            # Re-measure the trial with its landed flips remapped.
+            select = outcome.landed & effective
+            remapped = BitFlipPlan.from_arrays(
+                occupant[select], bit[select], address[select], row[select],
+                num_words_total=report.plan.num_words_total,
             )
+            surviving[t] = scorer.measure(remapped, prof.ecc).success_rate
         elif detected[t] and not evaded[t]:
             # Detection in time triggers restore-from-reference: the trial's
             # payload is rolled back and only the clean-model rate survives.
@@ -237,6 +198,10 @@ def evaluate_defense(
         else:
             surviving[t] = outcome.success_rate
 
+    if not identity_placement:
+        # Remapped trials were measured on the report's scratch model; put
+        # the lowered attack back on it.
+        scorer.measure(report.plan, prof.ecc)
     ttd = np.asarray(detection_times, dtype=np.float64)
     return DefenseStatistics(
         defense=defense.name,

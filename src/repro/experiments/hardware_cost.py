@@ -332,8 +332,7 @@ def lowered_cell(
         # that sharing is the whole point of common random numbers.
         crn_seed=int(flip_seed),
         env_drift=env_drift,
-        eval_set=context.eval_set,
-        clean_accuracy=context.evaluation.clean_accuracy,
+        context=context.evaluation,
     )
     return LoweredCell(
         solved=solved,

@@ -12,15 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.attacks.parameter_view import ParameterView
-from repro.hardware.bitflip import BitFlipPlan, plan_bit_flips
+from repro.hardware.bitflip import BitFlipPlan
 from repro.hardware.injectors import InjectionCost, Injector, RowHammerInjector
-from repro.hardware.memory import MemoryLayout, ParameterMemoryMap
+from repro.hardware.memory import MemoryLayout
 from repro.nn.model import Sequential
 from repro.nn.quantization import QuantizationSpec
-from repro.utils.errors import ConfigurationError
 
 __all__ = ["CampaignReport", "FaultInjectionCampaign"]
 
@@ -74,43 +70,17 @@ class FaultInjectionCampaign:
     def run(self, attack_result) -> CampaignReport:
         """Execute the campaign for a fault-sneaking (or baseline) result.
 
-        The attacked model is rebuilt from scratch: a fresh copy of the victim
-        gets its attacked parameters replaced by the values read back from the
-        simulated memory after all planned bit flips were applied.
+        This is :func:`~repro.attacks.lowering.lower_attack` without a device
+        or budget (every planned flip executes), costed under the injector.
         """
-        victim: Sequential = attack_result.view.model
-        selector = attack_result.view.selector
-        model_copy = victim.copy()
-        view = ParameterView(model_copy, selector)
-        if view.size != attack_result.delta.shape[0]:
-            raise ConfigurationError(
-                "attack result delta does not match the victim's attacked parameters"
-            )
+        from repro.attacks.lowering import lower_attack  # lowering imports repro.hardware
 
-        memory = ParameterMemoryMap(view, spec=self.spec, layout=self.layout)
-        target_values = view.baseline + attack_result.delta
-        plan = plan_bit_flips(memory, target_values)
-        cost = self.injector.cost(plan)
-
-        # Execute the plan and push the resulting words into the model.
-        memory.apply_plan(plan)
-        memory.flush_to_model()
-
-        achieved = view.gather()
-        quantization_error = (
-            float(np.max(np.abs(achieved - target_values))) if achieved.size else 0.0
-        )
-
-        plan_info = attack_result.plan
-        predictions = model_copy.predict(plan_info.images)
-        desired = plan_info.desired_labels
-        success_mask = predictions[: plan_info.num_targets] == desired[: plan_info.num_targets]
-        keep_mask = predictions[plan_info.num_targets :] == desired[plan_info.num_targets :]
+        report = lower_attack(attack_result, storage=self.spec, layout=self.layout)
         return CampaignReport(
-            plan=plan,
-            cost=cost,
-            quantization_error=quantization_error,
-            success_rate=float(success_mask.mean()) if success_mask.size else 1.0,
-            keep_rate=float(keep_mask.mean()) if keep_mask.size else 1.0,
-            attacked_model=model_copy,
+            plan=report.plan,
+            cost=self.injector.cost(report.plan),
+            quantization_error=report.quantization_error,
+            success_rate=report.success_rate,
+            keep_rate=report.keep_rate,
+            attacked_model=report.attacked_model,
         )

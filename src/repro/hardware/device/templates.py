@@ -45,6 +45,7 @@ is the un-massaged default placement (frame 0 of each row).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -77,10 +78,19 @@ _U24 = float(1 << 24)
 
 
 def _splitmix64(values: np.ndarray) -> np.ndarray:
-    z = values + _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z = values + _GOLDEN  # a fresh array: the steps below run in place
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _u24_threshold(probability: float) -> np.uint64:
+    # For an integer draw u, u / 2**24 >= p exactly when u >= ceil(p * 2**24):
+    # scaling by a power of two is exact, so the draws need no float cast.
+    return np.uint64(math.ceil(probability * _U24))
 
 
 @dataclass(frozen=True)
@@ -128,33 +138,41 @@ class FlipTemplate:
         return np.uint64((self.seed * int(_GOLDEN)) & ((1 << 64) - 1))
 
     # -- cell states -----------------------------------------------------------------
+    def _mixed(self, addresses, bits, frames) -> np.ndarray:
+        """splitmix64 draw of every cell of the broadcast inputs.  Frame ids
+        are hashed at their own shape, e.g. once per (frame, word)."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        bits = np.asarray(bits, dtype=np.int64)
+        cell = (addresses.astype(np.uint64) << np.uint64(3)) + bits.astype(np.uint64)
+        key = self._seed_mix
+        if frames is not None:
+            # XOR is associative: fold the seed into the frame hashes first.
+            key = _splitmix64(np.asarray(frames, dtype=np.int64).astype(np.uint64)) ^ key
+        return _splitmix64(cell ^ key)
+
+    def _draws(self, addresses, bits, frames) -> tuple[np.ndarray, np.ndarray]:
+        """``(flippable, anti_cell)`` masks of every cell, from integer draws."""
+        mixed = self._mixed(addresses, bits, frames)
+        flippable = (mixed >> np.uint64(40)) < _u24_threshold(self.flip_probability)
+        # The polarity draw is bits 16..39; compare it in place, unshifted.
+        mixed &= np.uint64(0xFFFFFF << 16)
+        anti_cell = mixed < (_u24_threshold(self.polarity_bias) << np.uint64(16))
+        return flippable, anti_cell
+
     def cell_states(self, addresses, bits, frames=None) -> np.ndarray:
         """Vectorised template lookup: one cell state per (byte address, bit).
 
         ``addresses`` are word byte addresses and ``bits`` bit positions
         within the word (little-endian), so ``address * 8 + bit`` is the
         cell's global bit index; equal seeds give byte-identical results.
-        ``frames`` (optional, same shape) selects the massaged physical frame
-        of each cell's row — different frame ids give independent templates.
+        ``frames`` (optional) selects the massaged physical frame of each
+        cell's row — different frame ids give independent templates.  The
+        three inputs broadcast against each other, and the result takes
+        their broadcast shape.
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        bits = np.asarray(bits, dtype=np.int64)
-        cell = (addresses.astype(np.uint64) << np.uint64(3)) + bits.astype(np.uint64)
-        if frames is not None:
-            cell = cell ^ _splitmix64(np.asarray(frames, dtype=np.int64).astype(np.uint64))
-        mixed = _splitmix64(cell ^ self._seed_mix)
-        flip_draw = (mixed >> np.uint64(40)).astype(np.float64) / _U24
-        polarity_draw = (
-            (mixed >> np.uint64(16)) & np.uint64(0xFFFFFF)
-        ).astype(np.float64) / _U24
-        states = np.where(
-            flip_draw >= self.flip_probability,
-            CELL_STUCK,
-            np.where(
-                polarity_draw < self.polarity_bias, CELL_ZERO_TO_ONE, CELL_ONE_TO_ZERO
-            ),
-        )
-        return states.astype(np.uint8)
+        flippable, anti_cell = self._draws(addresses, bits, frames)
+        states = np.where(anti_cell, np.uint8(CELL_ZERO_TO_ONE), np.uint8(CELL_ONE_TO_ZERO))
+        return np.where(flippable, states, np.uint8(CELL_STUCK))
 
     def cell_states_reference(self, addresses, bits, frames=None) -> np.ndarray:
         """Pure-Python cell lookup (behavioural reference for tests/benches)."""
@@ -191,13 +209,14 @@ class FlipTemplate:
     def feasible_cells(
         self, addresses, bits, original_bit_values, frames=None
     ) -> np.ndarray:
-        """Whether flipping each cell away from its original value is possible."""
-        needed = np.where(
-            np.asarray(original_bit_values, dtype=np.int64) == 1,
-            CELL_ONE_TO_ZERO,
-            CELL_ZERO_TO_ONE,
-        )
-        return self.cell_states(addresses, bits, frames) == needed
+        """Whether flipping each cell away from its original value is possible.
+
+        A stored 1 needs a true cell (1→0) and a stored 0 an anti-cell
+        (0→1); all four inputs broadcast as in :meth:`cell_states`.
+        """
+        flippable, anti_cell = self._draws(addresses, bits, frames)
+        stored_one = np.asarray(original_bit_values, dtype=np.int64) == 1
+        return flippable & (anti_cell != stored_one)
 
     def feasible_mask(
         self, plan: BitFlipPlan, original_words: np.ndarray, frames=None
@@ -229,15 +248,11 @@ class FlipTemplate:
         what makes the deterministic pipeline the probability-1.0 special
         case of the sampled one.
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        bits = np.asarray(bits, dtype=np.int64)
         base = min(max(float(self.landing_probability) * float(scale), 0.0), 1.0)
         if base >= 1.0:
-            return np.ones(np.broadcast(addresses, bits).shape, dtype=np.float64)
-        cell = (addresses.astype(np.uint64) << np.uint64(3)) + bits.astype(np.uint64)
-        if frames is not None:
-            cell = cell ^ _splitmix64(np.asarray(frames, dtype=np.int64).astype(np.uint64))
-        mixed = _splitmix64(cell ^ self._seed_mix)
+            inputs = (addresses, bits) if frames is None else (addresses, bits, frames)
+            return np.ones(np.broadcast(*inputs).shape, dtype=np.float64)
+        mixed = self._mixed(addresses, bits, frames)
         # The low 16 bits are the only slice not already spent on the flip /
         # polarity draws; map them to an exponent in [0.5, 2).
         u = (mixed & np.uint64(0xFFFF)).astype(np.float64) / float(1 << 16)

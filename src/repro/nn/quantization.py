@@ -141,7 +141,12 @@ def dequantize(words: np.ndarray, spec: QuantizationSpec) -> np.ndarray:
     """Decode raw storage words back to float64 parameter values."""
     words = np.asarray(words)
     if spec.kind in _FLOAT_FORMATS:
-        return words.view(_FLOAT_FORMATS[spec.kind]).astype(np.float64)
+        # Words with flipped exponent bits decode to NaN/Inf (signalling NaNs
+        # raise "invalid" in the cast).  That is the value such a word holds;
+        # the bit-pattern searches in repro.attacks.lowering rank non-finite
+        # decodes as unreachable.
+        with np.errstate(invalid="ignore"):
+            return words.view(_FLOAT_FORMATS[spec.kind]).astype(np.float64)
     ints = words.astype(np.int64)
     half = 2 ** (spec.total_bits - 1)
     ints = np.where(ints >= half, ints - 2**spec.total_bits, ints)
