@@ -34,7 +34,7 @@ from repro.attacks.proximal import get_proximal_operator, row_norms
 from repro.utils.errors import ConfigurationError
 from repro.utils.logging import get_logger
 
-__all__ = ["ADMMConfig", "ADMMHistory", "ADMMResult", "ADMMSolver"]
+__all__ = ["ADMMConfig", "ADMMHistory", "ADMMResult", "ADMMSolver", "satisfaction"]
 
 _LOGGER = get_logger("attacks.admm")
 
@@ -172,7 +172,10 @@ class ADMMSolver:
         *,
         initial_delta: np.ndarray | None = None,
     ) -> ADMMResult:
-        """Solve the fault-sneaking problem for the given objective.
+        """Solve the fault-sneaking problem for one objective.
+
+        This is one lane of :meth:`solve_batch`, run over a one-objective
+        stack.
 
         Parameters
         ----------
@@ -182,96 +185,13 @@ class ADMMSolver:
         initial_delta:
             Optional warm start for ``δ`` (defaults to zero).
         """
-        cfg = self.config
-        prox = get_proximal_operator(cfg.norm)
-        size = objective.view.size
-        num_images = objective.num_images
-
-        delta = (
-            np.zeros(size)
-            if initial_delta is None
-            else np.asarray(initial_delta, dtype=np.float64).copy()
+        initial_deltas = None
+        if initial_delta is not None:
+            initial_deltas = np.asarray(initial_delta, dtype=np.float64)[None]
+        (result,) = self.solve_batch(
+            StackedAttackObjective([objective]), initial_deltas=initial_deltas
         )
-        if delta.shape != (size,):
-            raise ConfigurationError(
-                f"initial_delta must have shape ({size},), got {delta.shape}"
-            )
-        z = delta.copy()
-        dual = np.zeros(size)
-        history = ADMMHistory()
-
-        best_candidate = delta.copy()
-        best_feasible = False
-        best_score = (-1.0, np.inf)  # (constraint satisfaction, measure) — maximise then minimise
-        converged = False
-        iterations_run = 0
-        # Carried across non-evaluation iterations in locals (not read back
-        # from the history, which is empty when track_history is off) so the
-        # recorded rates always describe the last *evaluated* candidate.
-        last_value = 0.0
-        last_success = 0.0
-        last_keep = 0.0
-
-        for iteration in range(cfg.iterations):
-            iterations_run = iteration + 1
-
-            # z-step (eq. (13)): proximal operator of D at δ^k − s^k.
-            z = prox(delta - dual, cfg.rho)
-
-            # δ-step (eq. (22)): linearised update using ∇G at the previous δ.
-            grad = objective.gradient(delta)
-            alpha = self._effective_alpha(grad, num_images)
-            denominator = alpha * num_images + cfg.rho
-            delta_new = (
-                cfg.rho * (z + dual) + alpha * num_images * delta - grad
-            ) / denominator
-
-            # dual update (eq. (12)).
-            primal_residual = float(np.linalg.norm(z - delta_new))
-            dual_residual = float(cfg.rho * np.linalg.norm(delta_new - delta))
-            dual = dual + z - delta_new
-            delta = delta_new
-
-            # Candidate tracking: the sparse iterate z is the modification the
-            # adversary would actually implement; keep the best one seen.
-            # The objective value, rates and measure are all evaluated at
-            # z^{k+1}, so a history row describes one iterate consistently.
-            if iteration % cfg.evaluate_every == 0 or iteration == cfg.iterations - 1:
-                last_value, last_success, last_keep = objective.evaluate_candidate(z)
-                satisfaction = self._satisfaction(objective, last_success, last_keep)
-                measure = _measure(z, cfg.norm)
-                if (satisfaction, -measure) > (best_score[0], -best_score[1]):
-                    best_score = (satisfaction, measure)
-                    best_candidate = z.copy()
-                    best_feasible = bool(last_success >= 1.0 and last_keep >= 1.0)
-
-            if cfg.track_history:
-                history.objective.append(last_value)
-                history.measure.append(_measure(z, cfg.norm))
-                history.primal_residual.append(primal_residual)
-                history.dual_residual.append(dual_residual)
-                history.success_rate.append(last_success)
-                history.keep_rate.append(last_keep)
-
-            if best_feasible and primal_residual <= cfg.primal_tolerance:
-                converged = True
-                _LOGGER.debug(
-                    "ADMM converged after %d iterations (primal residual %.2e)",
-                    iterations_run,
-                    primal_residual,
-                )
-                break
-
-        return ADMMResult(
-            delta=best_candidate,
-            z=z,
-            raw_delta=delta,
-            dual=dual,
-            history=history,
-            iterations_run=iterations_run,
-            converged=converged,
-            feasible=best_feasible,
-        )
+        return result
 
     def solve_batch(
         self,
@@ -282,12 +202,11 @@ class ADMMSolver:
     ) -> list[ADMMResult]:
         """Solve one stacked batch of fault-sneaking problems lane by lane.
 
-        Runs the exact iteration of :meth:`solve` on a ``(lanes, size)``
-        stack of iterates: one stacked forward/backward per iteration does
-        the work of ``lanes`` scalar passes, and every lane's arithmetic is
-        bit-identical to a scalar solve of that lane alone.  A lane that
-        converges freezes (its iterates, candidate and history stop
-        changing) while the remaining lanes keep iterating.
+        One stacked forward/backward per iteration does the work of ``lanes``
+        separate passes, and every lane's arithmetic is bit-identical to a
+        one-lane solve of that lane alone.  A lane that converges freezes
+        (its iterates, candidate and history stop changing) while the
+        remaining lanes keep iterating.
 
         Parameters
         ----------
@@ -335,6 +254,9 @@ class ADMMSolver:
         best_scores = [(-1.0, np.inf)] * lanes
         converged = np.zeros(lanes, dtype=bool)
         iterations_run = np.zeros(lanes, dtype=np.int64)
+        # Carried across non-evaluation iterations (not read back from the
+        # histories, which stay empty when track_history is off) so the
+        # recorded rates always describe the last *evaluated* candidate.
         last_values = np.zeros(lanes)
         last_successes = np.zeros(lanes)
         last_keeps = np.zeros(lanes)
@@ -343,7 +265,7 @@ class ADMMSolver:
         # maps the compacted stack back to original lane indices, and the
         # objective is re-stacked over the survivors at every convergence
         # event.  Lane slices are arithmetically independent (each is the
-        # exact scalar computation), so compaction never perturbs the
+        # exact one-lane computation), so compaction never perturbs the
         # remaining lanes' bits — it only stops paying for frozen ones.
         rows = np.arange(lanes)
         sub = objective
@@ -351,10 +273,12 @@ class ADMMSolver:
         for iteration in range(cfg.iterations):
             iterations_run[rows] = iteration + 1
 
-            # z-step (frozen lanes keep their converged iterate).
+            # z-step (eq. (13)): proximal operator of D at δ^k − s^k; frozen
+            # lanes keep their converged iterate.
             z[rows] = prox(deltas[rows] - duals[rows], rho_col[rows])
 
-            # δ-step with per-lane adaptive α.
+            # δ-step (eq. (22)): linearised update using ∇G at the previous
+            # δ, with per-lane adaptive α.
             grads = sub.gradient(deltas[rows])
             alphas = self._effective_alphas(grads, num_images, rho_lanes[rows])
             denominators = (alphas * num_images + rho_lanes[rows])[:, None]
@@ -366,23 +290,25 @@ class ADMMSolver:
 
             primal_residuals = row_norms(z[rows] - deltas_new)
             dual_residuals = rho_lanes[rows] * row_norms(deltas_new - deltas[rows])
-            # Left-to-right as in the scalar dual update: (s + z) - δ is not
+            # dual update (eq. (12)), left to right: (s + z) - δ is not
             # bit-equal to s + (z - δ) in floating point.
             duals[rows] = duals[rows] + z[rows] - deltas_new
             deltas[rows] = deltas_new
 
+            # Candidate tracking: the sparse iterate z is the modification the
+            # adversary would actually implement; keep the best one seen.  The
+            # objective value, rates and measure are all evaluated at z^{k+1},
+            # so a history row describes one iterate consistently.
             if iteration % cfg.evaluate_every == 0 or iteration == cfg.iterations - 1:
                 values, successes, keeps = sub.evaluate_candidates(z[rows])
                 for pos, lane in enumerate(rows):
                     success = float(successes[pos])
                     keep = float(keeps[pos])
-                    satisfaction = self._satisfaction(
-                        objective.objectives[lane], success, keep
-                    )
+                    score = satisfaction(objective.objectives[lane], success, keep)
                     measure = _measure(z[lane], cfg.norm)
-                    score = best_scores[lane]
-                    if (satisfaction, -measure) > (score[0], -score[1]):
-                        best_scores[lane] = (satisfaction, measure)
+                    best = best_scores[lane]
+                    if (score, -measure) > (best[0], -best[1]):
+                        best_scores[lane] = (score, measure)
                         best_candidates[lane] = z[lane].copy()
                         best_feasible[lane] = bool(success >= 1.0 and keep >= 1.0)
                     last_values[lane] = values[pos]
@@ -433,17 +359,7 @@ class ADMMSolver:
     def _effective_alphas(
         self, grads: np.ndarray, num_images: int, rhos: np.ndarray
     ) -> np.ndarray:
-        """Vectorised :meth:`_effective_alpha` over a (lanes, size) gradient stack."""
-        cfg = self.config
-        if cfg.alpha is not None:
-            return np.full(grads.shape[0], cfg.alpha)
-        grad_norms = row_norms(grads)
-        needed_denominators = grad_norms / cfg.trust_radius
-        alphas = (needed_denominators - rhos) / max(num_images, 1)
-        return np.maximum(alphas, cfg.alpha_floor)
-
-    def _effective_alpha(self, grad: np.ndarray, num_images: int) -> float:
-        """Return the α used for this iteration's δ-step.
+        """Return each lane's α for this iteration's δ-step.
 
         With ``alpha=None`` the value is chosen so that the gradient
         contribution to the δ update, ``‖∇G‖ / (αR + ρ)``, never exceeds
@@ -452,16 +368,16 @@ class ADMMSolver:
         """
         cfg = self.config
         if cfg.alpha is not None:
-            return cfg.alpha
-        grad_norm = float(np.linalg.norm(grad))
-        needed_denominator = grad_norm / cfg.trust_radius
-        alpha = (needed_denominator - cfg.rho) / max(num_images, 1)
-        return max(alpha, cfg.alpha_floor)
+            return np.full(grads.shape[0], cfg.alpha)
+        grad_norms = row_norms(grads)
+        needed_denominators = grad_norms / cfg.trust_radius
+        alphas = (needed_denominators - rhos) / max(num_images, 1)
+        return np.maximum(alphas, cfg.alpha_floor)
 
-    @staticmethod
-    def _satisfaction(objective: AttackObjective, success: float, keep: float) -> float:
-        """Weighted constraint satisfaction in [0, 1] used to rank candidates."""
-        num_targets = objective.num_targets
-        num_keep = objective.num_images - num_targets
-        total = max(objective.num_images, 1)
-        return (success * num_targets + keep * num_keep) / total
+
+def satisfaction(objective: AttackObjective, success: float, keep: float) -> float:
+    """Weighted constraint satisfaction in [0, 1] used to rank candidates."""
+    num_targets = objective.num_targets
+    num_keep = objective.num_images - num_targets
+    total = max(objective.num_images, 1)
+    return (success * num_targets + keep * num_keep) / total

@@ -6,34 +6,25 @@ sequence of stacked forward/backward passes (leading lane axis through
 :mod:`repro.nn.layers`), so per-iteration Python and BLAS dispatch overhead
 is paid once per batch instead of once per cell.
 
-Every phase of the scalar :class:`~repro.attacks.fault_sneaking.FaultSneakingAttack`
-is mirrored operation for operation — dense warm start, per-lane ρ
-calibration, ADMM (:meth:`~repro.attacks.admm.ADMMSolver.solve_batch`) and
-support refinement — and a lane that finishes a phase early freezes while the
-rest of the batch keeps iterating.  The per-lane results are bit-identical to
-``B`` scalar attacks because every stacked kernel computes each lane's slice
-with the exact scalar arithmetic (pinned by the batched-vs-scalar property
-test).
+It runs the same code as the single-plan
+:class:`~repro.attacks.fault_sneaking.FaultSneakingAttack`,
+:func:`~repro.attacks.fault_sneaking.run_attack_lanes`, with ``B`` lanes
+instead of one.  A lane's result is bit-identical to attacking its plan
+alone, because every stacked kernel computes each lane's slice with the
+one-lane arithmetic (pinned by the batched bit-identity tests).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.attacks.admm import ADMMSolver
 from repro.attacks.fault_sneaking import (
     FaultSneakingConfig,
     FaultSneakingResult,
-    build_objective,
+    run_attack_lanes,
 )
-from repro.attacks.objective import StackedAttackObjective
-from repro.attacks.proximal import row_norms
-from repro.attacks.parameter_view import ParameterView
 from repro.attacks.targets import AttackPlan
 from repro.nn.model import Sequential
-from repro.utils.errors import ConfigurationError
 from repro.utils.logging import get_logger
 
 __all__ = ["BatchedFaultSneakingAttack"]
@@ -48,7 +39,7 @@ class BatchedFaultSneakingAttack:
     ----------
     model:
         The victim network, shared by every lane.  Restored to its original
-        parameters before returning, exactly like the scalar attack.
+        parameters before returning, exactly like the single-plan attack.
     config:
         One attack configuration applied to every lane (fused campaign cells
         share their configuration by construction).
@@ -59,139 +50,11 @@ class BatchedFaultSneakingAttack:
         self.config = config or FaultSneakingConfig()
 
     def attack_batch(self, plans: Sequence[AttackPlan]) -> list[FaultSneakingResult]:
-        """Run one stacked attack per plan and return per-lane scalar results."""
-        if not plans:
-            raise ConfigurationError("attack_batch needs at least one plan")
-        num_images = {plan.num_images for plan in plans}
-        if len(num_images) != 1:
-            raise ConfigurationError(
-                f"all plans in a batch must share the anchor count R, got {sorted(num_images)}"
-            )
-        view = ParameterView(self.model, self.config.selector())
-        objectives = [build_objective(self.config, view, plan) for plan in plans]
-        stacked = StackedAttackObjective(objectives)
-
-        if self.config.warm_start:
-            initial_deltas = self._dense_warm_start_batch(stacked)
-        else:
-            initial_deltas = None
-        rhos = np.array(
-            [
-                self.config.calibrated_rho(
-                    initial_deltas[lane] if initial_deltas is not None else None
-                )
-                for lane in range(stacked.lanes)
-            ]
-        )
-        solver = ADMMSolver(self.config.admm_config())
-        admm_results = solver.solve_batch(
-            stacked, initial_deltas=initial_deltas, rhos=rhos
-        )
-
-        deltas = np.stack([result.delta for result in admm_results])
-        if self.config.refine_support_steps:
-            deltas = self._refine_on_support_batch(stacked, deltas)
-
-        results = []
-        for lane, plan in enumerate(plans):
-            objective = objectives[lane]
-            delta = deltas[lane].copy()
-            result = FaultSneakingResult(
-                delta=delta,
-                config=self.config,
-                plan=plan,
-                view=view,
-                success_mask=objective.success_mask(delta),
-                keep_mask=objective.keep_mask(delta),
-                admm=admm_results[lane],
-            )
-            results.append(result)
-        view.restore()
+        """Run one stacked attack per plan and return the per-lane results."""
+        results = run_attack_lanes(self.model, self.config, plans)
         _LOGGER.info(
             "batched attack: %d lanes, %s",
             len(results),
             "; ".join(result.summary() for result in results),
         )
         return results
-
-    # -- internals -------------------------------------------------------------------
-    def _dense_warm_start_batch(self, stacked: StackedAttackObjective) -> np.ndarray:
-        """Per-lane dense warm start, mirroring the scalar phase exactly.
-
-        A lane stops stepping (its δ and velocity freeze) as soon as its
-        weighted hinge reaches zero or its gradient vanishes, just as the
-        scalar loop breaks.
-        """
-        cfg = self.config
-        lanes, size = stacked.lanes, stacked.size
-        deltas = np.zeros((lanes, size))
-        velocities = np.zeros_like(deltas)
-        best = deltas.copy()
-        best_values = np.full(lanes, np.inf)
-        active = np.ones(lanes, dtype=bool)
-        for _ in range(cfg.warmup_iterations):
-            values, grads = stacked.value_and_gradient(deltas)
-            improved = active & (values < best_values)
-            best_values[improved] = values[improved]
-            best[improved] = deltas[improved]
-            active &= ~(values <= 0.0)
-            grad_norms = row_norms(grads)
-            active &= ~(grad_norms <= 0.0)
-            if not active.any():
-                break
-            safe_norms = np.where(grad_norms > 0, grad_norms, 1.0)
-            stepped = (
-                cfg.warmup_momentum * velocities
-                - cfg.trust_radius * grads / safe_norms[:, None]
-            )
-            velocities[active] = stepped[active]
-            deltas[active] = (deltas + velocities)[active]
-        return best
-
-    def _refine_on_support_batch(
-        self, stacked: StackedAttackObjective, deltas: np.ndarray
-    ) -> np.ndarray:
-        """Per-lane support refinement, mirroring the scalar phase exactly."""
-        cfg = self.config
-        supports = np.abs(deltas) > cfg.zero_tolerance
-        active = supports.any(axis=1)
-        best = deltas.copy()
-        if not active.any():
-            return best
-        best_keys = self._candidate_keys(stacked, deltas)
-        current = deltas.copy()
-        for _ in range(cfg.refine_support_steps):
-            values, grads = stacked.value_and_gradient(current)
-            active &= ~(values <= 0.0)
-            grads = np.where(supports, grads, 0.0)
-            grad_norms = row_norms(grads)
-            active &= ~(grad_norms <= 0.0)
-            if not active.any():
-                break
-            safe_norms = np.where(grad_norms > 0, grad_norms, 1.0)
-            stepped = current - cfg.trust_radius * grads / safe_norms[:, None]
-            stepped = np.where(supports, stepped, 0.0)
-            current[active] = stepped[active]
-            keys = self._candidate_keys(stacked, current)
-            for lane in np.nonzero(active)[0]:
-                if keys[lane] > best_keys[lane]:
-                    best_keys[lane] = keys[lane]
-                    best[lane] = current[lane].copy()
-        return best
-
-    @staticmethod
-    def _candidate_keys(
-        stacked: StackedAttackObjective, deltas: np.ndarray
-    ) -> list[tuple[float, float]]:
-        """Per-lane refinement ranking keys from one stacked forward pass."""
-        _, successes, keeps = stacked.evaluate_candidates(deltas)
-        keys = []
-        for lane in range(stacked.lanes):
-            objective = stacked.objectives[lane]
-            num_targets = objective.num_targets
-            num_keep = objective.num_images - num_targets
-            satisfaction = (
-                float(successes[lane]) * num_targets + float(keeps[lane]) * num_keep
-            ) / max(objective.num_images, 1)
-            keys.append((satisfaction, -float(np.linalg.norm(deltas[lane]))))
-        return keys

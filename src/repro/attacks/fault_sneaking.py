@@ -8,6 +8,10 @@ images, force the first ``S`` to chosen target labels while keeping the other
 ``R − S`` classifications unchanged, with a minimal (ℓ0 or ℓ2) modification of
 the selected DNN parameters.
 
+Every attack runs through :func:`run_attack_lanes`, which solves a list of
+plans as the lanes of one stacked solve: :meth:`FaultSneakingAttack.attack`
+is the one-lane case and :mod:`.batched` the many-lane one.
+
 Typical use::
 
     plan = make_attack_plan(test_set, num_targets=4, num_images=200, seed=0)
@@ -19,12 +23,14 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from repro.attacks.admm import ADMMConfig, ADMMHistory, ADMMResult, ADMMSolver
-from repro.attacks.objective import AttackObjective
+from repro.attacks.admm import ADMMConfig, ADMMHistory, ADMMResult, ADMMSolver, satisfaction
+from repro.attacks.objective import AttackObjective, StackedAttackObjective
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
+from repro.attacks.proximal import row_norms
 from repro.attacks.targets import AttackPlan
 from repro.nn.model import Sequential
 from repro.utils.errors import ConfigurationError
@@ -35,6 +41,7 @@ __all__ = [
     "FaultSneakingResult",
     "FaultSneakingAttack",
     "build_objective",
+    "run_attack_lanes",
 ]
 
 _LOGGER = get_logger("attacks.fault_sneaking")
@@ -107,9 +114,6 @@ class FaultSneakingConfig:
     zero_tolerance:
         Entries with ``|δ_i| <=`` this value count as unmodified when
         reporting the ℓ0 norm.
-    use_feature_cache:
-        Cache activations below the first attacked layer (exact; disable only
-        for diagnostics).
     """
 
     norm: str = "l0"
@@ -131,7 +135,6 @@ class FaultSneakingConfig:
     warmup_momentum: float = 0.9
     refine_support_steps: int = 100
     zero_tolerance: float = 1e-8
-    use_feature_cache: bool = True
 
     def __post_init__(self):
         if self.norm not in _DEFAULT_RHO:
@@ -189,14 +192,15 @@ class FaultSneakingConfig:
             include_biases=self.include_biases,
         )
 
-    def admm_config(self, rho: float | None = None) -> ADMMConfig:
+    def admm_config(self) -> ADMMConfig:
         """Return the ADMM solver configuration implied by this configuration.
 
-        ``rho`` overrides the penalty (used after warm-start calibration).
+        Its ``rho`` is the fallback :attr:`effective_rho`; calibrated
+        per-lane penalties are passed to the solver separately.
         """
         return ADMMConfig(
             norm=self.norm,
-            rho=rho if rho is not None else self.effective_rho,
+            rho=self.effective_rho,
             alpha=self.alpha,
             trust_radius=self.trust_radius,
             iterations=self.iterations,
@@ -326,33 +330,12 @@ class FaultSneakingAttack:
 
     # -- public entry points -----------------------------------------------------
     def attack(self, plan: AttackPlan) -> FaultSneakingResult:
-        """Run the attack for a prepared :class:`AttackPlan`."""
-        view = ParameterView(self.model, self.config.selector())
-        objective = self._build_objective(view, plan)
-        initial_delta = (
-            self._dense_warm_start(objective) if self.config.warm_start else None
-        )
-        rho = self.config.calibrated_rho(initial_delta)
-        solver = ADMMSolver(self.config.admm_config(rho))
-        admm_result = solver.solve(objective, initial_delta=initial_delta)
+        """Run the attack for a prepared :class:`AttackPlan`.
 
-        delta = admm_result.delta
-        if self.config.refine_support_steps:
-            delta = self._refine_on_support(objective, delta)
-
-        success_mask = objective.success_mask(delta)
-        keep_mask = objective.keep_mask(delta)
-        view.restore()
-
-        result = FaultSneakingResult(
-            delta=delta,
-            config=self.config,
-            plan=plan,
-            view=view,
-            success_mask=success_mask,
-            keep_mask=keep_mask,
-            admm=admm_result,
-        )
+        The attack is a one-lane stacked solve: :func:`run_attack_lanes` with
+        ``[plan]``, the same code the batched front-end runs with many lanes.
+        """
+        (result,) = run_attack_lanes(self.model, self.config, [plan])
         _LOGGER.info("%s", result.summary())
         return result
 
@@ -400,88 +383,11 @@ class FaultSneakingAttack:
         )
         return self.attack(plan)
 
-    # -- internals -------------------------------------------------------------------
-    def _build_objective(self, view: ParameterView, plan: AttackPlan) -> AttackObjective:
-        return build_objective(self.config, view, plan)
-
-    def _dense_warm_start(self, objective: AttackObjective) -> np.ndarray:
-        """Find a dense ``δ`` meeting the misclassification requirements.
-
-        Normalised-gradient descent with momentum on ``G(θ + δ)`` alone.  The
-        step length equals ``trust_radius`` so the path (and therefore the
-        ℓ2 norm of the warm start) stays short; the loop stops as soon as the
-        weighted hinge objective reaches zero.
-        """
-        cfg = self.config
-        delta = np.zeros(objective.view.size)
-        velocity = np.zeros_like(delta)
-        best = delta.copy()
-        best_value = np.inf
-        for _ in range(cfg.warmup_iterations):
-            value, grad = objective.value_and_gradient(delta)
-            if value < best_value:
-                best_value = value
-                best = delta.copy()
-            if value <= 0.0:
-                break
-            grad_norm = float(np.linalg.norm(grad))
-            if grad_norm <= 0.0:
-                break
-            velocity = cfg.warmup_momentum * velocity - cfg.trust_radius * grad / grad_norm
-            delta = delta + velocity
-        return best
-
-    def _refine_on_support(self, objective: AttackObjective, delta: np.ndarray) -> np.ndarray:
-        """Extra linearised δ-steps restricted to the existing support of ``δ``.
-
-        No new parameters are modified, so the ℓ0 norm cannot increase; the
-        values on the support are nudged to repair any still-violated
-        constraint.  The candidate with the best constraint satisfaction (ties
-        broken by ℓ2 norm) is returned.
-        """
-        support = np.abs(delta) > self.config.zero_tolerance
-        if not support.any():
-            return delta
-        best = delta.copy()
-        best_key = self._candidate_key(objective, best)
-        current = delta.copy()
-        for _ in range(self.config.refine_support_steps):
-            value, grad = objective.value_and_gradient(current)
-            if value <= 0.0:
-                break
-            grad[~support] = 0.0
-            grad_norm = float(np.linalg.norm(grad))
-            if grad_norm <= 0.0:
-                break
-            current = current - self.config.trust_radius * grad / grad_norm
-            current[~support] = 0.0
-            key = self._candidate_key(objective, current)
-            if key > best_key:
-                best_key = key
-                best = current.copy()
-        return best
-
-    @staticmethod
-    def _candidate_key(objective: AttackObjective, delta: np.ndarray) -> tuple[float, float]:
-        """Ranking key: constraint satisfaction first, then smaller ℓ2 norm."""
-        success = objective.success_rate(delta)
-        keep = objective.keep_rate(delta)
-        num_targets = objective.num_targets
-        num_keep = objective.num_images - num_targets
-        satisfaction = (
-            success * num_targets + keep * num_keep
-        ) / max(objective.num_images, 1)
-        return (satisfaction, -float(np.linalg.norm(delta)))
-
 
 def build_objective(
     config: FaultSneakingConfig, view: ParameterView, plan: AttackPlan
 ) -> AttackObjective:
-    """Build the weighted hinge objective for one attack plan.
-
-    Shared by the scalar attack and the batched front-end in
-    :mod:`repro.attacks.batched`, which stacks one such objective per lane.
-    """
+    """Build the weighted hinge objective for one attack plan (one lane)."""
     weights = np.concatenate(
         [
             np.full(plan.num_targets, config.target_weight),
@@ -501,8 +407,148 @@ def build_objective(
         num_targets=plan.num_targets,
         weights=weights,
         kappa=kappa,
-        use_feature_cache=config.use_feature_cache,
     )
+
+
+def run_attack_lanes(
+    model: Sequential, config: FaultSneakingConfig, plans: Sequence[AttackPlan]
+) -> list[FaultSneakingResult]:
+    """Run one fault sneaking attack per plan as the lanes of one stacked solve.
+
+    The phases are the dense warm start, per-lane ρ calibration, ADMM
+    (:meth:`~repro.attacks.admm.ADMMSolver.solve_batch`) and support
+    refinement.  A lane that finishes a phase early freezes while the other
+    lanes keep iterating, and every stacked kernel computes a lane's slice
+    with the one-lane arithmetic, so each result is independent of the lanes
+    it was solved beside.  All plans must share the anchor count ``R``.  The
+    model is restored to its original parameters before returning.
+    """
+    if not plans:
+        raise ConfigurationError("the attack needs at least one plan")
+    num_images = {plan.num_images for plan in plans}
+    if len(num_images) != 1:
+        raise ConfigurationError(
+            f"all plans in a batch must share the anchor count R, got {sorted(num_images)}"
+        )
+    view = ParameterView(model, config.selector())
+    objectives = [build_objective(config, view, plan) for plan in plans]
+    stacked = StackedAttackObjective(objectives)
+
+    initial_deltas = _dense_warm_start(config, stacked) if config.warm_start else None
+    rhos = np.array(
+        [
+            config.calibrated_rho(None if initial_deltas is None else initial_deltas[lane])
+            for lane in range(stacked.lanes)
+        ]
+    )
+    admm_results = ADMMSolver(config.admm_config()).solve_batch(
+        stacked, initial_deltas=initial_deltas, rhos=rhos
+    )
+
+    deltas = np.stack([result.delta for result in admm_results])
+    if config.refine_support_steps:
+        deltas = _refine_on_support(config, stacked, deltas)
+
+    results = [
+        FaultSneakingResult(
+            delta=deltas[lane].copy(),
+            config=config,
+            plan=plan,
+            view=view,
+            success_mask=objective.success_mask(deltas[lane]),
+            keep_mask=objective.keep_mask(deltas[lane]),
+            admm=admm_results[lane],
+        )
+        for lane, (plan, objective) in enumerate(zip(plans, objectives))
+    ]
+    view.restore()
+    return results
+
+
+def _dense_warm_start(config: FaultSneakingConfig, stacked: StackedAttackObjective) -> np.ndarray:
+    """Find, per lane, a dense ``δ`` meeting the misclassification requirements.
+
+    Normalised-gradient descent with momentum on ``G(θ + δ)`` alone.  The
+    step length equals ``trust_radius`` so the path (and therefore the ℓ2
+    norm of the warm start) stays short.  A lane stops stepping (its δ and
+    velocity freeze) as soon as its weighted hinge reaches zero or its
+    gradient vanishes; the lowest-valued iterate of each lane is returned.
+    """
+    lanes, size = stacked.lanes, stacked.size
+    deltas = np.zeros((lanes, size))
+    velocities = np.zeros_like(deltas)
+    best = deltas.copy()
+    best_values = np.full(lanes, np.inf)
+    active = np.ones(lanes, dtype=bool)
+    for _ in range(config.warmup_iterations):
+        values, grads = stacked.value_and_gradient(deltas)
+        improved = active & (values < best_values)
+        best_values[improved] = values[improved]
+        best[improved] = deltas[improved]
+        active &= ~(values <= 0.0)
+        grad_norms = row_norms(grads)
+        active &= ~(grad_norms <= 0.0)
+        if not active.any():
+            break
+        safe_norms = np.where(grad_norms > 0, grad_norms, 1.0)
+        stepped = (
+            config.warmup_momentum * velocities
+            - config.trust_radius * grads / safe_norms[:, None]
+        )
+        velocities[active] = stepped[active]
+        deltas[active] = (deltas + velocities)[active]
+    return best
+
+
+def _refine_on_support(
+    config: FaultSneakingConfig, stacked: StackedAttackObjective, deltas: np.ndarray
+) -> np.ndarray:
+    """Extra normalised δ-steps restricted to each lane's support of ``δ``.
+
+    No new parameters are modified, so the ℓ0 norm cannot increase; the
+    values on the support are nudged to repair any still-violated
+    constraint.  Per lane, the candidate with the best constraint
+    satisfaction (ties broken by smaller ℓ2 norm) is returned.
+    """
+    supports = np.abs(deltas) > config.zero_tolerance
+    active = supports.any(axis=1)
+    best = deltas.copy()
+    if not active.any():
+        return best
+    best_keys = _candidate_keys(stacked, deltas)
+    current = deltas.copy()
+    for _ in range(config.refine_support_steps):
+        values, grads = stacked.value_and_gradient(current)
+        active &= ~(values <= 0.0)
+        grads = np.where(supports, grads, 0.0)
+        grad_norms = row_norms(grads)
+        active &= ~(grad_norms <= 0.0)
+        if not active.any():
+            break
+        safe_norms = np.where(grad_norms > 0, grad_norms, 1.0)
+        stepped = current - config.trust_radius * grads / safe_norms[:, None]
+        stepped = np.where(supports, stepped, 0.0)
+        current[active] = stepped[active]
+        keys = _candidate_keys(stacked, current)
+        for lane in np.nonzero(active)[0]:
+            if keys[lane] > best_keys[lane]:
+                best_keys[lane] = keys[lane]
+                best[lane] = current[lane].copy()
+    return best
+
+
+def _candidate_keys(
+    stacked: StackedAttackObjective, deltas: np.ndarray
+) -> list[tuple[float, float]]:
+    """Per-lane ranking keys: constraint satisfaction first, then smaller ℓ2 norm."""
+    _, successes, keeps = stacked.evaluate_candidates(deltas)
+    return [
+        (
+            satisfaction(objective, float(successes[lane]), float(keeps[lane])),
+            -float(np.linalg.norm(deltas[lane])),
+        )
+        for lane, objective in enumerate(stacked.objectives)
+    ]
 
 
 def l0_attack_config(**overrides) -> FaultSneakingConfig:

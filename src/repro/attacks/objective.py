@@ -217,24 +217,6 @@ class AttackObjective:
             grad = self.view.gather_grads()
         return value, grad
 
-    def evaluate_candidate(self, delta: np.ndarray) -> tuple[float, float, float]:
-        """Return ``(G(θ+δ), success_rate, keep_rate)`` from one forward pass.
-
-        All three quantities describe the *same* iterate, which is what the
-        solver's history and best-candidate tracking need; computing them
-        from one set of logits is also three times cheaper than calling
-        :meth:`value`, :meth:`success_rate` and :meth:`keep_rate` separately.
-        """
-        logits = self.logits(delta)
-        margins = self._margins_from_logits(logits)
-        value = float((self.weights * np.maximum(margins + self.kappa, 0.0)).sum())
-        preds = np.argmax(logits, axis=1)
-        success = preds[self.target_slice] == self.desired_labels[self.target_slice]
-        keep = preds[self.keep_slice] == self.desired_labels[self.keep_slice]
-        success_rate = float(success.mean()) if success.size else 1.0
-        keep_rate = float(keep.mean()) if keep.size else 1.0
-        return value, success_rate, keep_rate
-
     # -- bookkeeping ----------------------------------------------------------------
     def predictions(self, delta: np.ndarray) -> np.ndarray:
         """Return the predicted labels of every anchor image under ``θ + δ``."""
@@ -304,6 +286,10 @@ class StackedAttackObjective:
         self.kappa = np.stack([obj.kappa for obj in objectives])
         self._start_layer = first._start_layer
         self._logits_end = first._logits_end
+        # Index grids that, with ``desired_labels``, address each image's
+        # desired class column in a (lanes, R, classes) logit stack.
+        self._lane_idx = np.arange(self.lanes)[:, None]
+        self._row_idx = np.arange(self.num_images)[None, :]
         # Per-lane feature caches were computed by the scalar objectives at θ,
         # so stacking them preserves scalar bits by construction.  Without a
         # cache the raw anchor images flow through the full stacked model.
@@ -326,12 +312,13 @@ class StackedAttackObjective:
                 self._stacked_features, self._start_layer, self._logits_end
             )
 
-    def _margins_from_logits(self, logits: np.ndarray) -> np.ndarray:
-        idx = self.desired_labels[..., None]
-        desired_logit = np.take_along_axis(logits, idx, axis=-1)[..., 0]
+    def _masked_and_margins(self, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return the logits with each desired column set to ``-inf``, and the
+        raw hinge margins ``max_{j≠d} Z_j − Z_d``."""
+        desired = (self._lane_idx, self._row_idx, self.desired_labels)
         masked = logits.copy()
-        np.put_along_axis(masked, idx, -np.inf, axis=-1)
-        return masked.max(axis=-1) - desired_logit
+        masked[desired] = -np.inf
+        return masked, masked.max(axis=-1) - logits[desired]
 
     def gradient(self, deltas: np.ndarray) -> np.ndarray:
         """Return per-lane gradients ``(lanes, size)``."""
@@ -345,28 +332,20 @@ class StackedAttackObjective:
             logits = self.model.forward_between(
                 self._stacked_features, self._start_layer, self._logits_end
             )
-            margins = self._margins_from_logits(logits)
+            masked, margins = self._masked_and_margins(logits)
             hinge = np.maximum(margins + self.kappa, 0.0)
             values = (self.weights * hinge).sum(axis=1)
 
-            idx = self.desired_labels[..., None]
-            masked = logits.copy()
-            np.put_along_axis(masked, idx, -np.inf, axis=-1)
             best_other = masked.argmax(axis=-1)
             active = (margins + self.kappa) > 0
 
             # The masked argmax never coincides with the desired column, so
             # writing the active weight at best_other and subtracting it at
-            # the desired column reproduces the scalar ±c_i logit gradient.
+            # the desired column reproduces the one-objective ±c_i gradient.
             grad_logits = np.zeros_like(logits)
-            active_weight = np.where(active, self.weights, 0.0)[..., None]
-            np.put_along_axis(grad_logits, best_other[..., None], active_weight, axis=-1)
-            np.put_along_axis(
-                grad_logits,
-                idx,
-                np.take_along_axis(grad_logits, idx, axis=-1) - active_weight,
-                axis=-1,
-            )
+            active_weight = np.where(active, self.weights, 0.0)
+            grad_logits[self._lane_idx, self._row_idx, best_other] = active_weight
+            grad_logits[self._lane_idx, self._row_idx, self.desired_labels] -= active_weight
 
             self.model.zero_grads()
             self.model.backward_between(grad_logits, self._start_layer, self._logits_end)
@@ -377,9 +356,13 @@ class StackedAttackObjective:
     def evaluate_candidates(
         self, deltas: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-lane ``(G, success_rate, keep_rate)`` from one stacked forward."""
+        """Per-lane ``(G, success_rate, keep_rate)`` from one stacked forward.
+
+        All three describe the same iterate, which is what the solver's
+        history and best-candidate tracking need.
+        """
         logits = self.logits(deltas)
-        margins = self._margins_from_logits(logits)
+        margins = self._masked_and_margins(logits)[1]
         values = (self.weights * np.maximum(margins + self.kappa, 0.0)).sum(axis=1)
         preds = np.argmax(logits, axis=-1)
         correct = preds == self.desired_labels

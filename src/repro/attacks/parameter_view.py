@@ -113,6 +113,9 @@ class ParameterView:
                 f"selector {self.selector.describe()!r} matches no parameters of model "
                 f"{model.name!r}"
             )
+        # Number of attackable scalars (the dimension of δ); the blocks are
+        # fixed at construction, so it is computed once.
+        self.size = sum(block.size for block in self.blocks)
         self._baseline = self.gather()
 
     # -- block resolution -------------------------------------------------------
@@ -148,11 +151,6 @@ class ParameterView:
         return blocks
 
     # -- basic properties ---------------------------------------------------------
-    @property
-    def size(self) -> int:
-        """Number of attackable scalars (the dimension of δ)."""
-        return sum(block.size for block in self.blocks)
-
     @property
     def baseline(self) -> np.ndarray:
         """The original parameter values ``θ`` (copy)."""

@@ -4,8 +4,7 @@ This is the single home of the threshold logic: the stealth-extension
 detectability metric (``extension_detection``), the partial-coverage
 checksum scrub (:class:`~repro.defenses.integrity.ChecksumScrub`) and the
 canary field all reduce their "does an audit of ``k`` things catch the
-attacker?" questions to the closed forms below.  The historical import
-location :mod:`repro.analysis.detection` remains as a delegating shim.
+attacker?" questions to the closed forms below.
 
 * **Accuracy probing** — the defender measures accuracy on a random probe
   set of ``n`` held-out samples and flags the model when the measured

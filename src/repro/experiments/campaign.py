@@ -22,8 +22,7 @@ memoized and resumed uniformly:
   on_event)`` contract: serial in-process execution, a
   ``multiprocessing.Pool``, a ``concurrent.futures.ProcessPoolExecutor``,
   and the socket-attached worker fleet of
-  :mod:`repro.experiments.service`.  The old positional constructors
-  survive as deprecation shims.
+  :mod:`repro.experiments.service`.
 * :func:`run_campaign` — dedupe, artifact lookup, victim-model warm-up,
   dispatch, incremental artifact writes and a structured manifest
   (:meth:`CampaignResult.write_manifest`).
@@ -49,7 +48,6 @@ import math
 import multiprocessing
 import random
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 import numpy as np
@@ -345,8 +343,7 @@ class ExecutorConfig:
     The three in-process backends read ``backend``/``jobs``/``cache_dir``
     only; the remaining fields configure the socket-attached worker fleet
     (:mod:`repro.experiments.service`).  Construct one of these and hand it
-    to :func:`make_executor` — the per-class positional constructors are
-    deprecated.
+    to :func:`make_executor` or an executor class.
     """
 
     backend: str = "serial"
@@ -383,41 +380,16 @@ class Executor:
     :class:`JobSpec`; ``on_event`` is an optional callable receiving
     structured progress dictionaries (the seed of ROADMAP item 5's event
     bus).
-
-    Constructing a subclass with the historical positional signature
-    ``(jobs, cache_dir)`` still works but emits a
-    :class:`DeprecationWarning`; pass an :class:`ExecutorConfig` instead.
     """
 
     name: str = "abstract"
     parallel: bool = False
 
-    def __init__(
-        self, config: ExecutorConfig | int | None = None, cache_dir: str | None = None
-    ):
-        if isinstance(config, ExecutorConfig):
-            if cache_dir is not None:
-                raise ConfigurationError(
-                    "pass cache_dir inside ExecutorConfig, not alongside it"
-                )
-            if config.backend != self.name:
-                config = replace(config, backend=self.name)
-        elif config is None and cache_dir is None:
+    def __init__(self, config: ExecutorConfig | None = None):
+        if config is None:
             config = ExecutorConfig(backend=self.name)
-        else:
-            warnings.warn(
-                f"{type(self).__name__}(jobs, cache_dir) is deprecated; build an "
-                f"ExecutorConfig(backend={self.name!r}, jobs=..., cache_dir=...) "
-                "and pass it to make_executor() or the constructor",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            jobs = 1 if config is None else config
-            if not isinstance(jobs, int) or isinstance(jobs, bool):
-                raise ConfigurationError(
-                    f"jobs must be an integer, got {type(jobs).__name__}"
-                )
-            config = ExecutorConfig(backend=self.name, jobs=jobs, cache_dir=cache_dir)
+        elif config.backend != self.name:
+            config = replace(config, backend=self.name)
         self.config = config
 
     @property
@@ -587,39 +559,8 @@ def _executor_class(backend: str) -> type[Executor]:
     }[backend]
 
 
-def make_executor(
-    config: ExecutorConfig | int | None = None,
-    backend: str | None = None,
-    cache_dir: str | None = None,
-    *,
-    jobs: int | None = None,
-) -> Executor:
-    """Build an executor from an :class:`ExecutorConfig`.
-
-    The historical ``make_executor(jobs, backend, cache_dir)`` call shape is
-    still accepted: it is normalised into a config, with ``backend=None``
-    selecting serial execution for ``jobs <= 1`` and the
-    ``concurrent.futures`` process pool otherwise.  Unknown backends raise
-    :class:`~repro.utils.errors.ConfigurationError` (a :class:`ValueError`)
-    naming the valid choices.
-    """
-    if isinstance(config, ExecutorConfig):
-        if backend is not None or cache_dir is not None or jobs is not None:
-            raise ConfigurationError(
-                "make_executor(config) takes no extra arguments; put backend/"
-                "jobs/cache_dir inside the ExecutorConfig"
-            )
-    else:
-        legacy_jobs = jobs if jobs is not None else config
-        if legacy_jobs is None:
-            legacy_jobs = 1
-        if not isinstance(legacy_jobs, int) or isinstance(legacy_jobs, bool):
-            raise ConfigurationError(
-                f"jobs must be an integer, got {type(legacy_jobs).__name__}"
-            )
-        if backend is None:
-            backend = "serial" if legacy_jobs <= 1 else "process-pool"
-        config = ExecutorConfig(backend=backend, jobs=legacy_jobs, cache_dir=cache_dir)
+def make_executor(config: ExecutorConfig) -> Executor:
+    """Build the executor of the backend ``config`` names."""
     return _executor_class(config.backend)(config)
 
 
@@ -826,7 +767,8 @@ def run_campaign(
         Parallelism degree and backend.  ``executor`` may be an
         :class:`ExecutorConfig`, a backend name (see
         :data:`EXECUTOR_BACKENDS`), an executor instance, or ``None`` to
-        choose from ``jobs``.
+        choose from ``jobs``: serial for ``jobs <= 1``, else
+        ``process-pool``.  A backend name or ``None`` runs ``jobs`` workers.
     store:
         Optional artifact store.  Completed cells found in the store are not
         re-executed; freshly executed cells are persisted one by one, so an
@@ -844,10 +786,11 @@ def run_campaign(
     """
     started = time.perf_counter()
     store = store if store is not None else ArtifactStore(enabled=False)
+    if executor is None or isinstance(executor, str):
+        backend = executor or ("serial" if jobs <= 1 else "process-pool")
+        executor = ExecutorConfig(backend=backend, jobs=jobs)
     if isinstance(executor, ExecutorConfig):
         executor = make_executor(executor)
-    elif executor is None or isinstance(executor, str):
-        executor = make_executor(jobs=jobs, backend=executor)
 
     unique = campaign.unique_jobs()
     Executor._emit(

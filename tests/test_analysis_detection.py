@@ -1,15 +1,15 @@
-"""Tests for repro.analysis.detection (stealth / detectability extension)."""
+"""Tests for the detection probability models (stealth / detectability extension)."""
 
 import pytest
 
-from repro.analysis.detection import (
+from repro.attacks.fault_sneaking import FaultSneakingAttack, FaultSneakingConfig
+from repro.attacks.targets import make_attack_plan
+from repro.defenses.detectors import (
     detection_report,
     parameter_audit_detection_probability,
     probe_detection_probability,
     probes_needed_for_detection,
 )
-from repro.attacks.fault_sneaking import FaultSneakingAttack, FaultSneakingConfig
-from repro.attacks.targets import make_attack_plan
 from repro.utils.errors import ConfigurationError
 
 FAST = dict(iterations=60, warmup_iterations=250, refine_support_steps=30)

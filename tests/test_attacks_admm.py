@@ -117,9 +117,11 @@ class TestSolver:
     def test_fixed_alpha_respected(self, objective):
         config = ADMMConfig(norm="l2", rho=50.0, alpha=3.0, iterations=10)
         solver = ADMMSolver(config)
-        assert solver._effective_alpha(np.ones(objective.view.size), 10) == 3.0
+        alphas = solver._effective_alphas(np.ones((2, objective.view.size)), 10, np.full(2, 50.0))
+        np.testing.assert_array_equal(alphas, [3.0, 3.0])
 
     def test_effective_alpha_floor(self, objective):
         config = ADMMConfig(norm="l2", rho=50.0, iterations=10, alpha_floor=2.5)
         solver = ADMMSolver(config)
-        assert solver._effective_alpha(np.zeros(objective.view.size), 10) == 2.5
+        alphas = solver._effective_alphas(np.zeros((1, objective.view.size)), 10, np.full(1, 50.0))
+        np.testing.assert_array_equal(alphas, [2.5])

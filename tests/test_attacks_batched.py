@@ -1,17 +1,26 @@
-"""Batched-vs-scalar bit-identity tests for repro.attacks.batched.
+"""Bit-identity tests for the stacked attack path.
 
-The batched attack's contract is exact: every lane of a stacked solve must
-be *bit-identical* to running the scalar attack on that lane alone.  The
-property test here pins that contract over heterogeneous lanes (different
-target counts and plan seeds, shared anchor count R — the shape the campaign
-fusion pass produces), for both norms, across every ``ADMMResult`` field and
-the full per-iteration history.  The remaining tests pin the solver-level
-pieces the batch path relies on: per-lane early-stop freezing and the
-history rows describing the ``z^{k+1}`` iterate they were recorded at.
+Every attack runs as lanes of one stacked solve.  Its contract is exact:
+each lane — of :meth:`FaultSneakingAttack.attack` (one lane) and of
+:meth:`BatchedFaultSneakingAttack.attack_batch` (many) — must be
+*bit-identical* to the one-plan reference in ``reference_attack.py``, which
+keeps the plain per-objective ADMM loop, warm start and refinement.  The
+property tests pin that over heterogeneous lanes (different target counts
+and plan seeds, shared anchor count R — the shape the campaign fusion pass
+produces) and over the configuration knobs, across every ``ADMMResult``
+field and the full per-iteration history.  The remaining tests pin the
+solver-level pieces: per-lane early-stop freezing and the history rows
+describing the ``z^{k+1}`` iterate they were recorded at.
 """
 
 import numpy as np
 import pytest
+from reference_attack import (
+    dense_warm_start,
+    evaluate_candidate,
+    reference_attack,
+    reference_solve,
+)
 
 from repro.attacks.admm import ADMMConfig, ADMMSolver
 from repro.attacks.batched import BatchedFaultSneakingAttack
@@ -47,6 +56,31 @@ def tiny_attack_config(norm: str, **overrides) -> FaultSneakingConfig:
     return FaultSneakingConfig(**kwargs)
 
 
+# Configurations the bit-identity tests sweep: every norm, each phase
+# switched off in turn, sparse evaluation, a fixed α and a multi-layer dense
+# suffix (attacking fc1 runs fc1 → fc2 → fc_logits, as Table 1 does).
+ATTACK_CASES = {
+    "l0": tiny_attack_config("l0"),
+    "l1": tiny_attack_config("l1"),
+    "l2": tiny_attack_config("l2"),
+    "no-warm-start": tiny_attack_config("l0", warm_start=False),
+    "no-refinement": tiny_attack_config("l0", refine_support_steps=0),
+    "evaluate-every-3": tiny_attack_config("l0", evaluate_every=3),
+    "fixed-alpha": tiny_attack_config("l2", alpha=2.0),
+    "fc1-suffix": tiny_attack_config("l0", layers=("fc1",)),
+}
+
+# Solver configurations for the ADMM-level bit-identity test.
+SOLVER_CASES = {
+    "l0": ADMMConfig(norm="l0", rho=500.0, iterations=25),
+    "l1": ADMMConfig(norm="l1", rho=200.0, iterations=25),
+    "l2": ADMMConfig(norm="l2", rho=50.0, iterations=25),
+    "fixed-alpha": ADMMConfig(norm="l0", rho=500.0, alpha=3.0, iterations=25),
+    "evaluate-every-7": ADMMConfig(norm="l0", rho=500.0, iterations=25, evaluate_every=7),
+    "no-history": ADMMConfig(norm="l0", rho=500.0, iterations=25, track_history=False),
+}
+
+
 @pytest.fixture(scope="module")
 def plans(tiny_split):
     return [
@@ -55,36 +89,49 @@ def plans(tiny_split):
     ]
 
 
-def assert_results_bit_equal(batched, scalar):
-    np.testing.assert_array_equal(batched.delta, scalar.delta)
-    np.testing.assert_array_equal(batched.success_mask, scalar.success_mask)
-    np.testing.assert_array_equal(batched.keep_mask, scalar.keep_mask)
+def assert_admm_bit_equal(result, reference):
     for name in ADMM_FIELDS:
         np.testing.assert_array_equal(
-            getattr(batched.admm, name), getattr(scalar.admm, name), err_msg=name
+            getattr(result, name), getattr(reference, name), err_msg=name
         )
-    assert batched.admm.iterations_run == scalar.admm.iterations_run
-    assert batched.admm.converged == scalar.admm.converged
-    assert batched.admm.feasible == scalar.admm.feasible
+    assert result.iterations_run == reference.iterations_run
+    assert result.converged == reference.converged
+    assert result.feasible == reference.feasible
     for name in HISTORY_FIELDS:
-        assert getattr(batched.admm.history, name) == getattr(scalar.admm.history, name), name
+        assert getattr(result.history, name) == getattr(reference.history, name), name
+
+
+def assert_results_bit_equal(result, reference):
+    np.testing.assert_array_equal(result.delta, reference.delta)
+    np.testing.assert_array_equal(result.success_mask, reference.success_mask)
+    np.testing.assert_array_equal(result.keep_mask, reference.keep_mask)
+    assert_admm_bit_equal(result.admm, reference.admm)
 
 
 class TestBatchedBitIdentity:
-    @pytest.mark.parametrize("norm", ["l0", "l2"])
-    def test_batched_matches_scalar_bitwise(self, norm, tiny_model, plans):
-        config = tiny_attack_config(norm)
-        scalar = [FaultSneakingAttack(tiny_model, config).attack(plan) for plan in plans]
+    @pytest.mark.parametrize("case", sorted(ATTACK_CASES))
+    def test_attacks_match_reference_bitwise(self, case, tiny_model, plans):
+        config = ATTACK_CASES[case]
+        reference = [reference_attack(tiny_model, config, plan) for plan in plans]
+        single = [FaultSneakingAttack(tiny_model, config).attack(plan) for plan in plans]
         batched = BatchedFaultSneakingAttack(tiny_model, config).attack_batch(plans)
-        assert len(batched) == len(scalar)
-        for batched_result, scalar_result in zip(batched, scalar):
-            assert_results_bit_equal(batched_result, scalar_result)
+        assert len(batched) == len(reference)
+        for lane, expected in enumerate(reference):
+            assert_results_bit_equal(single[lane], expected)
+            assert_results_bit_equal(batched[lane], expected)
 
-    def test_single_lane_batch_matches_scalar(self, tiny_model, plans):
+    def test_single_lane_batch_matches_reference(self, tiny_model, plans):
         config = tiny_attack_config("l0")
-        scalar = FaultSneakingAttack(tiny_model, config).attack(plans[0])
+        reference = reference_attack(tiny_model, config, plans[0])
         (batched,) = BatchedFaultSneakingAttack(tiny_model, config).attack_batch(plans[:1])
-        assert_results_bit_equal(batched, scalar)
+        assert_results_bit_equal(batched, reference)
+
+    def test_reference_is_not_degenerate(self, tiny_model, plans):
+        """The pinned attacks do real work: some lane succeeds with a sparse δ."""
+        config = tiny_attack_config("l0")
+        results = [reference_attack(tiny_model, config, plan) for plan in plans]
+        assert any(result.success_rate == 1.0 for result in results)
+        assert all(0 < result.l0_norm < result.view.size for result in results)
 
     def test_model_restored_after_batch(self, tiny_model, plans):
         config = tiny_attack_config("l0")
@@ -121,10 +168,9 @@ class TestStackedObjective:
             value, grad = objective.value_and_gradient(deltas[lane])
             assert values[lane] == value
             np.testing.assert_array_equal(grads[lane], grad)
-            cand_value, success, keep = objective.evaluate_candidate(deltas[lane])
-            assert cand_values[lane] == cand_value
-            assert successes[lane] == success
-            assert keeps[lane] == keep
+            assert cand_values[lane] == objective.value(deltas[lane])
+            assert successes[lane] == objective.success_rate(deltas[lane])
+            assert keeps[lane] == objective.keep_rate(deltas[lane])
         view.restore()
 
 
@@ -145,13 +191,14 @@ class TestSolveBatch:
         keep iterating — exercising the masked-update path — and the frozen
         results must still match a scalar solve of the same lane.
         """
-        attack = BatchedFaultSneakingAttack(tiny_model, tiny_attack_config("l0"))
-        starts = attack._dense_warm_start_batch(stacked)
+        attack_config = tiny_attack_config("l0")
+        starts = np.stack(
+            [dense_warm_start(attack_config, objective) for objective in stacked.objectives]
+        )
         config = ADMMConfig(norm="l0", rho=500.0, iterations=40, primal_tolerance=1e6)
-        solver = ADMMSolver(config)
-        batched = solver.solve_batch(stacked, initial_deltas=starts)
+        batched = ADMMSolver(config).solve_batch(stacked, initial_deltas=starts)
         scalar = [
-            solver.solve(stacked.objectives[lane], initial_delta=starts[lane])
+            reference_solve(config, stacked.objectives[lane], initial_delta=starts[lane])
             for lane in range(stacked.lanes)
         ]
         assert any(result.converged for result in batched)
@@ -170,12 +217,20 @@ class TestSolveBatch:
             stacked, rhos=rhos
         )
         for lane, rho in enumerate(rhos):
-            scalar = ADMMSolver(ADMMConfig(norm="l0", rho=float(rho), iterations=15)).solve(
-                stacked.objectives[lane]
-            )
-            np.testing.assert_array_equal(batched[lane].delta, scalar.delta)
-            np.testing.assert_array_equal(batched[lane].raw_delta, scalar.raw_delta)
-            assert batched[lane].history.primal_residual == scalar.history.primal_residual
+            config = ADMMConfig(norm="l0", rho=float(rho), iterations=15)
+            assert_admm_bit_equal(batched[lane], reference_solve(config, stacked.objectives[lane]))
+
+    @pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+    def test_solves_match_reference_bitwise(self, case, stacked):
+        config = SOLVER_CASES[case]
+        rng = np.random.default_rng(5)
+        starts = 0.05 * rng.standard_normal((stacked.lanes, stacked.size))
+        solver = ADMMSolver(config)
+        batched = solver.solve_batch(stacked, initial_deltas=starts)
+        for lane, objective in enumerate(stacked.objectives):
+            reference = reference_solve(config, objective, initial_delta=starts[lane])
+            assert_admm_bit_equal(solver.solve(objective, initial_delta=starts[lane]), reference)
+            assert_admm_bit_equal(batched[lane], reference)
 
     def test_bad_initial_deltas_shape_rejected(self, stacked):
         with pytest.raises(ConfigurationError, match="initial_deltas"):
@@ -202,7 +257,7 @@ class TestHistoryAlignment:
 
     def test_last_history_row_describes_final_z(self, objective):
         result = ADMMSolver(ADMMConfig(norm="l0", rho=500.0, iterations=20)).solve(objective)
-        value, success, keep = objective.evaluate_candidate(result.z)
+        value, success, keep = evaluate_candidate(objective, result.z)
         assert result.history.objective[-1] == value
         assert result.history.success_rate[-1] == success
         assert result.history.keep_rate[-1] == keep

@@ -85,9 +85,12 @@ class TestConfig:
         assert selector.layers == ("fc1",)
         assert not selector.include_biases
 
-    def test_admm_config_override(self):
-        config = FaultSneakingConfig(norm="l0")
-        assert config.admm_config(42.0).rho == 42.0
+    def test_admm_config_carries_solver_fields(self):
+        config = FaultSneakingConfig(norm="l1", rho=42.0, alpha=2.0, iterations=7)
+        admm = config.admm_config()
+        assert (admm.norm, admm.rho, admm.alpha, admm.iterations) == ("l1", 42.0, 2.0, 7)
+        default = FaultSneakingConfig(norm="l0")
+        assert default.admm_config().rho == default.effective_rho == 500.0
 
     def test_convenience_constructors(self):
         assert l0_attack_config(iterations=5).norm == "l0"

@@ -97,33 +97,43 @@ class TestJobSpec:
 
 class TestMakeExecutor:
     def test_default_serial_for_one_job(self):
-        assert isinstance(make_executor(1), SerialExecutor)
+        result = run_campaign(_echo_campaign([]), jobs=1)
+        assert (result.stats.executor, result.stats.jobs) == ("serial", 1)
 
     def test_default_pool_for_many_jobs(self):
-        assert isinstance(make_executor(4), FuturesExecutor)
+        result = run_campaign(_echo_campaign([]), jobs=4)
+        assert (result.stats.executor, result.stats.jobs) == ("process-pool", 4)
+
+    def test_backend_name_runs_jobs_workers(self):
+        result = run_campaign(_echo_campaign([]), jobs=3, executor="process-pool")
+        assert (result.stats.executor, result.stats.jobs) == ("process-pool", 3)
 
     def test_explicit_backends(self):
-        assert isinstance(make_executor(2, "serial"), SerialExecutor)
-        assert isinstance(make_executor(2, "multiprocessing"), MultiprocessingExecutor)
-        assert isinstance(make_executor(2, "process-pool"), FuturesExecutor)
+        pairs = [
+            ("serial", SerialExecutor),
+            ("multiprocessing", MultiprocessingExecutor),
+            ("process-pool", FuturesExecutor),
+        ]
+        for backend, cls in pairs:
+            assert isinstance(make_executor(ExecutorConfig(backend=backend, jobs=2)), cls)
 
     def test_backends_constant_is_exhaustive(self):
         for backend in EXECUTOR_BACKENDS:
-            assert make_executor(2, backend) is not None
+            assert make_executor(ExecutorConfig(backend=backend, jobs=2)) is not None
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_executor(2, "threads")
+            run_campaign(_echo_campaign([1]), jobs=2, executor="threads")
 
     def test_nonpositive_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_executor(0)
+            run_campaign(_echo_campaign([1]), jobs=0)
 
     def test_unknown_backend_is_a_value_error_naming_the_choices(self):
         # The redesigned API contract: unknown backends raise a ValueError
         # whose message lists every valid backend.
         with pytest.raises(ValueError) as excinfo:
-            make_executor(2, "threads")
+            ExecutorConfig(backend="threads", jobs=2)
         for backend in EXECUTOR_BACKENDS:
             assert backend in str(excinfo.value)
 
@@ -167,44 +177,17 @@ class TestExecutorConfig:
         assert executor.jobs == 2
         assert executor.parallel
 
-    def test_config_rejects_extra_make_executor_arguments(self):
-        with pytest.raises(ConfigurationError):
-            make_executor(ExecutorConfig(), backend="serial")
-        with pytest.raises(ConfigurationError):
-            make_executor(ExecutorConfig(), jobs=2)
-
-    def test_constructor_rejects_cache_dir_alongside_config(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            SerialExecutor(ExecutorConfig(), str(tmp_path))
+    def test_constructor_defaults_to_its_own_backend(self, tmp_path):
+        assert SerialExecutor().config == ExecutorConfig(backend="serial")
+        executor = FuturesExecutor(ExecutorConfig(jobs=2, cache_dir=str(tmp_path)))
+        assert executor.config.backend == "process-pool"
+        assert (executor.jobs, executor.cache_dir) == (2, str(tmp_path))
 
     def test_run_campaign_accepts_a_config(self):
         campaign = _echo_campaign([1, 2])
         result = run_campaign(campaign, executor=ExecutorConfig(backend="serial"))
         assert result.stats.executor == "serial"
         assert result.stats.total == 2
-
-
-class TestDeprecatedConstructors:
-    @pytest.mark.parametrize(
-        "cls", [SerialExecutor, MultiprocessingExecutor, FuturesExecutor]
-    )
-    def test_positional_jobs_warns_but_works(self, cls):
-        with pytest.warns(DeprecationWarning, match="ExecutorConfig"):
-            executor = cls(2)
-        assert executor.config.jobs == 2
-        assert executor.config.backend == cls.name
-
-    def test_positional_cache_dir_survives_the_shim(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            executor = FuturesExecutor(2, str(tmp_path))
-        assert executor.cache_dir == str(tmp_path)
-
-    def test_config_construction_does_not_warn(self, recwarn):
-        SerialExecutor(ExecutorConfig())
-        SerialExecutor()
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
 
 
 class TestExecutorBackends:
