@@ -22,13 +22,9 @@ from __future__ import annotations
 from repro import make_attack_plan
 from repro.analysis.reporting import Table
 from repro.attacks import FaultSneakingAttack, FaultSneakingConfig
+from repro.attacks.lowering import lower_attack
 from repro.experiments.common import get_trained_model
-from repro.hardware import (
-    FaultInjectionCampaign,
-    MemoryLayout,
-    RowHammerInjector,
-)
-from repro.nn.quantization import QuantizationSpec
+from repro.hardware import MemoryLayout, RowHammerInjector
 
 
 def main() -> None:
@@ -57,22 +53,21 @@ def main() -> None:
         ],
     )
 
+    injector = RowHammerInjector(max_flips_per_row=32)
     for storage in ("float32", "float16"):
         for row_bytes in (4096, 8192):
-            campaign = FaultInjectionCampaign(
-                injector=RowHammerInjector(max_flips_per_row=32),
-                spec=QuantizationSpec(storage),
-                layout=MemoryLayout(row_bytes=row_bytes),
+            report = lower_attack(
+                result, storage=storage, layout=MemoryLayout(row_bytes=row_bytes)
             )
-            report = campaign.run(result)
+            cost = injector.cost(report.plan)
             table.add_row(
                 storage,
                 row_bytes,
                 report.plan.num_words_touched,
                 report.plan.num_flips,
                 report.plan.num_rows_touched,
-                report.cost.feasible,
-                report.cost.time_seconds / 3600.0,
+                cost.feasible,
+                cost.time_seconds / 3600.0,
                 report.success_rate,
                 report.keep_rate,
                 report.quantization_error,

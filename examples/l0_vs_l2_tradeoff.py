@@ -21,8 +21,9 @@ from __future__ import annotations
 from repro import evaluate_attack_result, make_attack_plan
 from repro.analysis.reporting import Table
 from repro.attacks import FaultSneakingAttack, FaultSneakingConfig
+from repro.attacks.lowering import lower_attack
 from repro.experiments.common import get_trained_model
-from repro.hardware import FaultInjectionCampaign, LaserBeamInjector, RowHammerInjector
+from repro.hardware import LaserBeamInjector, RowHammerInjector
 
 
 def main() -> None:
@@ -54,18 +55,17 @@ def main() -> None:
         evaluation = evaluate_attack_result(
             result, test_set, clean_model=model, clean_accuracy=trained.test_accuracy
         )
-        rowhammer_report = FaultInjectionCampaign(injector=RowHammerInjector()).run(result)
-        laser_report = FaultInjectionCampaign(injector=LaserBeamInjector()).run(result)
+        flips = lower_attack(result, storage="float32").plan
         table.add_row(
             f"{norm} attack",
             evaluation.l0_norm,
             evaluation.l2_norm,
             evaluation.success_rate,
             evaluation.attacked_test_accuracy,
-            rowhammer_report.plan.num_flips,
-            rowhammer_report.plan.num_rows_touched,
-            rowhammer_report.cost.time_seconds / 3600.0,
-            laser_report.cost.time_seconds / 3600.0,
+            flips.num_flips,
+            flips.num_rows_touched,
+            RowHammerInjector().cost(flips).time_seconds / 3600.0,
+            LaserBeamInjector().cost(flips).time_seconds / 3600.0,
         )
 
     print(table.render("text"))

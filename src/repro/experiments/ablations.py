@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.analysis.reporting import Table
 from repro.attacks.fault_sneaking import FaultSneakingAttack
+from repro.attacks.lowering import lower_attack
 from repro.attacks.targets import make_attack_plan
 from repro.experiments.campaign import (
     Campaign,
@@ -27,12 +28,7 @@ from repro.experiments.campaign import (
     run_experiment,
 )
 from repro.experiments.common import attack_config_for, get_setting, get_trained_model
-from repro.hardware import (
-    FaultInjectionCampaign,
-    LaserBeamInjector,
-    RowHammerInjector,
-)
-from repro.nn.quantization import QuantizationSpec
+from repro.hardware import LaserBeamInjector, RowHammerInjector
 from repro.zoo.registry import ModelRegistry
 
 __all__ = [
@@ -244,21 +240,18 @@ def _hardware_cost_job(
     config = attack_config_for(scale, norm=norm, kappa=kappa)
     result = FaultSneakingAttack(trained.model, config).attack(plan)
     metrics: dict[str, float] = {}
-    # One attack, both storage formats: the injection campaigns only re-analyse
-    # the modification, so flattening them into prefixed metrics avoids paying
-    # the ADMM solve once per storage format.
+    # One attack, both storage formats, one lowering per storage: the injectors
+    # only price the lowered plan, so flattening them into prefixed metrics
+    # avoids paying the ADMM solve once per storage format.
     for storage in _STORAGES:
-        spec = QuantizationSpec(storage)
-        rowhammer = FaultInjectionCampaign(injector=RowHammerInjector(), spec=spec)
-        laser = FaultInjectionCampaign(injector=LaserBeamInjector(), spec=spec)
-        row_report = rowhammer.run(result)
-        laser_report = laser.run(result)
-        metrics[f"{storage}_words"] = row_report.plan.num_words_touched
-        metrics[f"{storage}_flips"] = row_report.plan.num_flips
-        metrics[f"{storage}_rows"] = row_report.plan.num_rows_touched
-        metrics[f"{storage}_rowhammer_hours"] = row_report.cost.time_seconds / 3600.0
-        metrics[f"{storage}_laser_hours"] = laser_report.cost.time_seconds / 3600.0
-        metrics[f"{storage}_success"] = row_report.success_rate
+        report = lower_attack(result, storage=storage)
+        flips = report.plan
+        metrics[f"{storage}_words"] = flips.num_words_touched
+        metrics[f"{storage}_flips"] = flips.num_flips
+        metrics[f"{storage}_rows"] = flips.num_rows_touched
+        for name, injector in (("rowhammer", RowHammerInjector()), ("laser", LaserBeamInjector())):
+            metrics[f"{storage}_{name}_hours"] = injector.cost(flips).time_seconds / 3600.0
+        metrics[f"{storage}_success"] = report.success_rate
     return metrics
 
 

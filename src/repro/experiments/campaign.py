@@ -17,15 +17,18 @@ memoized and resumed uniformly:
 * :class:`ArtifactStore` — content-hash-keyed on-disk memoization of job
   results built on :class:`repro.utils.cache.DiskCache`; re-runs and resumed
   campaigns skip completed cells.
-* Executors — four backends behind one :class:`ExecutorConfig` +
-  :func:`make_executor` factory and one ``run(campaign, *, registry,
-  on_event)`` contract: serial in-process execution, a
-  ``multiprocessing.Pool``, a ``concurrent.futures.ProcessPoolExecutor``,
-  and the socket-attached worker fleet of
-  :mod:`repro.experiments.service`.
+* Executors — three backends behind one :class:`ExecutorConfig` +
+  :func:`make_executor` factory and one ``run(specs, *, registry)``
+  contract: serial in-process execution, one
+  ``concurrent.futures.ProcessPoolExecutor`` pool, and the socket-attached
+  worker fleet of :mod:`repro.experiments.service`.
 * :func:`run_campaign` — dedupe, artifact lookup, victim-model warm-up,
   dispatch, incremental artifact writes and a structured manifest
   (:meth:`CampaignResult.write_manifest`).
+
+Progress is reported on one channel: the engine, every executor and the
+fleet dispatcher publish typed events to the process-wide telemetry bus
+(:func:`repro.experiments.telemetry.bus.global_bus`).
 
 Determinism: each job derives its own seed from its spec via
 :func:`repro.utils.rng.derive_seed` before executing, and every random
@@ -45,7 +48,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import random
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.experiments.telemetry.bus import global_bus
+from repro.experiments.telemetry.bus import CallbackSink, global_bus
 from repro.experiments.telemetry.events import (
     JobCached,
     JobFinished,
@@ -85,7 +87,6 @@ __all__ = [
     "ExecutorConfig",
     "Executor",
     "SerialExecutor",
-    "MultiprocessingExecutor",
     "FuturesExecutor",
     "make_executor",
     "run_campaign",
@@ -95,14 +96,12 @@ __all__ = [
 
 _LOGGER = get_logger("experiments.campaign")
 
-EXECUTOR_BACKENDS = ("serial", "multiprocessing", "process-pool", "fleet")
+EXECUTOR_BACKENDS = ("serial", "process-pool", "fleet")
 
-# Structured-progress callback: receives one typed telemetry event per
-# campaign state change (job started/done/cached, worker attach/detach,
-# dispatcher-ready).  Events are mapping-compatible (``event["event"]`` is the
-# short name), so dictionary-era callbacks keep working.  Every event also
-# reaches the process-wide telemetry bus (:func:`repro.experiments.telemetry.
-# bus.global_bus`) regardless of whether a callback is given.
+# Progress callback of :func:`run_campaign`: attached to the process-wide
+# telemetry bus (:func:`repro.experiments.telemetry.bus.global_bus`) for the
+# call, it receives every typed event published meanwhile (job
+# started/done/cached, worker attach/detach, dispatcher-ready).
 EventCallback = Callable[[TelemetryEvent], None]
 
 
@@ -332,23 +331,32 @@ def _init_worker(cache_dir: str | None, cache_disabled: bool = False) -> None:
 
 
 def _execute_spec(spec: JobSpec) -> JobResult:
-    # Top-level so it pickles for pool.imap / executor.submit.
+    # Top-level so it pickles for executor.submit.
     return execute_job(spec, registry=_WORKER_REGISTRY)
+
+
+def _job_finished(result: JobResult) -> JobFinished:
+    """The telemetry event announcing one executed job."""
+    return JobFinished(
+        key=result.key,
+        kind=result.kind,
+        metrics=encode_metrics(result.metrics),
+        duration_s=result.elapsed,
+    )
 
 
 @dataclass(frozen=True)
 class ExecutorConfig:
     """One configuration object for every executor backend.
 
-    The three in-process backends read ``backend``/``jobs``/``cache_dir``
-    only; the remaining fields configure the socket-attached worker fleet
+    The in-process backends read ``backend``/``jobs`` only; the remaining
+    fields configure the socket-attached worker fleet
     (:mod:`repro.experiments.service`).  Construct one of these and hand it
     to :func:`make_executor` or an executor class.
     """
 
     backend: str = "serial"
     jobs: int = 1
-    cache_dir: str | None = None
     # -- fleet-only settings ---------------------------------------------------------
     artifact_dir: str | None = None  # workers write results through this store
     host: str = "127.0.0.1"
@@ -374,12 +382,10 @@ class Executor:
     """Base class of all campaign executors: one config, one run contract.
 
     Subclasses set ``name``/``parallel`` and implement
-    ``run(campaign, *, registry=None, on_event=None)``, yielding one
-    :class:`JobResult` per pending job (any order).  ``campaign`` may be a
-    :class:`Campaign` (its deduplicated jobs run) or an iterable of
-    :class:`JobSpec`; ``on_event`` is an optional callable receiving
-    structured progress dictionaries (the seed of ROADMAP item 5's event
-    bus).
+    ``run(specs, *, registry=None)``, yielding one :class:`JobResult` per
+    spec (any order) and publishing each job's :class:`JobStarted` and
+    :class:`JobFinished` events to :func:`~repro.experiments.telemetry.bus.
+    global_bus`.
     """
 
     name: str = "abstract"
@@ -397,34 +403,8 @@ class Executor:
         """Degree of parallelism this executor reports in campaign stats."""
         return self.config.jobs
 
-    @property
-    def cache_dir(self) -> str | None:
-        """Model-cache override handed to worker processes."""
-        return self.config.cache_dir
-
-    @staticmethod
-    def _pending_specs(campaign: "Campaign | Iterable[JobSpec]") -> list[JobSpec]:
-        """Normalise the ``run`` argument to a job list."""
-        if isinstance(campaign, Campaign):
-            return campaign.unique_jobs()
-        return list(campaign)
-
-    @staticmethod
-    def _emit(
-        on_event: EventCallback | None, event: TelemetryEvent
-    ) -> TelemetryEvent:
-        """Publish to the global telemetry bus, then the legacy callback."""
-        event = global_bus().publish(event)
-        if on_event is not None:
-            on_event(event)
-        return event
-
     def run(
-        self,
-        campaign: "Campaign | Iterable[JobSpec]",
-        *,
-        registry: ModelRegistry | None = None,
-        on_event: EventCallback | None = None,
+        self, specs: list[JobSpec], *, registry: ModelRegistry | None = None
     ) -> Iterator[JobResult]:
         raise NotImplementedError
 
@@ -440,69 +420,15 @@ class SerialExecutor(Executor):
         return 1
 
     def run(
-        self,
-        campaign: "Campaign | Iterable[JobSpec]",
-        *,
-        registry: ModelRegistry | None = None,
-        on_event: EventCallback | None = None,
+        self, specs: list[JobSpec], *, registry: ModelRegistry | None = None
     ) -> Iterator[JobResult]:
         """Yield one result per job as it completes."""
-        for spec in self._pending_specs(campaign):
-            self._emit(on_event, JobStarted(key=spec.key, kind=spec.kind))
+        bus = global_bus()
+        for spec in specs:
+            bus.publish(JobStarted(key=spec.key, kind=spec.kind))
             result = execute_job(spec, registry=registry)
-            self._emit(
-                on_event,
-                JobFinished(
-                    key=result.key,
-                    kind=result.kind,
-                    metrics=encode_metrics(result.metrics),
-                    duration_s=result.elapsed,
-                ),
-            )
+            bus.publish(_job_finished(result))
             yield result
-
-
-class MultiprocessingExecutor(Executor):
-    """Fan jobs out to a ``multiprocessing.Pool`` of worker processes."""
-
-    name = "multiprocessing"
-    parallel = True
-
-    def run(
-        self,
-        campaign: "Campaign | Iterable[JobSpec]",
-        *,
-        registry: ModelRegistry | None = None,
-        on_event: EventCallback | None = None,
-    ) -> Iterator[JobResult]:
-        """Yield results as workers complete them (unordered)."""
-        specs = self._pending_specs(campaign)
-        with multiprocessing.Pool(
-            processes=min(self.jobs, max(len(specs), 1)),
-            initializer=_init_worker,
-            initargs=self._initargs(registry),
-        ) as pool:
-            # Submission is the whole batch at once; job-started marks entry
-            # into the pool's queue, not the moment a worker picks it up.
-            for spec in specs:
-                self._emit(on_event, JobStarted(key=spec.key, kind=spec.kind))
-            # Unordered: results are keyed by spec hash, so arrival order is
-            # irrelevant and the parent can persist each artifact immediately.
-            for result in pool.imap_unordered(_execute_spec, specs):
-                self._emit(
-                    on_event,
-                    JobFinished(
-                        key=result.key,
-                        kind=result.kind,
-                        metrics=encode_metrics(result.metrics),
-                        duration_s=result.elapsed,
-                    ),
-                )
-                yield result
-
-    def _initargs(self, registry: ModelRegistry | None) -> tuple[str | None, bool]:
-        cache_dir, cache_disabled = _worker_registry_config(registry)
-        return (self.cache_dir or cache_dir, cache_disabled)
 
 
 class FuturesExecutor(Executor):
@@ -512,37 +438,26 @@ class FuturesExecutor(Executor):
     parallel = True
 
     def run(
-        self,
-        campaign: "Campaign | Iterable[JobSpec]",
-        *,
-        registry: ModelRegistry | None = None,
-        on_event: EventCallback | None = None,
+        self, specs: list[JobSpec], *, registry: ModelRegistry | None = None
     ) -> Iterator[JobResult]:
         """Yield results as workers complete them (unordered)."""
-        specs = self._pending_specs(campaign)
-        cache_dir, cache_disabled = _worker_registry_config(registry)
+        bus = global_bus()
         with ProcessPoolExecutor(
             max_workers=min(self.jobs, max(len(specs), 1)),
             initializer=_init_worker,
-            initargs=(self.cache_dir or cache_dir, cache_disabled),
+            initargs=_worker_registry_config(registry),
         ) as executor:
             pending = set()
             for spec in specs:
                 pending.add(executor.submit(_execute_spec, spec))
-                self._emit(on_event, JobStarted(key=spec.key, kind=spec.kind))
+                bus.publish(JobStarted(key=spec.key, kind=spec.kind))
+            # Unordered: results are keyed by spec hash, so arrival order is
+            # irrelevant and the parent can persist each artifact immediately.
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     result = future.result()
-                    self._emit(
-                        on_event,
-                        JobFinished(
-                            key=result.key,
-                            kind=result.kind,
-                            metrics=encode_metrics(result.metrics),
-                            duration_s=result.elapsed,
-                        ),
-                    )
+                    bus.publish(_job_finished(result))
                     yield result
 
 
@@ -552,11 +467,7 @@ def _executor_class(backend: str) -> type[Executor]:
         from repro.experiments.service.fleet import FleetExecutor
 
         return FleetExecutor
-    return {
-        "serial": SerialExecutor,
-        "multiprocessing": MultiprocessingExecutor,
-        "process-pool": FuturesExecutor,
-    }[backend]
+    return {"serial": SerialExecutor, "process-pool": FuturesExecutor}[backend]
 
 
 def make_executor(config: ExecutorConfig) -> Executor:
@@ -774,9 +685,10 @@ def run_campaign(
         re-executed; freshly executed cells are persisted one by one, so an
         interrupted campaign resumes where it stopped.
     on_event:
-        Optional callback receiving structured progress dictionaries
-        (cache hits, job completions, fleet worker attach/detach).  Fleet
-        events arrive from a background thread.
+        Optional callback attached to the telemetry bus for the call (and
+        detached afterwards, also when a job raises); it receives every
+        typed event published meanwhile (cache hits, job completions, fleet
+        worker attach/detach).  Fleet events arrive from a background thread.
     fuse:
         Group compatible pending cells (see :mod:`repro.experiments.fusion`)
         into batched in-parent jobs — one stacked tensor solve per group —
@@ -792,102 +704,98 @@ def run_campaign(
     if isinstance(executor, ExecutorConfig):
         executor = make_executor(executor)
 
-    unique = campaign.unique_jobs()
-    Executor._emit(
-        on_event,
-        RunStarted(
-            campaign=campaign.name,
-            scale=campaign.scale,
-            seed=campaign.seed,
-            total_jobs=len(unique),
-            executor=executor.name,
-            jobs=executor.jobs,
-        ),
-    )
-    results: dict[str, JobResult] = {}
-    pending: list[JobSpec] = []
-    for spec in unique:
-        cached = store.load(spec)
-        if cached is not None:
-            results[spec.key] = cached
-            Executor._emit(on_event, JobCached(key=spec.key, kind=spec.kind))
-        else:
-            pending.append(spec)
-    cache_hits = len(results)
-    _LOGGER.info(
-        "campaign %s: %d jobs (%d cached, %d to run) via %s",
-        campaign.name,
-        len(unique),
-        cache_hits,
-        len(pending),
-        executor.name,
-    )
+    bus = global_bus()
+    sink = bus.attach(CallbackSink(on_event)) if on_event is not None else None
+    try:
+        unique = campaign.unique_jobs()
+        bus.publish(
+            RunStarted(
+                campaign=campaign.name,
+                scale=campaign.scale,
+                seed=campaign.seed,
+                total_jobs=len(unique),
+                executor=executor.name,
+                jobs=executor.jobs,
+            ),
+        )
+        results: dict[str, JobResult] = {}
+        pending: list[JobSpec] = []
+        for spec in unique:
+            cached = store.load(spec)
+            if cached is not None:
+                results[spec.key] = cached
+                bus.publish(JobCached(key=spec.key, kind=spec.kind))
+            else:
+                pending.append(spec)
+        cache_hits = len(results)
+        _LOGGER.info(
+            "campaign %s: %d jobs (%d cached, %d to run) via %s",
+            campaign.name,
+            len(unique),
+            cache_hits,
+            len(pending),
+            executor.name,
+        )
 
-    fused_groups: list[list[JobSpec]] = []
-    if fuse and pending:
-        # Imported lazily: fusion depends on this module.
-        from repro.experiments.fusion import plan_fusion, run_fused_group
+        fused_groups: list[list[JobSpec]] = []
+        if fuse and pending:
+            # Imported lazily: fusion depends on this module.
+            from repro.experiments.fusion import plan_fusion, run_fused_group
 
-        fused_groups, pending = plan_fusion(pending)
-        if fused_groups:
-            _LOGGER.info(
-                "campaign %s: fused %d jobs into %d batched groups (%d stay scalar)",
-                campaign.name,
-                sum(len(group) for group in fused_groups),
-                len(fused_groups),
-                len(pending),
-            )
+            fused_groups, pending = plan_fusion(pending)
+            if fused_groups:
+                _LOGGER.info(
+                    "campaign %s: fused %d jobs into %d batched groups (%d stay scalar)",
+                    campaign.name,
+                    sum(len(group) for group in fused_groups),
+                    len(fused_groups),
+                    len(pending),
+                )
 
-    # Warm-up only helps when workers can actually read what the parent
-    # trains; a deliberately disabled disk cache means each worker retrains.
-    warmup_reaches_workers = registry is None or registry.disk_cache.enabled
-    if pending and executor.parallel and warmup_reaches_workers:
-        _warm_model_caches(campaign, pending, registry)
+        # Warm-up only helps when workers can actually read what the parent
+        # trains; a deliberately disabled disk cache means each worker retrains.
+        warmup_reaches_workers = registry is None or registry.disk_cache.enabled
+        if pending and executor.parallel and warmup_reaches_workers:
+            _warm_model_caches(campaign, pending, registry)
 
-    for group in fused_groups:
-        # Fused groups run in-parent: the per-group batched solve is the
-        # parallelism.  Events mirror the scalar path cell for cell — the
-        # per-job (event, key, kind) multiset of a fused run equals the
-        # serial run's.
-        for spec in group:
-            Executor._emit(on_event, JobStarted(key=spec.key, kind=spec.kind))
-        for result in run_fused_group(group, registry=registry):
+        for group in fused_groups:
+            # Fused groups run in-parent: the per-group batched solve is the
+            # parallelism.  Events mirror the scalar path cell for cell — the
+            # per-job (event, key, kind) multiset of a fused run equals the
+            # serial run's.
+            for spec in group:
+                bus.publish(JobStarted(key=spec.key, kind=spec.kind))
+            for result in run_fused_group(group, registry=registry):
+                store.store(result)
+                results[result.key] = result
+                bus.publish(_job_finished(result))
+        for result in executor.run(pending, registry=registry):
             store.store(result)
             results[result.key] = result
-            Executor._emit(
-                on_event,
-                JobFinished(
-                    key=result.key,
-                    kind=result.kind,
-                    metrics=encode_metrics(result.metrics),
-                    duration_s=result.elapsed,
-                ),
-            )
-    for result in executor.run(pending, registry=registry, on_event=on_event):
-        store.store(result)
-        results[result.key] = result
 
-    stats = CampaignStats(
-        total=len(unique),
-        executed=len(pending) + sum(len(group) for group in fused_groups),
-        cache_hits=cache_hits,
-        elapsed_seconds=time.perf_counter() - started,
-        executor=executor.name,
-        jobs=executor.jobs,
-    )
-    Executor._emit(
-        on_event,
-        RunFinished(
-            campaign=campaign.name,
-            total_jobs=stats.total,
-            executed=stats.executed,
-            cache_hits=stats.cache_hits,
-            executor=stats.executor,
-            jobs=stats.jobs,
-            elapsed_s=stats.elapsed_seconds,
-        ),
-    )
-    return CampaignResult(campaign=campaign, results=results, stats=stats)
+        stats = CampaignStats(
+            total=len(unique),
+            executed=len(pending) + sum(len(group) for group in fused_groups),
+            cache_hits=cache_hits,
+            elapsed_seconds=time.perf_counter() - started,
+            executor=executor.name,
+            jobs=executor.jobs,
+        )
+        bus.publish(
+            RunFinished(
+                campaign=campaign.name,
+                total_jobs=stats.total,
+                executed=stats.executed,
+                cache_hits=stats.cache_hits,
+                executor=stats.executor,
+                jobs=stats.jobs,
+                elapsed_s=stats.elapsed_seconds,
+            ),
+        )
+        return CampaignResult(campaign=campaign, results=results, stats=stats)
+    finally:
+        if sink is not None:
+            bus.detach(sink)
 
 
 def run_experiment(

@@ -18,10 +18,10 @@ Module              Responsibility
                     socket, executes claims through ``execute_job`` and writes
                     results through the artifact store.  ``python -m
                     repro.experiments.service.worker`` runs one standalone.
-``fleet``           ``FleetExecutor`` — the fourth campaign backend: dispatcher
+``fleet``           ``FleetExecutor`` — the third campaign backend: dispatcher
                     plus ``jobs`` spawned (or externally attached) workers,
-                    exposing the same ``run(campaign, *, registry, on_event)``
-                    contract as the in-process executors.
+                    exposing the same ``run(specs, *, registry)`` contract
+                    as the in-process executors.
 ==================  ================================================================
 
 Determinism is inherited, not re-implemented: every job derives its seed from

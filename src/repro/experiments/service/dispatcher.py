@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from repro.experiments.campaign import EventCallback, JobResult, JobSpec
+from repro.experiments.campaign import JobResult, JobSpec
 from repro.experiments.service.protocol import (
     MAX_FRAME_BYTES,
     Heartbeat,
@@ -57,7 +57,6 @@ from repro.experiments.telemetry.events import (
     JobQueued,
     JobRequeued,
     JobStarted,
-    TelemetryEvent,
     WorkerJoined,
     WorkerLeft,
 )
@@ -118,13 +117,11 @@ class Dispatcher:
         Expected worker heartbeat interval; the watchdog ticks at half this.
     max_attempts:
         Claims granted to one job before its failure becomes permanent.
-    on_event:
-        Optional callback receiving typed telemetry events (worker attach,
-        job started/requeued/done, ...).  Called on the event loop; must not
-        block.  Every event also reaches the telemetry ``bus`` regardless.
     bus:
-        Telemetry bus to publish on; defaults to the process-wide
-        :func:`~repro.experiments.telemetry.bus.global_bus`.
+        Telemetry bus to publish typed events on (worker attach, job
+        started/requeued/done, ...); defaults to the process-wide
+        :func:`~repro.experiments.telemetry.bus.global_bus`.  Sinks are
+        called on the event loop and must not block.
     """
 
     def __init__(
@@ -135,7 +132,6 @@ class Dispatcher:
         lease_seconds: float = 30.0,
         heartbeat_seconds: float = 1.0,
         max_attempts: int = 3,
-        on_event: EventCallback | None = None,
         bus: TelemetryBus | None = None,
     ):
         self.host = host
@@ -143,7 +139,6 @@ class Dispatcher:
         self.lease_seconds = float(lease_seconds)
         self.heartbeat_seconds = float(heartbeat_seconds)
         self.max_attempts = int(max_attempts)
-        self.on_event = on_event
         self.bus = bus if bus is not None else global_bus()
         self._jobs: dict[str, _Job] = {}
         self._queue: deque[str] = deque()
@@ -194,7 +189,7 @@ class Dispatcher:
             return False
         self._jobs[spec.key] = _Job(spec=spec)
         self._queue.append(spec.key)
-        self._emit(JobQueued(key=spec.key, kind=spec.kind))
+        self.bus.publish(JobQueued(key=spec.key, kind=spec.kind))
         self._dispatch_to_idle()
         return True
 
@@ -243,7 +238,7 @@ class Dispatcher:
                 last_seen=self._now(),
             )
             self._workers[hello.worker_id] = conn
-            self._emit(WorkerJoined(worker=hello.worker_id, pid=hello.pid))
+            self.bus.publish(WorkerJoined(worker=hello.worker_id, pid=hello.pid))
             self._offer(conn)
             while True:
                 line = await reader.readline()
@@ -266,7 +261,7 @@ class Dispatcher:
                 self._workers.pop(conn.worker_id, None)
                 if conn.current is not None:
                     self._requeue(conn.current, reason="worker-lost")
-                self._emit(
+                self.bus.publish(
                     WorkerLeft(
                         worker=conn.worker_id,
                         reason="goodbye" if conn.goodbye else "connection-lost",
@@ -327,7 +322,7 @@ class Dispatcher:
                 attempt=job.attempts,
             )
             conn.writer.write(encode_frame(claim))
-            self._emit(
+            self.bus.publish(
                 JobStarted(
                     key=key,
                     kind=job.spec.kind,
@@ -360,7 +355,7 @@ class Dispatcher:
             elapsed=float(message.elapsed),
         )
         self.results.put_nowait(("result", result))
-        self._emit(
+        self.bus.publish(
             JobFinished(
                 key=job.spec.key,
                 kind=job.spec.kind,
@@ -395,7 +390,7 @@ class Dispatcher:
                     FleetJobError(job.spec.key, job.spec.kind, job.attempts, job.last_error),
                 )
             )
-            self._emit(
+            self.bus.publish(
                 JobError(
                     key=job.spec.key,
                     kind=job.spec.kind,
@@ -415,7 +410,7 @@ class Dispatcher:
         job.worker_id = ""
         job.lease_deadline = 0.0
         self._queue.append(key)
-        self._emit(
+        self.bus.publish(
             JobRequeued(
                 key=key, kind=job.spec.kind, reason=reason, attempt=job.attempts
             )
@@ -447,9 +442,3 @@ class Dispatcher:
     @staticmethod
     def _now() -> float:
         return asyncio.get_running_loop().time()
-
-    def _emit(self, event: TelemetryEvent) -> None:
-        """Publish to the telemetry bus, then the legacy callback."""
-        event = self.bus.publish(event)
-        if self.on_event is not None:
-            self.on_event(event)

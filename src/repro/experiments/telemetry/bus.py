@@ -13,12 +13,14 @@ objects with an ``emit(event)`` method; this module ships the standard set:
   including a replay of history on attach so late subscribers see the full
   run;
 * :class:`CountingSink` — per-event-name counters (benchmarks, smoke tests);
-* :class:`CallbackSink` — adapt a legacy ``on_event`` callable to the bus.
+* :class:`CallbackSink` — call a plain function with each event (how
+  :func:`~repro.experiments.campaign.run_campaign` serves its callback).
 
-The process-wide default bus (:func:`global_bus`) is what the executors and
-the dispatcher publish to; with no sinks attached, publishing only stamps the
-timestamp, so instrumented code pays almost nothing when telemetry is off.  All bus and
-sink operations are thread-safe — executors publish from worker threads and
+The process-wide default bus (:func:`global_bus`) is the one event path of a
+campaign run: the engine, the executors and the dispatcher publish to it and
+to nothing else.  With no sinks attached, publishing only stamps the
+timestamp, so instrumented code pays almost nothing when telemetry is off.
+All bus and sink operations are thread-safe — executors publish from worker threads and
 the dispatcher from its own event-loop thread.
 """
 
@@ -34,7 +36,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import IO, Any, Protocol
 
-from repro.experiments.telemetry.events import TelemetryEvent
+from repro.experiments.telemetry.events import ArtifactSaved, TelemetryEvent
 from repro.experiments.wire import decode_frame, encode_frame
 
 __all__ = [
@@ -182,7 +184,7 @@ class CountingSink:
 
 
 class CallbackSink:
-    """Adapt a legacy ``on_event`` callable (events are mapping-compatible)."""
+    """Call a plain function with each event (typed, read by attribute)."""
 
     def __init__(self, callback: Callable[[Any], None]) -> None:
         self._callback = callback
@@ -201,10 +203,10 @@ class ConsoleSink:
 
     def emit(self, event: TelemetryEvent) -> None:
         name = event.EVENT
-        if name == "artifact-saved":
+        if isinstance(event, ArtifactSaved):
             # The runner's historical stderr contract.
             with self._lock:
-                print(f"[saved {event['path']}]", file=self._stream, flush=True)
+                print(f"[saved {event.path}]", file=self._stream, flush=True)
             return
         if not self._verbose and name not in (
             "run-started",

@@ -25,9 +25,8 @@ Event taxonomy (``TypeName`` → legacy short name):
 ``telemetry.artifact.saved``  ``artifact-saved``  CSV/manifest/log written
 ======================== =================== ==================================
 
-Events are mapping-compatible (``event["event"]`` returns the legacy short
-name, ``event["key"]`` reads a field) so pre-bus ``on_event`` consumers keep
-working unchanged.
+Fields are plain attributes (``event.key``); the short name is the class
+constant ``EVENT``.
 
 The ``t`` field is a *monotonic* timestamp stamped by the publishing
 :class:`~repro.experiments.telemetry.bus.TelemetryBus` (``time.monotonic``,
@@ -38,7 +37,7 @@ durations, absolute values are only meaningful within one run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar
+from typing import ClassVar
 
 from repro.experiments.wire import Message, register_message
 
@@ -69,29 +68,11 @@ TELEMETRY_TYPE_PREFIX = "telemetry."
 class TelemetryEvent(Message):
     """Behaviour-only base of every telemetry event (never on the wire).
 
-    Adds the legacy short name (``EVENT``) and read-only mapping access so
-    dictionary-era ``on_event`` callbacks (``event["event"]``,
-    ``event.get("worker")``) consume typed events without changes.
+    Adds the short name (``EVENT``) that counters and the console render.
     """
 
     ABSTRACT_BASE: ClassVar[bool] = True
-    # Legacy short name, the pre-bus "event" dictionary key.
-    EVENT: ClassVar[str] = ""
-
-    def __getitem__(self, key: str) -> Any:
-        if key == "event":
-            return self.EVENT
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Mapping-style field access with a default (legacy consumers)."""
-        try:
-            return self[key]
-        except KeyError:
-            return default
+    EVENT: ClassVar[str] = ""  # e.g. "job-done"
 
 
 @register_message

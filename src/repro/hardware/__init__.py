@@ -26,14 +26,13 @@ Module map (data flows top to bottom)::
       │         amortisation for Rowhammer)
       ▼
     lowering    (in repro.attacks.lowering) budget/template/ECC-aware plan
-      │         repair and the bit-true re-verification of the attack
-      ▼
-    campaign    FaultInjectionCampaign — applies a plan through the quantised
-                memory and re-verifies the attack end to end
+                repair and the bit-true re-verification of the attack
 
-The budget-aware lowering pipeline lives in :mod:`repro.attacks.lowering`
-(it needs the attack-side result types); everything device-level is under
-:mod:`repro.hardware.device`.
+The lowering pipeline lives in :mod:`repro.attacks.lowering` (it needs the
+attack-side result types): ``lower_attack`` applies a plan through the
+quantised memory and re-verifies the attack end to end, and an injector's
+``cost(report.plan)`` prices the plan it executed.  Everything device-level
+is under :mod:`repro.hardware.device`.
 """
 
 from repro.hardware.memory import MemoryLayout, ParameterMemoryMap
@@ -44,7 +43,6 @@ from repro.hardware.injectors import (
     LaserBeamInjector,
     RowHammerInjector,
 )
-from repro.hardware.campaign import CampaignReport, FaultInjectionCampaign
 from repro.hardware.device import (
     DEVICE_PROFILES,
     HAMMER_PATTERNS,
@@ -81,8 +79,6 @@ __all__ = [
     "InjectionCost",
     "RowHammerInjector",
     "LaserBeamInjector",
-    "CampaignReport",
-    "FaultInjectionCampaign",
     "DEVICE_PROFILES",
     "DeviceProfile",
     "DramCoordinates",

@@ -13,6 +13,7 @@ from repro.attacks.lowering import (
 from repro.attacks.parameter_view import ParameterView
 from repro.attacks.targets import make_attack_plan
 from repro.hardware.bitflip import plan_bit_flips
+from repro.hardware.injectors import LaserBeamInjector, RowHammerInjector
 from repro.hardware.memory import MemoryLayout, ParameterMemoryMap
 from repro.nn.quantization import storage_spec
 from repro.utils.errors import ConfigurationError
@@ -141,6 +142,29 @@ class TestLowerAttack:
         assert report.keep_rate >= attack_result.keep_rate - 0.1
         assert 0.0 <= report.attacked_accuracy <= 1.0
         assert np.isfinite(report.min_target_margin)
+
+    def test_float16_attack_still_lands(self, attack_result):
+        report = lower_attack(attack_result, storage="float16")
+        # float16 has ~3 decimal digits of precision; modifications are O(0.1)
+        assert report.quantization_error < 0.01
+        assert report.success_rate >= 0.5
+
+    def test_plan_touches_one_word_per_modified_parameter(self, attack_result):
+        report = lower_attack(attack_result, storage="float32")
+        assert report.plan.num_words_touched == attack_result.l0_norm
+
+    def test_victim_model_untouched(self, attack_result, tiny_model):
+        before = tiny_model.snapshot()
+        report = lower_attack(attack_result, storage="float32")
+        assert report.attacked_model is not tiny_model
+        after = tiny_model.snapshot()
+        for key in before:
+            np.testing.assert_array_equal(before[key], after[key])
+
+    def test_injector_prices_the_lowered_plan(self, attack_result):
+        plan = lower_attack(attack_result, storage="float32").plan
+        assert LaserBeamInjector().cost(plan).technique == "laser"
+        assert RowHammerInjector().cost(plan).technique == "rowhammer"
 
     def test_metrics_dict_keys(self, attack_result):
         report = lower_attack(attack_result, storage="float16")

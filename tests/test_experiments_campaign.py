@@ -18,7 +18,6 @@ from repro.experiments.campaign import (
     ExecutorConfig,
     FuturesExecutor,
     JobSpec,
-    MultiprocessingExecutor,
     SerialExecutor,
     execute_job,
     job_kinds,
@@ -109,13 +108,12 @@ class TestMakeExecutor:
         assert (result.stats.executor, result.stats.jobs) == ("process-pool", 3)
 
     def test_explicit_backends(self):
-        pairs = [
-            ("serial", SerialExecutor),
-            ("multiprocessing", MultiprocessingExecutor),
-            ("process-pool", FuturesExecutor),
-        ]
+        pairs = [("serial", SerialExecutor), ("process-pool", FuturesExecutor)]
         for backend, cls in pairs:
             assert isinstance(make_executor(ExecutorConfig(backend=backend, jobs=2)), cls)
+
+    def test_one_process_pool(self):
+        assert EXECUTOR_BACKENDS == ("serial", "process-pool", "fleet")
 
     def test_backends_constant_is_exhaustive(self):
         for backend in EXECUTOR_BACKENDS:
@@ -143,7 +141,6 @@ class TestExecutorConfig:
         config = ExecutorConfig()
         assert config.backend == "serial"
         assert config.jobs == 1
-        assert config.cache_dir is None
         assert config.spawn_workers is True
 
     def test_unknown_backend_rejected(self):
@@ -159,11 +156,7 @@ class TestExecutorConfig:
             ExecutorConfig(backend="fleet", max_attempts=0)
 
     def test_config_selects_backend_class(self):
-        pairs = [
-            ("serial", SerialExecutor),
-            ("multiprocessing", MultiprocessingExecutor),
-            ("process-pool", FuturesExecutor),
-        ]
+        pairs = [("serial", SerialExecutor), ("process-pool", FuturesExecutor)]
         for backend, cls in pairs:
             executor = make_executor(ExecutorConfig(backend=backend, jobs=2))
             assert isinstance(executor, cls)
@@ -177,11 +170,11 @@ class TestExecutorConfig:
         assert executor.jobs == 2
         assert executor.parallel
 
-    def test_constructor_defaults_to_its_own_backend(self, tmp_path):
+    def test_constructor_defaults_to_its_own_backend(self):
         assert SerialExecutor().config == ExecutorConfig(backend="serial")
-        executor = FuturesExecutor(ExecutorConfig(jobs=2, cache_dir=str(tmp_path)))
+        executor = FuturesExecutor(ExecutorConfig(jobs=2))
         assert executor.config.backend == "process-pool"
-        assert (executor.jobs, executor.cache_dir) == (2, str(tmp_path))
+        assert executor.jobs == 2
 
     def test_run_campaign_accepts_a_config(self):
         campaign = _echo_campaign([1, 2])
@@ -191,7 +184,7 @@ class TestExecutorConfig:
 
 
 class TestExecutorBackends:
-    @pytest.mark.parametrize("backend", ["serial", "multiprocessing", "process-pool"])
+    @pytest.mark.parametrize("backend", ["serial", "process-pool"])
     def test_all_backends_produce_same_results(self, backend):
         campaign = _echo_campaign([1, 2, 3, 4])
         result = run_campaign(campaign, jobs=2, executor=backend)
@@ -389,7 +382,7 @@ class TestIsolation:
 
 
 class TestParallelEquality:
-    @pytest.mark.parametrize("backend", ["multiprocessing", "process-pool"])
+    @pytest.mark.parametrize("backend", ["process-pool"])
     def test_table4_parallel_matches_serial(self, backend, session_registry, monkeypatch):
         # Workers build their registry from the session registry's cache dir;
         # REPRO_CACHE_DIR keeps any default-registry fallback inside the tmp dir.

@@ -31,14 +31,14 @@ class TestParser:
                 "--jobs",
                 "4",
                 "--executor",
-                "multiprocessing",
+                "process-pool",
                 "--artifact-dir",
                 str(tmp_path / "store"),
                 "--resume",
             ]
         )
         assert args.jobs == 4
-        assert args.executor == "multiprocessing"
+        assert args.executor == "process-pool"
         assert args.artifact_dir == tmp_path / "store"
         assert args.resume is True
 

@@ -16,8 +16,8 @@ from repro.attacks import (
     make_attack_plan,
 )
 from repro.attacks.baselines import SingleBiasAttack
+from repro.attacks.lowering import lower_attack
 from repro.data.synthetic import SyntheticImageConfig, SyntheticImageGenerator
-from repro.hardware import FaultInjectionCampaign, LaserBeamInjector
 from repro.nn.serialization import load_model, save_model
 from repro.zoo.architectures import compact_cnn
 from repro.zoo.trainer import Trainer, TrainingConfig
@@ -68,7 +68,7 @@ class TestFullPipeline:
         assert evaluation.accuracy_drop <= 0.3
         assert evaluation.l0_norm == result.l0_norm
 
-        report = FaultInjectionCampaign(injector=LaserBeamInjector()).run(result)
+        report = lower_attack(result, storage="float32")
         assert report.success_rate == 1.0
         assert report.plan.num_words_touched == result.l0_norm
         # the physically injected model classifies the targets as intended

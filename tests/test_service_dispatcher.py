@@ -26,6 +26,7 @@ from repro.experiments.service.protocol import (
     decode_frame,
     encode_frame,
 )
+from repro.experiments.telemetry import CallbackSink, TelemetryBus
 
 
 def spec_for(value):
@@ -79,6 +80,13 @@ class FakeWorker:
             self.writer.close()
 
 
+def bus_into(callback) -> TelemetryBus:
+    """A private telemetry bus that hands every published event to ``callback``."""
+    bus = TelemetryBus()
+    bus.attach(CallbackSink(callback))
+    return bus
+
+
 async def start_dispatcher(**kwargs) -> Dispatcher:
     kwargs.setdefault("lease_seconds", 5.0)
     kwargs.setdefault("heartbeat_seconds", 0.05)
@@ -95,7 +103,7 @@ class TestDispatcher:
     def test_claim_and_complete(self):
         async def scenario():
             events = []
-            dispatcher = await start_dispatcher(on_event=lambda e: events.append(e["event"]))
+            dispatcher = await start_dispatcher(bus=bus_into(lambda e: events.append(e.EVENT)))
             try:
                 specs = [spec_for(1), spec_for(2)]
                 for spec in specs:
@@ -173,7 +181,7 @@ class TestDispatcher:
         async def scenario():
             events = []
             dispatcher = await start_dispatcher(
-                lease_seconds=0.3, on_event=lambda e: events.append(e["event"])
+                lease_seconds=0.3, bus=bus_into(lambda e: events.append(e.EVENT))
             )
             try:
                 dispatcher.submit(spec_for(1))
@@ -272,7 +280,7 @@ class TestDispatcher:
     def test_goodbye_detaches_cleanly(self):
         async def scenario():
             events = []
-            dispatcher = await start_dispatcher(on_event=lambda e: events.append(e))
+            dispatcher = await start_dispatcher(bus=bus_into(events.append))
             try:
                 worker = await FakeWorker(dispatcher, "w1").connect()
                 await asyncio.sleep(0.05)
@@ -283,8 +291,8 @@ class TestDispatcher:
                 await worker.close()
             finally:
                 await dispatcher.close()
-            detached = [e for e in events if e["event"] == "worker-detached"]
-            assert detached and detached[0]["reason"] == "goodbye"
+            detached = [e for e in events if e.EVENT == "worker-detached"]
+            assert detached and detached[0].reason == "goodbye"
 
         asyncio.run(scenario())
 

@@ -24,6 +24,7 @@ from repro.experiments.campaign import (
 from repro.experiments.service import SELFTEST_KIND
 from repro.experiments.service.dispatcher import Dispatcher
 from repro.experiments.service.fleet import FleetExecutor, spawn_worker_process
+from repro.experiments.telemetry import CallbackSink, TelemetryBus
 
 
 def selftest_campaign(values, *, sleep=0.0, fail=False, name="fleet-test"):
@@ -57,7 +58,7 @@ class TestFleetExecutor:
         for spec in campaign.jobs:
             assert fleet.metrics_for(spec) == serial.metrics_for(spec)
         assert canonical_bytes(fleet) == canonical_bytes(serial)
-        kinds = {e["event"] for e in events}
+        kinds = {e.EVENT for e in events}
         assert {"dispatcher-ready", "worker-attached", "job-started", "job-done"} <= kinds
 
     def test_empty_campaign_never_starts_a_dispatcher(self):
@@ -84,9 +85,9 @@ class TestWorkerLossMidRun:
 
         async def scenario():
             events = []
-            dispatcher = Dispatcher(
-                lease_seconds=5.0, heartbeat_seconds=0.1, on_event=events.append
-            )
+            bus = TelemetryBus()
+            bus.attach(CallbackSink(events.append))
+            dispatcher = Dispatcher(lease_seconds=5.0, heartbeat_seconds=0.1, bus=bus)
             await dispatcher.start()
             values = [1, 2, 3, 4, 5, 6]
             specs = [
@@ -129,8 +130,8 @@ class TestWorkerLossMidRun:
             assert results[spec.key].metrics["square"] == spec.param_dict()["value"] ** 2
         # The kill was observed as a lost worker whose job was requeued, and
         # the requeued copies completed with correct (deterministic) metrics.
-        requeued = [e for e in events if e["event"] == "job-requeued"]
-        assert any(e["reason"] == "worker-lost" for e in requeued)
+        requeued = [e for e in events if e.EVENT == "job-requeued"]
+        assert any(e.reason == "worker-lost" for e in requeued)
 
     def test_all_workers_dead_fails_fast(self):
         """A fleet whose every worker exits must not hang the campaign."""
@@ -150,7 +151,7 @@ class TestWorkerLossMidRun:
         fleet_module.spawn_worker_process = doomed_spawn
         try:
             with pytest.raises(RuntimeError, match="workers exited"):
-                list(executor.run(campaign))
+                list(executor.run(campaign.unique_jobs()))
         finally:
             fleet_module.spawn_worker_process = original
 

@@ -12,6 +12,7 @@ The acceptance bar of the telemetry subsystem:
 """
 
 import copy
+import io
 import json
 import math
 import socket
@@ -29,6 +30,7 @@ from repro.experiments.service import SELFTEST_KIND
 from repro.experiments.telemetry import (
     ArtifactSaved,
     CallbackSink,
+    ConsoleSink,
     CountingSink,
     JobCached,
     JobFinished,
@@ -131,14 +133,12 @@ class TestEventSchema:
         assert findings == []
         assert any(name in note for note in notices)
 
-    def test_legacy_mapping_access(self):
+    def test_short_name_and_attribute_access(self):
         event = JobFinished(key="k", kind="t", metrics={}, duration_s=0.5)
-        assert event["event"] == "job-done"
-        assert event["key"] == "k"
-        assert event.get("worker") == ""
-        assert event.get("nonexistent", "dflt") == "dflt"
-        with pytest.raises(KeyError):
-            event["nonexistent"]
+        assert event.EVENT == "job-done"
+        assert (event.key, event.worker) == ("k", "")
+        with pytest.raises(TypeError):
+            event["key"]  # events are not mappings
 
 
 class TestBusAndSinks:
@@ -161,7 +161,26 @@ class TestBusAndSinks:
         bus.publish(JobStarted(key="b", kind="t"))
         assert counting.snapshot() == {"job-done": 1, "job-started": 2}
         assert counting.total() == 3
-        assert [e["event"] for e in seen] == ["job-started", "job-done", "job-started"]
+        assert [e.EVENT for e in seen] == ["job-started", "job-done", "job-started"]
+
+    def test_console_sink_prints_saved_paths_and_run_events(self):
+        stream = io.StringIO()
+        sink = ConsoleSink(stream)
+        sink.emit(ArtifactSaved(path="/tmp/x.csv", kind="table-csv", experiment="t3"))
+        sink.emit(JobStarted(key="a", kind="t"))  # quiet unless verbose
+        finished = RunFinished(
+            campaign="c",
+            total_jobs=1,
+            executed=1,
+            cache_hits=0,
+            executor="serial",
+            jobs=1,
+            elapsed_s=0.5,
+        )
+        sink.emit(finished)
+        lines = stream.getvalue().splitlines()
+        assert lines[0] == "[saved /tmp/x.csv]"
+        assert len(lines) == 2 and lines[1].startswith("[run-finished] cache_hits=0")
 
     def test_broken_sink_does_not_block_other_sinks(self):
         bus = TelemetryBus()
@@ -285,7 +304,7 @@ class TestCampaignTelemetry:
             run_campaign(campaign, executor="serial")
         finally:
             bus.detach(sink)
-        names = [e["event"] for e in sink.events]
+        names = [e.EVENT for e in sink.events]
         assert names[0] == "run-started"
         assert names[-1] == "run-finished"
         assert names.count("job-started") == 3
@@ -294,23 +313,22 @@ class TestCampaignTelemetry:
         assert all(e.duration_s > 0.0 for e in done)
         assert all(e.metrics["square"] is not None for e in done)
 
-    @pytest.mark.parametrize("backend", ["multiprocessing", "process-pool"])
-    def test_pool_executors_emit_job_started(self, backend):
+    def test_process_pool_event_multiset_matches_serial(self):
         campaign = selftest_campaign([1, 2, 3, 4])
+        serial_sink = ListSink()
+        run_campaign(campaign, executor="serial", on_event=serial_sink.emit)
         sink = ListSink()
-        bus = global_bus()
-        bus.attach(sink)
-        try:
-            run_campaign(
-                campaign, executor=ExecutorConfig(backend=backend, jobs=2)
-            )
-        finally:
-            bus.detach(sink)
-        names = [e["event"] for e in sink.events]
+        run_campaign(
+            campaign,
+            executor=ExecutorConfig(backend="process-pool", jobs=2),
+            on_event=sink.emit,
+        )
+        names = [e.EVENT for e in sink.events]
         assert names.count("job-started") == 4
         assert names.count("job-done") == 4
         done = [e for e in sink.events if type(e) is JobFinished]
         assert all(e.duration_s > 0.0 for e in done)
+        assert lifecycle_multiset(sink.events) == lifecycle_multiset(serial_sink.events)
 
     def test_cache_hits_reach_the_bus(self, tmp_path):
         from repro.experiments.campaign import ArtifactStore
@@ -325,7 +343,7 @@ class TestCampaignTelemetry:
             run_campaign(campaign, executor="serial", store=store)
         finally:
             bus.detach(sink)
-        names = [e["event"] for e in sink.events]
+        names = [e.EVENT for e in sink.events]
         assert names.count("job-cached") == 2
         assert names.count("job-started") == 0
 
@@ -357,7 +375,7 @@ class TestCampaignTelemetry:
             fleet_sink.events
         )
         # The fleet stream carries the fleet-only membership events on top.
-        fleet_names = {e["event"] for e in fleet_sink.events}
+        fleet_names = {e.EVENT for e in fleet_sink.events}
         assert {"dispatcher-ready", "worker-attached", "job-submitted"} <= fleet_names
         # And the results themselves are byte-identical, as ever.
         for spec in campaign.jobs:
@@ -382,20 +400,45 @@ class TestCampaignTelemetry:
         assert replayed.snapshot() == live.snapshot()
 
 
-class TestEventCallbackCompat:
-    def test_on_event_receives_typed_events_with_mapping_access(self):
+class TestEventCallback:
+    def test_on_event_receives_typed_events(self):
         events = []
         run_campaign(
             selftest_campaign([5]), executor="serial", on_event=events.append
         )
         assert all(isinstance(e, TelemetryEvent) for e in events)
-        names = [e["event"] for e in events]
+        names = [e.EVENT for e in events]
         assert names == ["run-started", "job-started", "job-done", "run-finished"]
-        done = next(e for e in events if e["event"] == "job-done")
-        assert done["kind"] == SELFTEST_KIND
+        done = next(e for e in events if type(e) is JobFinished)
+        assert done.kind == SELFTEST_KIND
         assert done.t > 0.0
 
-    def test_artifact_saved_mapping(self):
+    def test_on_event_sink_is_detached_after_the_call(self):
+        bus = global_bus()
+        before = bus.sink_count
+        events = []
+        run_campaign(selftest_campaign([5]), executor="serial", on_event=events.append)
+        assert bus.sink_count == before
+        seen = len(events)
+        bus.publish(JobCached(key="after", kind="t"))
+        assert len(events) == seen
+
+    def test_on_event_sink_is_detached_when_a_job_raises(self):
+        bus = global_bus()
+        before = bus.sink_count
+        events = []
+        campaign = Campaign(
+            name="failing",
+            scale="smoke",
+            seed=0,
+            jobs=(JobSpec.make(SELFTEST_KIND, value=1, fail=True),),
+        )
+        with pytest.raises(RuntimeError):
+            run_campaign(campaign, executor="serial", on_event=events.append)
+        assert bus.sink_count == before
+        assert [e.EVENT for e in events] == ["run-started", "job-started"]
+
+    def test_artifact_saved_fields(self):
         event = ArtifactSaved(path="/tmp/x.csv", kind="table-csv", experiment="t3")
-        assert event["event"] == "artifact-saved"
-        assert event["path"] == "/tmp/x.csv"
+        assert event.EVENT == "artifact-saved"
+        assert event.path == "/tmp/x.csv"
