@@ -173,17 +173,19 @@ def bench_plan_hammer_many_sided(benchmark):
     assert hammer.hammered_rows.size >= hammer.aggressors.size
 
 
-def bench_repair_plan(benchmark):
-    """A float32 repair on the 256-frame ``ddr3-noecc`` profile.
+@pytest.mark.parametrize("profile_name, lookups", [("ddr3-noecc", 1), ("server-ecc", 2)])
+def bench_repair_plan(benchmark, profile_name, lookups):
+    """A float32 repair on a 256-frame profile, without and with ECC.
 
     The massaging stage hashes the template once for every frame candidate
-    of every touched word, and re-routing reads that table, so the repair
-    makes exactly one ``feasible_cells`` call however many words it
-    re-routes (the profile has no ECC stage).  The count is gated; the wall
-    time is recorded only.
+    of every touched word, and re-routing and ECC self-padding read that
+    table; the ECC stage looks up the companion cells of every vulnerable
+    codeword in one more call.  So the repair makes one ``feasible_cells``
+    call per stage however many words it re-routes or codewords it pads.
+    The count is gated; the wall time is recorded only.
     """
-    profile = get_profile("ddr3-noecc")
-    assert profile.massage_frames == 256 and profile.ecc is None
+    profile = get_profile(profile_name)
+    assert profile.massage_frames == 256
     model = mlp((12, 12, 1), 10, seed=0, hidden=(64, 32))
     view = ParameterView(model, ParameterSelector(layers=("fc2",)))
     memory = ParameterMemoryMap(view, spec=storage_spec("float32"), layout=profile.layout())
@@ -206,7 +208,7 @@ def bench_repair_plan(benchmark):
         seconds, repair = benchmark.pedantic(
             lambda: best_of(
                 lambda: repair_plan(
-                    plan, memory, target, template=template,
+                    plan, memory, target, template=template, ecc=profile.ecc,
                     massage_frames=profile.massage_frames,
                 ),
                 repeats=1,
@@ -215,9 +217,11 @@ def bench_repair_plan(benchmark):
             iterations=1,
         )
     print(
-        f"\nrepair_plan: {seconds * 1e3:.1f} ms, {plan.num_flips} planned flips on "
-        f"{np.unique(plan.as_arrays()[0]).size} words, {repair.flips_infeasible} "
-        f"infeasible, {calls} feasible_cells call(s)"
+        f"\nrepair_plan ({profile_name}): {seconds * 1e3:.1f} ms, {plan.num_flips} "
+        f"planned flips on {np.unique(plan.as_arrays()[0]).size} words, "
+        f"{repair.flips_infeasible} infeasible, {repair.codewords_padded} codewords "
+        f"padded, {calls} feasible_cells call(s)"
     )
     assert repair.flips_infeasible > 0
-    assert calls == 1
+    assert (repair.codewords_padded > 0) == (profile.ecc is not None)
+    assert calls == lookups

@@ -20,29 +20,38 @@ Repair drops or rounds low-impact flips until the plan fits a
 window — the constraints a Rowhammer-style attacker actually faces), then the
 margin check and all attack metrics are re-run on the modified model.
 
-Lowering onto a named :class:`~repro.hardware.device.DeviceProfile` adds two
+Lowering onto a named :class:`~repro.hardware.device.DeviceProfile` adds
 device-physics stages on top of the budgets:
 
 * **template feasibility** — each flip must land on a cell whose templated
-  polarity matches the requested direction; a word whose infeasible flips are
-  unavoidable keeps its feasible subset only when that still moves the stored
-  value toward the target, and reverts otherwise;
+  polarity matches the requested direction.  Memory massaging first steers
+  each page onto the templated frame that serves it best; a word that still
+  needs an infeasible flip is re-routed to the closest value its feasible
+  cells reach (one batched subset search over all such words,
+  :func:`_closest_masks`), and reverts when nothing beats its original
+  value;
 * **ECC-aware repair** — on an ECC device a lone surviving flip would be
   silently corrected away (and, scheme depending, a pair would raise an
-  alarm or silently miscorrect), so vulnerable codewords are *re-routed*:
-  companion flips are added on feasible cells of the codeword's low-impact
-  words (words the solver left ~unchanged).  The strategy dispatches on the
-  scheme's :class:`~repro.hardware.device.ecc.EccScheme` protocol — Hamming
-  schemes (SECDED, DDR5 on-die SEC) prefer companions whose positions null
-  the syndrome so the decoder sees a clean codeword, symbol schemes
-  (chipkill) spread flips across a second symbol so the codeword alarms but
-  *lands* instead of being corrected away.  Codewords with no feasible
-  companions are dropped as a last resort;
+  alarm or silently miscorrect), so vulnerable codewords are *re-routed* by
+  one padding driver: companion flips are added on feasible cells of the
+  codeword's low-impact words (words the solver left ~unchanged).  Only the
+  choice of companions dispatches on the scheme's
+  :class:`~repro.hardware.device.ecc.EccScheme` protocol — Hamming schemes
+  (SECDED, DDR5 on-die SEC) first re-encode a lone flip's own word through
+  a flip set the decoder lets through (the same subset search), then prefer
+  companions whose positions null the syndrome so the decoder sees a clean
+  codeword; symbol schemes (chipkill) spread flips across a second symbol
+  so the codeword alarms but *lands* instead of being corrected away.
+  Codewords with no feasible companions are dropped as a last resort;
 * **TRR-aware repair** — on devices with a sampler-based target-row-refresh
   tracker, which victim rows can flip at all depends on the hammer pattern
   (:mod:`repro.hardware.device.mitigations`): flips in rows the tracker
   saves are removed, replacing the flat hammerable-row cap with
   pattern-dependent effective budgets.
+
+The template is looked up once per repair stage, never per word or
+codeword: once for the touched words' cells on every candidate frame, and
+once more for the companion cells of all vulnerable codewords.
 
 On a *stochastic* device (``landing_probability < 1`` templates, or a
 :class:`~repro.hardware.device.mitigations.ProbabilisticTrr` tracker) the
@@ -196,9 +205,9 @@ class PlanRepair:
     flips_added: int = 0
     codewords_padded: int = 0
     codewords_dropped: int = 0
-    # Page-granular memory massaging chosen by the template repair: nominal
-    # page block -> selected frame candidate (None when no template was used).
-    placement: dict[int, int] | None = None
+    # Frame id of each flip of ``plan`` under the page placement the
+    # massaging stage chose (None without massaging).
+    frames: np.ndarray | None = None
     # The repaired plan as of just before the ECC stage (None without ECC) —
     # the decoder-corrected baseline is measured on this.
     pre_ecc_plan: BitFlipPlan | None = None
@@ -255,59 +264,69 @@ def _round_overfull_words(
     return rounded
 
 
-# Subset-search width of the template re-route: the 2**_MASSAGE_BITS value
+# Width of the closest-value subset search: the 2**_MASSAGE_BITS value
 # candidates per word keep the search exact for int8 words and cover the
 # significant bits of wider formats.
 _MASSAGE_BITS = 12
 
-
-def _subset_masks(search: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """XOR masks of every subset of the bit positions ``search``, and their sizes."""
-    masks = np.zeros(1, dtype=np.int64)
-    for b in search.tolist():
-        masks = np.concatenate([masks, masks ^ np.int64(1 << b)])
-    indices = np.arange(masks.size, dtype=np.int64)
-    flips = np.zeros(masks.size, dtype=np.int64)
-    for shift in range(search.size):
-        flips += (indices >> shift) & 1
-    return masks, flips
+# Words searched together: bounds the (words x subsets) grids at ~1M cells.
+_SEARCH_CHUNK = 256
 
 
-def _best_feasible_mask(
-    original_word: int,
-    original_value: float,
-    target: float,
-    feasible_bits: np.ndarray,
-    spec: QuantizationSpec,
-    limit: int | None,
-) -> int:
-    """Best XOR mask over a word's feasible cells approximating the target.
+def _subset_xors(values: np.ndarray) -> np.ndarray:
+    """XOR over every subset of each row of ``values`` (rows × 2**columns):
+    subset ``i`` takes column ``j`` when bit ``j`` of ``i`` is set."""
+    xors = np.zeros((values.shape[0], 1), dtype=np.int64)
+    for column in values.T:
+        xors = np.concatenate([xors, xors ^ column[:, None]], axis=1)
+    return xors
+
+
+def _closest_masks(original_words, original_values, targets, usable, spec, allowed):
+    """Per word, the XOR mask over its usable cells landing closest to its target.
 
     This is the word-level *memory massaging* a templating attacker performs:
     the exact target encoding may need flips on stuck or wrong-polarity
     cells, but some other nearby value is usually reachable through the cells
-    that do flip.  All subsets of the word's ``_MASSAGE_BITS`` most
-    significant feasible cells are evaluated (exhaustive for 8-bit words) and
-    the subset landing closest to the target wins — preferring fewer flips on
-    ties, and returning 0 (revert the word) when nothing beats leaving the
-    original value in place.
+    that do flip.  ``usable`` (words × bits) marks each word's flippable
+    cells; all subsets of a word's ``_MASSAGE_BITS`` most significant usable
+    cells are evaluated (exhaustive for 8-bit words), and words searching the
+    same number of cells share one subset enumeration.
+    ``allowed(rows, search, flips)`` says which subsets a stage may use:
+    ``rows`` index the words, ``search`` holds their searched bits (most
+    significant first; subset ``i`` flips ``search[:, j]`` where bit ``j`` of
+    ``i`` is set) and ``flips`` is each subset's size.  The allowed subset
+    landing closest to the target wins, ties going to fewer flips, then to
+    the lower subset index; a word gets mask 0 (no flips) when nothing beats
+    leaving its original value in place.
     """
-    if not feasible_bits.size:
-        return 0
-    masks, flips = _subset_masks(np.sort(feasible_bits)[::-1][:_MASSAGE_BITS])
-    if limit is not None:
-        allowed = flips <= limit
-        masks, flips = masks[allowed], flips[allowed]
-    dtype = spec.storage_dtype()
-    candidates = np.bitwise_xor(dtype.type(original_word), masks.astype(dtype))
-    values = dequantize(candidates, spec)
-    with np.errstate(invalid="ignore"):  # NaN decodes: ranked last on the next line
-        distance = np.abs(values - target)
-    distance = np.where(np.isfinite(distance), distance, np.inf)
-    best = int(np.lexsort((flips, distance))[0])
-    if distance[best] < abs(original_value - target):
-        return int(masks[best])
-    return 0
+    bits = spec.bits_per_value
+    masks = np.zeros(len(original_words), dtype=np.int64)
+    # Each word's usable bits, most significant first (unusable ones last).
+    ranked = np.sort(np.where(usable, np.arange(bits), -1), axis=1)[:, ::-1]
+    widths = np.minimum(usable.sum(axis=1), _MASSAGE_BITS)
+    for width in np.unique(widths[widths > 0]).tolist():
+        group = np.flatnonzero(widths == width)
+        index = np.arange(1 << width)
+        flips = sum((index >> j) & 1 for j in range(width))
+        for rows in np.array_split(group, -(-group.size // _SEARCH_CHUNK)):
+            search = ranked[rows, :width]
+            subsets = _subset_xors(np.left_shift(1, search))
+            candidates = np.bitwise_xor(
+                original_words[rows, None], subsets.astype(spec.storage_dtype())
+            )
+            target = targets[rows]
+            with np.errstate(invalid="ignore"):  # NaN decodes: ranked last below
+                distance = np.abs(dequantize(candidates, spec) - target[:, None])
+                original = np.abs(original_values[rows] - target)
+            distance[~(np.isfinite(distance) & allowed(rows, search, flips))] = np.inf
+            closest = distance.min(axis=1)
+            ties = distance == closest[:, None]
+            fewest = np.where(ties, flips, bits + 1).min(axis=1)
+            best = np.argmax(ties & (flips == fewest[:, None]), axis=1)
+            wins = closest < original
+            masks[rows[wins]] = subsets[wins, best[wins]]
+    return masks
 
 
 # Granularity of memory massaging: the attacker's virtual-to-physical control
@@ -340,9 +359,7 @@ def _massage_page_bytes(memory, ecc=None) -> int:
     return page_bytes
 
 
-def _frames_for(
-    addresses: np.ndarray, placement, k_total: int, page_bytes: int = _MASSAGE_PAGE_BYTES
-):
+def _frames_for(addresses: np.ndarray, placement, k_total: int, page_bytes: int):
     """Frame ids of cells under a page placement (None = default placement)."""
     if placement is None:
         return None
@@ -373,16 +390,8 @@ def _placed_feasibility(memory, template, placement, k_total, page_bytes):
     return feasible
 
 
-def _touched_cells(plan, memory) -> tuple[np.ndarray, np.ndarray]:
-    """A plan's sorted touched words and their stored bits (words × bits)."""
-    words = np.unique(plan.as_arrays()[0])
-    cell_bits = np.arange(memory.spec.bits_per_value, dtype=np.int64)
-    stored = (memory.read_words()[words].astype(np.int64)[:, None] >> cell_bits) & 1
-    return words, stored
-
-
 def _choose_frames(
-    plan, memory, original_values, target_repr, template, k_total, page_bytes,
+    words, stored, memory, target_repr, template, k_total, page_bytes,
     yield_scale: float = 1.0, optimize_expected: bool = False,
 ) -> tuple[dict[int, int], np.ndarray]:
     """Page-granular memory massaging: pick the best templated frame per page.
@@ -404,10 +413,10 @@ def _choose_frames(
     right polarities.  With probability-1.0 templates the two modes are
     identical.
 
-    Also returns the touched words' feasibility on their chosen frames
-    (words × bits, ascending word order), which re-routing reads.
+    ``words`` are the plan's touched words (ascending) and ``stored`` their
+    stored bits (words × bits).  Also returns the touched words' feasibility
+    on their chosen frames (words × bits), which the later stages read.
     """
-    words, stored = _touched_cells(plan, memory)
     spec = memory.spec
     bits = spec.bits_per_value
     word_addresses = memory.layout.base_address + words * memory.bytes_per_word
@@ -456,77 +465,39 @@ def _choose_frames(
 
 
 def _apply_template(
-    plan, memory, original_values, target_repr, limit, table
+    plan, memory, original_values, target_repr, limit, words, table
 ) -> tuple[BitFlipPlan, int]:
     """Re-route template-infeasible flips; returns (plan, #infeasible flips).
 
-    ``table`` is the feasibility of the plan's touched words (words × bits,
-    rows in ascending word order) on their placed frames.  A flip whose
+    ``table`` is the feasibility of the plan's touched ``words`` (words ×
+    bits, ascending word order) on their placed frames.  A flip whose
     direction does not match the cell's templated polarity can never be
     realised, so it is always removed.  Every word that loses flips this way
     is then *re-routed*: the closest value reachable through the word's
-    feasible cells replaces the exact target encoding
-    (:func:`_best_feasible_mask`), and only words where no reachable value
-    improves on the original revert entirely.
+    feasible cells within the per-word flip limit replaces the exact target
+    encoding (:func:`_closest_masks`, one search for all such words), and
+    only words where no reachable value improves on the original revert
+    entirely.
     """
     word_index, bit, _, _ = plan.as_arrays()
-    words = np.unique(word_index)
     feasible = table[np.searchsorted(words, word_index), bit]
     infeasible = int((~feasible).sum())
     if not infeasible:
         return plan, 0
 
-    original_words = memory.read_words()
     bad_words = np.unique(word_index[~feasible])
+    cap = np.inf if limit is None else limit
+    masks = _closest_masks(
+        memory.read_words()[bad_words],
+        original_values[bad_words],
+        target_repr[bad_words],
+        table[np.searchsorted(words, bad_words)],
+        memory.spec,
+        lambda rows, search, flips: flips <= cap,
+    )
+    entry, new_bits = np.nonzero((masks[:, None] >> np.arange(memory.spec.bits_per_value)) & 1)
     keep = ~np.isin(word_index, bad_words)
-    cell_bits = np.arange(memory.spec.bits_per_value, dtype=np.int64)
-    new_words: list[int] = []
-    new_bits: list[int] = []
-    for word, row in zip(bad_words.tolist(), np.searchsorted(words, bad_words).tolist()):
-        mask = _best_feasible_mask(
-            int(original_words[word]),
-            float(original_values[word]),
-            float(target_repr[word]),
-            cell_bits[table[row]],
-            memory.spec,
-            limit,
-        )
-        for b in cell_bits[((mask >> cell_bits) & 1).astype(bool)].tolist():
-            new_words.append(word)
-            new_bits.append(b)
-
-    return plan.select(keep).with_flips(new_words, new_bits, memory), infeasible
-
-
-def _codeword_candidates(
-    memory, original_words, feasible_of, span_words, taken, impact, low_bits
-) -> list[tuple[int, int, int, int]]:
-    """Feasible companion cells of one codeword, cheapest first.
-
-    Only the ``low_bits`` least significant bits of each word are offered
-    (mantissa tail / low fixed-point bits), so a companion flip perturbs the
-    stored value as little as possible.  Candidates are sorted by the owning
-    word's modification impact (the solver's low-impact words — those it
-    left essentially unchanged — come first), then word, then ascending bit.
-    Returns ``(word, bit, data_offset, original_bit)`` tuples.
-    """
-    bits = memory.spec.bits_per_value
-    words = np.repeat(span_words, low_bits)
-    cell_bits = np.tile(np.arange(low_bits, dtype=np.int64), span_words.size)
-    original_bits = (original_words[words].astype(np.int64) >> cell_bits) & 1
-    feasible = feasible_of(words, cell_bits, original_bits)
-    order = np.lexsort((cell_bits, words, impact[words]))
-    candidates = []
-    first_word = int(span_words[0])
-    for index in order:
-        if not feasible[index]:
-            continue
-        word, cell_bit = int(words[index]), int(cell_bits[index])
-        if (word, cell_bit) in taken:
-            continue
-        offset = (word - first_word) * bits + cell_bit
-        candidates.append((word, cell_bit, offset, int(original_bits[index])))
-    return candidates
+    return plan.select(keep).with_flips(bad_words[entry], new_bits, memory), infeasible
 
 
 # Companion flips are confined to each word's least significant bits so the
@@ -534,291 +505,248 @@ def _codeword_candidates(
 # mantissa tails).
 _PAD_BITS = {8: 2, 16: 6, 32: 14}
 
+# Companion pairs searched for a harmless miscorrection alias per codeword.
+_PAIR_SEARCH = 24
 
-def _ecc_self_pad(
-    word, memory, original_words, original_values, target_repr, feasible_of, ecc, wpc, limit
+
+def _self_pad_masks(
+    lone_words, memory, original_values, target_repr, usable, ecc, wpc, low_bits, limit
 ):
-    """Re-encode one word so its codeword decodes cleanly on its own.
+    """Re-encode each word so its codeword decodes cleanly on its own.
 
-    A codeword whose only flip sits in ``word`` would be corrected away.
+    A codeword whose only flip sits in its word would be corrected away.
     Instead of borrowing companion flips from neighbouring words, first try
     to realise a *nearby* value of the same word through a feasible flip set
     the scheme's decoder lets through (odd >= 3 with a harmless syndrome for
     SECDED, any pair with a harmless alias for on-die SEC) — the attack then
     pays a fraction of an LSB on its own target word and nothing anywhere
-    else.  Returns the winning XOR mask or ``None``.
+    else.  Returns one XOR mask per word, 0 where no such set helps.
     """
-    spec = memory.spec
-    bits = spec.bits_per_value
-    cell_bits = np.arange(bits, dtype=np.int64)
-    word_value = int(original_words[word])
-    original_bits = (word_value >> cell_bits) & 1
-    usable = cell_bits[feasible_of(np.full(bits, word), cell_bits, original_bits)]
-    if usable.size < 2:
-        return None
-    search = np.sort(usable)[::-1][:_MASSAGE_BITS]
-    offset_base = (word % wpc) * bits
-    masks, flips = _subset_masks(search)
-    syndromes = np.zeros(1, dtype=np.int64)
-    for b in search.tolist():
-        position = int(ecc.positions[offset_base + b])
-        syndromes = np.concatenate([syndromes, syndromes ^ np.int64(position)])
-    low_bits = _PAD_BITS.get(bits, max(2, bits // 2))
-    safe = np.array(
-        [ecc.alias_is_safe(int(s), bits, low_bits, wpc) for s in syndromes.tolist()]
+    bits = memory.spec.bits_per_value
+    syndrome_span = 1 << int(ecc.positions[-1]).bit_length()
+    safe_alias = np.array(
+        [ecc.alias_is_safe(alias, bits, low_bits, wpc) for alias in range(syndrome_span)]
     )
-    allowed = ecc.self_pad_mask(flips, safe)
-    if limit is not None:
-        allowed &= flips <= limit
-    if not allowed.any():
-        return None
-    dtype = spec.storage_dtype()
-    candidates = np.bitwise_xor(dtype.type(word_value), masks.astype(dtype))
-    distance = np.abs(dequantize(candidates, spec) - float(target_repr[word]))
-    distance = np.where(np.isfinite(distance) & allowed, distance, np.inf)
-    best = int(np.lexsort((flips, distance))[0])
-    if distance[best] < abs(float(original_values[word]) - float(target_repr[word])):
-        return int(masks[best])
+    cap = np.inf if limit is None else limit
+
+    def decodes_harmlessly(rows, search, flips):
+        offsets = ((lone_words[rows] % wpc) * bits)[:, None] + search
+        syndromes = _subset_xors(ecc.positions[offsets])
+        return ecc.self_pad_mask(flips, safe_alias[syndromes]) & (flips <= cap)
+
+    return _closest_masks(
+        memory.read_words()[lone_words],
+        original_values[lone_words],
+        target_repr[lone_words],
+        usable,
+        memory.spec,
+        decodes_harmlessly,
+    )
+
+
+def _hamming_companions(ecc, candidates, count, syndrome, headroom, bits, low_bits, span):
+    """One or two companions after which a Hamming codeword decodes harmlessly.
+
+    Landing one companion exactly on the syndrome position nulls the
+    syndrome (the decoder sees a clean codeword: no alarm *and* no collateral
+    miscorrection); failing that, any companion whose residual group the
+    decoder lets through.  With room for two flips, a pair whose positions
+    XOR to the syndrome nulls it, and failing that a bounded search looks
+    for a pair whose miscorrection aliases somewhere harmless.  ``span`` is
+    the number of words in the codeword.  Returns ``None`` when nothing fits.
+    """
+
+    def passes(flips, *companions):
+        alias = syndrome
+        for companion in companions:
+            alias ^= int(ecc.positions[companion[2]])
+        return ecc.group_passes(
+            count + flips, alias, ecc.alias_is_safe(alias, bits, low_bits, span)
+        )
+
+    by_position = {}
+    for candidate in candidates:
+        by_position.setdefault(int(ecc.positions[candidate[2]]), candidate)
+    if headroom is None or headroom >= 1:
+        exact = by_position.get(syndrome)
+        if exact is not None and ecc.group_passes(count + 1, 0, True):
+            return (exact,)
+        for candidate in candidates:
+            if passes(1, candidate):
+                return (candidate,)
+    if headroom is None or headroom >= 2:
+        if ecc.group_passes(count + 2, 0, True):
+            for candidate in candidates:
+                partner = by_position.get(syndrome ^ int(ecc.positions[candidate[2]]))
+                if partner is not None and partner is not candidate:
+                    return (candidate, partner)
+        for i, first in enumerate(candidates[:_PAIR_SEARCH]):
+            for second in candidates[i + 1 : _PAIR_SEARCH]:
+                if passes(2, first, second):
+                    return (first, second)
     return None
 
 
 def _apply_ecc_padding(
-    plan_arrays, keep, memory, original_values, target_repr, feasible_of, ecc, limit,
-    row_cap=None,
+    plan_arrays, keep, memory, original_values, target_repr, impact, words, table,
+    feasible_of, ecc, limit, row_cap,
 ):
     """Re-route ECC-vulnerable codewords by padding them with companion flips.
 
-    Any codeword the scheme's decoder would correct away, flag, or
-    dangerously miscorrect is padded with companion flips on feasible
-    low-significance cells of the codeword's low-impact words — the
-    alternative candidate words the solver left essentially unchanged — until
-    the group decodes harmlessly (:meth:`HammingScheme.group_passes`).
-    Companions whose Hamming positions null the syndrome are preferred (the
-    decoder then sees a clean codeword: no alarm *and* no collateral
-    miscorrection); otherwise a combination whose miscorrection aliases
-    somewhere harmless is searched.  Codewords with no safe companion set
-    are dropped entirely — only as a last resort, and only where the
-    scheme says keeping them is worse (:meth:`HammingScheme.drop_unrepairable`).
+    A codeword is vulnerable when the scheme's decoder would correct it
+    away, flag it, or dangerously miscorrect it: for Hamming schemes when
+    :meth:`HammingScheme.group_passes` rejects its flip group, for chipkill
+    when all its flips sit in one symbol (the decoder then undoes them).
+    Each vulnerable codeword is repaired with companion flips on feasible
+    low-significance cells of its own span, cheapest first: the solver's
+    low-impact words (those it left essentially unchanged), then word, then
+    bit.  Only the choice differs by scheme:
+
+    * Hamming: a lone flip is first re-encoded inside its own word
+      (:func:`_self_pad_masks`); otherwise syndrome-nulling companions, then
+      a safe-alias search (:func:`_hamming_companions`).
+    * chipkill: the first companion on a second symbol — the codeword then
+      alarms but *lands* instead of being corrected away.
+
+    Companions land in their codeword's own DRAM row (codewords are aligned
+    within a row), so padding respects the pattern-scaled per-row flip cap
+    ``row_cap`` the throttle stage enforced, and the per-word flip
+    ``limit``.  A codeword nothing repairs is dropped where the scheme says
+    keeping it is worse (always for chipkill, which would correct it anyway;
+    :meth:`HammingScheme.drop_unrepairable` otherwise).  ``table`` is the
+    feasibility of the plan's touched ``words`` on their placed frames; the
+    companion cells of every vulnerable codeword are looked up in one
+    ``feasible_of`` call.
 
     Returns ``(pad_words, pad_bits, codewords_padded, codewords_dropped)``.
     """
     word_index, bit, row = plan_arrays[0], plan_arrays[1], plan_arrays[3]
-    bits = memory.spec.bits_per_value
+    spec = memory.spec
+    bits = spec.bits_per_value
     low_bits = _PAD_BITS.get(bits, max(2, bits // 2))
     wpc = ecc.words_per_codeword(bits)
-    original_words = memory.read_words()
     surviving = np.flatnonzero(keep)
     cw = word_index[surviving] // wpc
     offsets = (word_index[surviving] % wpc) * bits + bit[surviving]
-    unique, syndrome, counts = ecc.syndromes(cw, offsets)
-
-    flips_per_word = dict(
-        zip(*np.unique(word_index[surviving], return_counts=True))
+    codewords, first, group, counts = np.unique(
+        cw, return_index=True, return_inverse=True, return_counts=True
     )
-    # Companion flips land in their codeword's own DRAM row (codewords are
-    # aligned within a row), so padding must respect the pattern-scaled
-    # per-row flip cap the throttle stage just enforced.
+    symbolic = ecc.repair_kind == "symbol"
+    if symbolic:
+        # Vulnerable: every flip in one symbol; ``state`` is that symbol.
+        symbols = ecc.symbols_of(offsets)
+        state = np.full(codewords.size, np.iinfo(np.int64).max)
+        highest = np.full(codewords.size, -1)
+        np.minimum.at(state, group, symbols)
+        np.maximum.at(highest, group, symbols)
+        vulnerable = state == highest
+    else:
+        state = ecc.syndromes(cw, offsets)[1]
+        vulnerable = np.array(
+            [
+                not ecc.group_passes(c, s, ecc.alias_is_safe(s, bits, low_bits, wpc))
+                for c, s in zip(counts.tolist(), state.tolist())
+            ],
+            dtype=bool,
+        )
+    if not vulnerable.any():
+        return [], [], 0, 0
+
+    # Lone flips of Hamming codewords: their self-pad masks, in one search.
+    self_pads = {}
+    if not symbolic:
+        lone = np.flatnonzero(vulnerable & (counts == 1))
+        lone_words = word_index[surviving[first[lone]]]
+        masks = _self_pad_masks(
+            lone_words, memory, original_values, target_repr,
+            table[np.searchsorted(words, lone_words)], ecc, wpc, low_bits, limit,
+        )
+        self_pads = dict(zip(codewords[lone].tolist(), masks.tolist()))
+
+    # Companion cells of every vulnerable codeword, cheapest first.  Spans
+    # are disjoint, so the per-word flip counts the limit checks are the
+    # surviving plan's.
+    span_words = (codewords[vulnerable][:, None] * wpc + np.arange(wpc)).ravel()
+    span_words = span_words[span_words < memory.num_words]
+    cell_words = np.repeat(span_words, low_bits)
+    cell_bits = np.tile(np.arange(low_bits, dtype=np.int64), span_words.size)
+    original_bits = (memory.read_words()[cell_words].astype(np.int64) >> cell_bits) & 1
+    usable = feasible_of(cell_words, cell_bits, original_bits)
+    if limit is not None:
+        flips_per_word = np.bincount(word_index[surviving], minlength=memory.num_words)
+        usable &= flips_per_word[cell_words] + 1 <= limit
+    order = np.lexsort((cell_bits, cell_words, impact[cell_words], cell_words // wpc))
+    order = order[usable[order]]
+    cell_cw = cell_words[order] // wpc
+    cells = list(
+        zip(
+            cell_words[order].tolist(),
+            cell_bits[order].tolist(),
+            ((cell_words[order] % wpc) * bits + cell_bits[order]).tolist(),
+        )
+    )
+
     flips_per_row = dict(zip(*np.unique(row[surviving], return_counts=True)))
-    impact = np.abs(target_repr - original_values)
     pad_words: list[int] = []
     pad_bits: list[int] = []
     codewords_padded = codewords_dropped = 0
-    for cw_id, syn, count in zip(unique.tolist(), syndrome.tolist(), counts.tolist()):
-        if ecc.group_passes(count, syn, ecc.alias_is_safe(syn, bits, low_bits, wpc)):
-            continue  # decodes harmlessly as-is
-        span = np.arange(cw_id * wpc, min((cw_id + 1) * wpc, memory.num_words))
-        in_cw = surviving[(word_index[surviving] // wpc) == cw_id]
-        row_id = int(row[in_cw][0])
-        headroom = (
-            None if row_cap is None else row_cap - flips_per_row.get(row_id, 0)
-        )
-        if count == 1:
-            # A lone flip would be corrected away.  Best repair: re-encode
-            # the flip's own word through a feasible flip set the decoder
-            # lets through, to a value a fraction of an LSB off target —
-            # zero collateral elsewhere.
-            word = int(word_index[in_cw][0])
-            mask = None
-            if limit is None or limit >= 2:
-                mask = _ecc_self_pad(
-                    word, memory, original_words, original_values, target_repr,
-                    feasible_of, ecc, wpc, limit,
-                )
-            if mask is not None and headroom is not None:
-                # The self-pad replaces the row's lone flip with popcount(mask).
-                if bin(mask).count("1") - 1 > headroom:
-                    mask = None
-            if mask is not None:
-                keep[in_cw] = False
-                codewords_padded += 1
-                for b in range(bits):
-                    if mask & (1 << b):
-                        pad_words.append(word)
-                        pad_bits.append(b)
-                flips_per_word[word] = flips_per_word.get(word, 0) + int(
-                    bin(mask).count("1")
-                )
-                flips_per_row[row_id] = (
-                    flips_per_row.get(row_id, 0) - 1 + int(bin(mask).count("1"))
-                )
-                continue
+    for i in np.flatnonzero(vulnerable).tolist():
+        cw_id, count = int(codewords[i]), int(counts[i])
+        in_cw = surviving[group == i]
+        row_id = int(row[in_cw[0]])
+        used = flips_per_row.get(row_id, 0)
+        headroom = None if row_cap is None else row_cap - used
+        mask = self_pads.get(cw_id, 0)
+        flips = bin(mask).count("1")
+        if mask and (headroom is None or flips - 1 <= headroom):
+            # The self-pad replaces the codeword's lone flip.
+            keep[in_cw] = False
+            codewords_padded += 1
+            pad_words += [int(word_index[in_cw[0]])] * flips
+            pad_bits += [b for b in range(bits) if mask >> b & 1]
+            flips_per_row[row_id] = used - 1 + flips
+            continue
         taken = set(zip(word_index[in_cw].tolist(), bit[in_cw].tolist()))
-        candidates = _codeword_candidates(
-            memory, original_words, feasible_of, span, taken, impact, low_bits
-        )
-        if limit is not None:
-            candidates = [
-                c for c in candidates if flips_per_word.get(c[0], 0) + 1 <= limit
-            ]
-        chosen = None
-        by_position = {}
-        for candidate in candidates:
-            by_position.setdefault(int(ecc.positions[candidate[2]]), candidate)
-        # One companion: landing it exactly on the syndrome position nulls
-        # the syndrome (clean decode).  Failing that, any companion whose
-        # residual group the scheme's decoder lets through.
-        if headroom is None or headroom >= 1:
-            exact = by_position.get(syn)
-            if exact is not None and ecc.group_passes(count + 1, 0, True):
-                chosen = (exact,)
-            else:
-                for candidate in candidates:
-                    alias = syn ^ int(ecc.positions[candidate[2]])
-                    safe = ecc.alias_is_safe(alias, bits, low_bits, span.size)
-                    if ecc.group_passes(count + 1, alias, safe):
-                        chosen = (candidate,)
-                        break
-        if chosen is None and (headroom is None or headroom >= 2):
-            # Two companions whose positions XOR to the syndrome null it —
-            # the decoder then sees a clean codeword.
-            for candidate in candidates:
-                partner = by_position.get(syn ^ int(ecc.positions[candidate[2]]))
-                if (
-                    partner is not None
-                    and partner is not candidate
-                    and ecc.group_passes(count + 2, 0, True)
-                ):
-                    chosen = (candidate, partner)
-                    break
-            if chosen is None:
-                # No nulling pair; search a bounded number of pairs for one
-                # whose padded syndrome miscorrects somewhere harmless.
-                for i, first in enumerate(candidates[:24]):
-                    for second in candidates[i + 1 : 24]:
-                        alias = (
-                            syn
-                            ^ int(ecc.positions[first[2]])
-                            ^ int(ecc.positions[second[2]])
-                        )
-                        safe = ecc.alias_is_safe(alias, bits, low_bits, span.size)
-                        if ecc.group_passes(count + 2, alias, safe):
-                            chosen = (first, second)
-                            break
-                    if chosen is not None:
-                        break
+        lo, hi = np.searchsorted(cell_cw, [cw_id, cw_id + 1])
+        candidates = [c for c in cells[lo:hi] if c[:2] not in taken]
+        if symbolic:
+            fits = headroom is None or headroom >= 1
+            chosen = next(
+                ((c,) for c in candidates if fits and ecc.symbols_of(c[2]) != state[i]),
+                None,
+            )
+        else:
+            span = min((cw_id + 1) * wpc, memory.num_words) - cw_id * wpc
+            chosen = _hamming_companions(
+                ecc, candidates, count, int(state[i]), headroom, bits, low_bits, span
+            )
         if chosen is None:
-            # Unrepairable codeword: the scheme decides whether keeping it
-            # (a correction loss or an alarm) beats dropping it (protecting
-            # a float exponent from an unbounded miscorrection).
-            if ecc.drop_unrepairable(count, memory.spec.kind):
+            if symbolic or ecc.drop_unrepairable(count, spec.kind):
                 keep[in_cw] = False
                 codewords_dropped += 1
-                flips_per_row[row_id] = flips_per_row.get(row_id, 0) - count
+                flips_per_row[row_id] = used - count
             continue
         codewords_padded += 1
-        for word, cell_bit, _, _ in chosen:
+        for word, cell_bit, _ in chosen:
             pad_words.append(word)
             pad_bits.append(cell_bit)
-            flips_per_word[word] = flips_per_word.get(word, 0) + 1
-            flips_per_row[row_id] = flips_per_row.get(row_id, 0) + 1
+        flips_per_row[row_id] = used + len(chosen)
     return pad_words, pad_bits, codewords_padded, codewords_dropped
 
 
-def _apply_symbol_padding(
-    plan_arrays, keep, memory, original_values, target_repr, feasible_of, ecc, limit,
-    row_cap=None,
-):
-    """Chipkill repair: spread single-symbol codewords over a second symbol.
-
-    A chipkill decoder fully corrects any error pattern confined to one
-    symbol, so a codeword whose flips all live in one symbol is simply
-    undone.  The only way to make the flips *land* is to touch a second
-    symbol — the codeword then raises an alarm but is delivered as-is.  One
-    companion flip on a feasible low-significance cell of a different symbol
-    (preferring the solver's low-impact words) does that; codewords with no
-    reachable second symbol are dropped, which costs nothing — the decoder
-    would have corrected them away regardless.
-
-    Returns ``(pad_words, pad_bits, codewords_padded, codewords_dropped)``.
-    """
-    word_index, bit, row = plan_arrays[0], plan_arrays[1], plan_arrays[3]
-    bits = memory.spec.bits_per_value
-    low_bits = _PAD_BITS.get(bits, max(2, bits // 2))
-    wpc = ecc.words_per_codeword(bits)
-    original_words = memory.read_words()
-    surviving = np.flatnonzero(keep)
-    cw = word_index[surviving] // wpc
-    offsets = (word_index[surviving] % wpc) * bits + bit[surviving]
-    symbols = ecc.symbols_of(offsets)
-
-    flips_per_word = dict(
-        zip(*np.unique(word_index[surviving], return_counts=True))
-    )
-    # Companions land in the codeword's own row: respect the per-row cap.
-    flips_per_row = dict(zip(*np.unique(row[surviving], return_counts=True)))
-    impact = np.abs(target_repr - original_values)
-    pad_words: list[int] = []
-    pad_bits: list[int] = []
-    codewords_padded = codewords_dropped = 0
-    for cw_id in np.unique(cw).tolist():
-        in_group = cw == cw_id
-        touched_symbols = np.unique(symbols[in_group])
-        if touched_symbols.size != 1:
-            continue  # already spans >= 2 symbols: alarms, but lands
-        span = np.arange(cw_id * wpc, min((cw_id + 1) * wpc, memory.num_words))
-        in_cw = surviving[in_group]
-        row_id = int(row[in_cw][0])
-        chosen = None
-        if row_cap is None or flips_per_row.get(row_id, 0) < row_cap:
-            taken = set(zip(word_index[in_cw].tolist(), bit[in_cw].tolist()))
-            candidates = _codeword_candidates(
-                memory, original_words, feasible_of, span, taken, impact, low_bits
-            )
-            if limit is not None:
-                candidates = [
-                    c for c in candidates if flips_per_word.get(c[0], 0) + 1 <= limit
-                ]
-            symbol = int(touched_symbols[0])
-            chosen = next(
-                (c for c in candidates if int(ecc.symbols_of(c[2])) != symbol), None
-            )
-        if chosen is None:
-            keep[in_cw] = False
-            codewords_dropped += 1
-            flips_per_row[row_id] = flips_per_row.get(row_id, 0) - int(in_cw.size)
-            continue
-        codewords_padded += 1
-        pad_words.append(chosen[0])
-        pad_bits.append(chosen[1])
-        flips_per_word[chosen[0]] = flips_per_word.get(chosen[0], 0) + 1
-        flips_per_row[row_id] = flips_per_row.get(row_id, 0) + 1
-    return pad_words, pad_bits, codewords_padded, codewords_dropped
-
-
-def _row_impacts(plan_arrays, keep, original_values, target_repr):
+def _row_impacts(plan_arrays, keep, impact):
     """Per-row modification impact of the surviving flips.
 
-    Impact of a word is ``|representable target − original value|``; a row's
-    impact is the sum over its surviving words.  Returns ``(rows, impacts)``
-    with rows ascending.
+    ``impact`` is each word's ``|representable target − original value|``;
+    a row's impact is the sum over its surviving words.  Returns
+    ``(rows, impacts)`` with rows ascending.
     """
     word_index, row = plan_arrays[0][keep], plan_arrays[3][keep]
     words, first = np.unique(word_index, return_index=True)
     word_rows = row[first]
-    impacts = np.abs(target_repr - original_values)[words]
     rows = np.unique(word_rows)
     row_impact = np.zeros(rows.size)
-    np.add.at(row_impact, np.searchsorted(rows, word_rows), impacts)
+    np.add.at(row_impact, np.searchsorted(rows, word_rows), impact[words])
     return rows, row_impact
 
 
@@ -850,8 +778,15 @@ def repair_plan(
     never flip), then ECC padding.  The budget stages only ever *remove*
     flips; template re-routing and ECC repair may additionally *add* flips
     inside already-touched words/codewords (same rows, so the row budgets
-    stay satisfied).  Callers re-run the margin check on the bit-true model
-    to see what the repair cost (:func:`lower_attack` does).
+    stay satisfied).  Per-repair inputs are computed once and shared by the
+    stages: each word's impact ``|representable target − original value|``
+    (every stage that ranks words uses it), the pattern-scaled per-row cap
+    (throttle and ECC padding), and the touched words' feasibility on their
+    placed frames (re-routing and ECC self-padding).  Callers re-run the
+    margin check on the bit-true model to see what the repair cost
+    (:func:`lower_attack` does); the returned
+    :attr:`PlanRepair.frames` places every repaired flip for the
+    Monte-Carlo trials.
 
     ``massage_frames`` is the number of templated physical frames the
     attacker can choose between per page (1 disables massaging); the page
@@ -885,36 +820,47 @@ def repair_plan(
 
     original_values = memory.decoded_values()
     target_repr = memory.representable(target_values)
+    # Every stage that ranks words ranks them by this modification impact.
+    impact = np.abs(target_repr - original_values)
     page_bytes = _massage_page_bytes(memory, ecc)
     # Resolve the hammer pattern up front: its flip_yield scales both the
-    # per-row throttle below and (in expected mode) the landing probabilities
-    # the massaging stage optimises against.
-    pattern = None
+    # per-row cap the throttle and ECC stages enforce and (in expected mode)
+    # the landing probabilities the massaging stage optimises against.
+    pattern = row_cap = None
     if hammer_pattern is not None or trr is not None:
         pattern = get_pattern(
             hammer_pattern if hammer_pattern is not None else "double-sided"
         )
+        if max_flips_per_row is not None:
+            row_cap = pattern.effective_flips_per_row(max_flips_per_row)
+
+    # One template lookup for the touched words: the feasibility of their
+    # cells on the frames the massaging stage chose (or on the default
+    # placement), which re-routing and ECC self-padding read.
+    words = np.unique(plan.as_arrays()[0])
+    cell_bits = np.arange(memory.spec.bits_per_value, dtype=np.int64)
+    table = np.ones((words.size, cell_bits.size), dtype=bool)  # no template
+    placement = None
+    if template is not None:
+        stored = (memory.read_words()[words].astype(np.int64)[:, None] >> cell_bits) & 1
+        if massage_frames > 1:
+            placement, table = _choose_frames(
+                words, stored, memory, target_repr, template, massage_frames,
+                page_bytes,
+                yield_scale=(pattern.flip_yield if pattern is not None else 1.0)
+                * env_scale,
+                optimize_expected=optimize_expected,
+            )
+    feasible_of = _placed_feasibility(memory, template, placement, massage_frames, page_bytes)
 
     working = plan
     flips_infeasible = 0
-    placement = table = None
-    if template is not None and massage_frames > 1:
-        placement, table = _choose_frames(
-            plan, memory, original_values, target_repr, template,
-            massage_frames, page_bytes,
-            yield_scale=(pattern.flip_yield if pattern is not None else 1.0)
-            * env_scale,
-            optimize_expected=optimize_expected,
-        )
-    feasible_of = _placed_feasibility(memory, template, placement, massage_frames, page_bytes)
     if template is not None:
-        # One template lookup per repair: re-routing reads the touched words'
-        # feasibility on their placed frames from the massaging stage's table.
-        if table is None:
-            words, stored = _touched_cells(plan, memory)
-            table = feasible_of(words[:, None], np.arange(stored.shape[1]), stored)
+        if placement is None:
+            table = feasible_of(words[:, None], cell_bits, stored)
         working, flips_infeasible = _apply_template(
-            plan, memory, original_values, target_repr, budget.max_flips_per_word, table
+            plan, memory, original_values, target_repr, budget.max_flips_per_word,
+            words, table,
         )
 
     arrays = working.as_arrays()
@@ -928,7 +874,7 @@ def repair_plan(
         )
 
     if budget.row_window is not None and keep.any():
-        rows, impacts = _row_impacts(arrays, keep, original_values, target_repr)
+        rows, impacts = _row_impacts(arrays, keep, impact)
         prefix = np.concatenate([[0.0], np.cumsum(impacts)])
         ends = np.searchsorted(rows, rows + budget.row_window)
         scores = prefix[ends] - prefix[np.arange(rows.size)]
@@ -937,7 +883,7 @@ def repair_plan(
         keep &= np.isin(row, window_rows)
 
     if budget.max_rows is not None and keep.any():
-        rows, impacts = _row_impacts(arrays, keep, original_values, target_repr)
+        rows, impacts = _row_impacts(arrays, keep, impact)
         if rows.size > budget.max_rows:
             # Highest-impact rows first; ties broken by lower row index.
             order = np.lexsort((rows, -impacts))
@@ -948,21 +894,20 @@ def repair_plan(
     rows_throttled = 0
     hammer_rows = 0
     if pattern is not None:
-        if max_flips_per_row is not None and keep.any():
+        if row_cap is not None and keep.any():
             # The pattern's flip_yield scales the device's per-row
             # controlled-flip cap: splitting (or throttling) the activation
             # budget costs flips per row.  Overfull rows revert their
             # lowest-impact words until they fit.
-            cap = pattern.effective_flips_per_row(max_flips_per_row)
             row_ids, counts = np.unique(row[keep], return_counts=True)
-            for row_id in row_ids[counts > cap].tolist():
+            for row_id in row_ids[counts > row_cap].tolist():
                 rows_throttled += 1
                 in_row = keep & (row == row_id)
                 words_in_row = np.unique(word_index[in_row])
-                impacts = np.abs(target_repr - original_values)[words_in_row]
+                order = np.lexsort((words_in_row, impact[words_in_row]))
                 remaining = int(np.count_nonzero(in_row))
-                for word in words_in_row[np.lexsort((words_in_row, impacts))].tolist():
-                    if remaining <= cap:
+                for word in words_in_row[order].tolist():
+                    if remaining <= row_cap:
                         break
                     word_mask = in_row & (word_index == word)
                     remaining -= int(np.count_nonzero(word_mask))
@@ -991,22 +936,9 @@ def repair_plan(
         # on, captured here so it is not recomputed with a second repair.
         pre_ecc_plan = working.select(keep)
     if ecc is not None and keep.any():
-        pad_stage = (
-            _apply_symbol_padding if ecc.repair_kind == "symbol" else _apply_ecc_padding
-        )
-        row_cap = None
-        if pattern is not None and max_flips_per_row is not None:
-            row_cap = pattern.effective_flips_per_row(max_flips_per_row)
-        pad_words, pad_bits, codewords_padded, codewords_dropped = pad_stage(
-            arrays,
-            keep,
-            memory,
-            original_values,
-            target_repr,
-            feasible_of,
-            ecc,
-            budget.max_flips_per_word,
-            row_cap,
+        pad_words, pad_bits, codewords_padded, codewords_dropped = _apply_ecc_padding(
+            arrays, keep, memory, original_values, target_repr, impact, words, table,
+            feasible_of, ecc, budget.max_flips_per_word, row_cap,
         )
 
     repaired = working.select(keep).with_flips(pad_words, pad_bits, memory)
@@ -1030,7 +962,9 @@ def repair_plan(
         flips_added=flips_added,
         codewords_padded=codewords_padded,
         codewords_dropped=codewords_dropped,
-        placement=placement,
+        frames=_frames_for(
+            repaired.as_arrays()[2], placement, massage_frames, page_bytes
+        ),
         pre_ecc_plan=pre_ecc_plan,
         hammer_pattern=pattern.name if pattern is not None else None,
         rows_refreshed=rows_refreshed,
@@ -1199,7 +1133,6 @@ def _run_trials(
     ecc: EccScheme | None,
     trr,
     pattern: HammerPattern | None,
-    massage_frames: int,
     trials: int,
     rng,
     variance_reduction: str = "independent",
@@ -1221,8 +1154,7 @@ def _run_trials(
     """
     plan = repair.plan
     _, bit, address, row = plan.as_arrays()
-    page_bytes = _massage_page_bytes(scorer.memory, ecc)
-    frames = _frames_for(address, repair.placement, massage_frames, page_bytes)
+    frames = repair.frames
     yield_scale = (pattern.flip_yield if pattern is not None else 1.0) * env_scale
     # Trial-invariant sampling inputs, hoisted out of the loop: feasibility
     # and per-cell probabilities depend only on the repaired plan, the
@@ -1693,7 +1625,6 @@ def lower_attack(
             ecc,
             trr,
             trial_pattern,
-            massage_frames,
             trials,
             rng,
             variance_reduction=variance_reduction,

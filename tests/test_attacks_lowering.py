@@ -7,6 +7,7 @@ from repro.attacks.fault_sneaking import FaultSneakingAttack, FaultSneakingConfi
 from repro.attacks.lowering import (
     HardwareBudget,
     LoweringReport,
+    _closest_masks,
     lower_attack,
     repair_plan,
 )
@@ -15,7 +16,7 @@ from repro.attacks.targets import make_attack_plan
 from repro.hardware.bitflip import plan_bit_flips
 from repro.hardware.injectors import LaserBeamInjector, RowHammerInjector
 from repro.hardware.memory import MemoryLayout, ParameterMemoryMap
-from repro.nn.quantization import storage_spec
+from repro.nn.quantization import dequantize, quantize, storage_spec
 from repro.utils.errors import ConfigurationError
 
 FAST_CONFIG = FaultSneakingConfig(
@@ -128,6 +129,70 @@ class TestRepairPlan:
         )
         original = set(plan.flips)
         assert set(repair.plan.flips) <= original
+
+
+def _reference_closest_mask(word, value, target, usable_bits, spec, allowed):
+    """One word at a time: every subset of the 12 most significant usable
+    bits, ranked by (distance, flips, subset index)."""
+    search = np.sort(usable_bits)[::-1][:12]
+    masks = [0]
+    for b in search.tolist():
+        masks = masks + [mask ^ (1 << b) for mask in masks]
+    masks = np.array(masks, dtype=np.int64)
+    flips = np.array([bin(i).count("1") for i in range(masks.size)])
+    dtype = spec.storage_dtype()
+    with np.errstate(invalid="ignore"):
+        values = dequantize(np.bitwise_xor(dtype.type(word), masks.astype(dtype)), spec)
+        distance = np.abs(values - target)
+    ok = np.isfinite(distance) & allowed(np.array([0]), search[None, :], flips)[0]
+    distance = np.where(ok, distance, np.inf)
+    best = int(np.lexsort((flips, distance))[0])
+    return int(masks[best]) if distance[best] < abs(value - target) else 0
+
+
+@pytest.mark.parametrize("storage", ["float32", "float16", "int8"])
+@pytest.mark.parametrize("limit", [None, 1, 3])
+def test_closest_masks_match_a_word_by_word_reference(storage, limit):
+    spec = storage_spec(storage)
+    bits = spec.bits_per_value
+    rng = np.random.default_rng(3)
+    n = 600
+    words = quantize(rng.normal(0.0, 0.3, size=n), spec)
+    original = dequantize(words, spec)
+
+    def flipped(masks):
+        return dequantize(np.bitwise_xor(words, masks.astype(words.dtype)), spec)
+
+    # Targets near the original, halfway between the original and a
+    # low-bit neighbour, and halfway between two reachable values: the
+    # last two make exact distance ties, so the tie order is checked too.
+    near = original + rng.normal(0.0, 0.2, size=n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        neighbour = (original + flipped(1 << rng.integers(0, 4, size=n))) / 2
+        between = (flipped(rng.integers(0, 1 << bits, size=n)) + flipped(
+            rng.integers(0, 1 << bits, size=n)
+        )) / 2
+    targets = np.choose(np.arange(n) % 3, [near, neighbour, between])
+    targets = np.where(np.isfinite(targets), targets, near)
+    # Every density of usable cells, none and all included.
+    usable = rng.random((n, bits)) < rng.uniform(0.0, 1.0, size=n)[:, None]
+    usable[0], usable[1] = False, True
+    cap = np.inf if limit is None else limit
+
+    def allowed(rows, search, flips):
+        # Depends on the word's searched bits too, like the ECC self-pad rule.
+        parity = (search.sum(axis=1)[:, None] + np.arange(flips.size)) % 3 != 0
+        return parity & (flips <= cap)
+
+    masks = _closest_masks(words, original, targets, usable, spec, allowed)
+    expected = [
+        _reference_closest_mask(
+            words[i], original[i], targets[i], np.flatnonzero(usable[i]), spec, allowed
+        )
+        for i in range(n)
+    ]
+    assert masks.tolist() == expected
+    assert any(expected)
 
 
 class TestLowerAttack:

@@ -364,15 +364,8 @@ class TestDeviceAwareRepair:
         template = FlipTemplate(seed=42, flip_probability=0.5)
         repair = repair_plan(plan, memory, target, template=template)
         assert repair.flips_infeasible > 0, "fixture template must bite"
-        frames = None
-        if repair.placement is not None:
-            from repro.attacks.lowering import _frames_for
-
-            frames = _frames_for(
-                repair.plan.as_arrays()[2], repair.placement, 64
-            )
         feasible = template.feasible_mask(
-            repair.plan, memory.read_words(), frames
+            repair.plan, memory.read_words(), repair.frames
         )
         assert feasible.all()
 

@@ -7,7 +7,7 @@ the reuse never shows in a number (each measurement equals a full forward of
 a fresh victim copy carrying the same flips), that the victim is never
 written, and that the work stays bounded: no full-model forwards and one
 model copy per warm campaign cell, and one template lookup per repair
-however many words are re-routed.
+stage however many words are re-routed or codewords padded.
 """
 
 import json
@@ -148,7 +148,7 @@ def test_a_warm_hardware_cost_cell_runs_no_full_forward_and_one_copy(session_reg
     assert copy.call_count <= 1
 
 
-def _count_feasible_cells(plan, memory, target, template, massage_frames):
+def _count_feasible_cells(plan, memory, target, device, massage_frames):
     calls = 0
     original = FlipTemplate.feasible_cells
 
@@ -159,29 +159,35 @@ def _count_feasible_cells(plan, memory, target, template, massage_frames):
 
     with mock.patch.object(FlipTemplate, "feasible_cells", counting):
         repair = repair_plan(
-            plan, memory, target, template=template, massage_frames=massage_frames
+            plan, memory, target, template=device.template(0), ecc=device.ecc,
+            massage_frames=massage_frames,
         )
     return calls, repair
 
 
 @pytest.mark.parametrize("massage_frames", [1, 64])
+@pytest.mark.parametrize("profile", ["ddr3-noecc", "server-ecc", "ddr5-ondie", "server-chipkill"])
 def test_template_lookups_do_not_grow_with_rerouted_words(
-    attack_result, tiny_model, massage_frames
+    attack_result, tiny_model, profile, massage_frames
 ):
-    device = get_profile("ddr3-noecc")
-    assert device.ecc is None
+    device = get_profile(profile)
     view = ParameterView(tiny_model.copy(), attack_result.view.selector)
     memory = ParameterMemoryMap(view, spec=storage_spec("float32"), layout=device.layout())
     target = view.baseline + attack_result.delta
     plan = plan_bit_flips(memory, target)
     words = plan.as_arrays()[0]
-    small = plan.select(words < np.unique(words)[4])
-    counts, infeasible = [], []
+    small = plan.select(words < np.unique(words)[8])
+    counts, infeasible, codewords = [], [], []
     for candidate in (small, plan):
-        calls, repair = _count_feasible_cells(
-            candidate, memory, target, device.template(0), massage_frames
-        )
+        calls, repair = _count_feasible_cells(candidate, memory, target, device, massage_frames)
         counts.append(calls)
         infeasible.append(repair.flips_infeasible)
+        codewords.append(repair.codewords_padded + repair.codewords_dropped)
     assert 0 < infeasible[0] < infeasible[1]
-    assert counts == [1, 1]
+    if device.ecc is None:
+        assert counts == [1, 1]
+    else:
+        # One lookup for the touched words, one for every vulnerable
+        # codeword's companion cells.
+        assert 0 < codewords[0] < codewords[1]
+        assert counts == [2, 2]

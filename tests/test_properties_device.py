@@ -23,7 +23,7 @@ check-bit position.
 import numpy as np
 import pytest
 
-from repro.attacks.lowering import HardwareBudget, _frames_for, repair_plan
+from repro.attacks.lowering import HardwareBudget, repair_plan
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
 from repro.hardware.bitflip import BitFlip, BitFlipPlan, plan_bit_flips
 from repro.hardware.device import (
@@ -316,7 +316,7 @@ class TestRepairFeasibility:
             trr=trr, hammer_pattern=pattern, max_flips_per_row=max_flips_per_row,
         )
         repaired = repair.plan
-        word_index, bit, address, row = repaired.as_arrays()
+        word_index, bit, _, row = repaired.as_arrays()
 
         if budget.max_flips_per_word is not None:
             _, counts = np.unique(word_index, return_counts=True)
@@ -335,8 +335,7 @@ class TestRepairFeasibility:
         if budget.row_window is not None and rows.size:
             assert rows.max() - rows.min() < budget.row_window
         if template is not None and repaired.num_flips:
-            frames = _frames_for(address, repair.placement, massage_frames)
-            assert template.feasible_mask(repaired, memory.read_words(), frames).all()
+            assert template.feasible_mask(repaired, memory.read_words(), repair.frames).all()
         if ecc is not None and repaired.num_flips:
             bits = memory.spec.bits_per_value
             cw = ecc.codewords_of(word_index, bits)

@@ -26,12 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.attacks.lowering import (
-    HardwareBudget,
-    _frames_for,
-    _massage_page_bytes,
-    repair_plan,
-)
+from repro.attacks.lowering import HardwareBudget, repair_plan
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
 from repro.hardware.bitflip import plan_bit_flips
 from repro.hardware.device import get_profile, list_profiles
@@ -135,12 +130,7 @@ def _record(profile: str, storage: str, budget: str, pattern: str | None) -> dic
         hammer_pattern=pattern,
         max_flips_per_row=device.max_flips_per_row,
     )
-    frames = _frames_for(
-        repair.plan.as_arrays()[2],
-        repair.placement,
-        device.massage_frames,
-        _massage_page_bytes(memory, device.ecc),
-    )
+    frames = repair.frames
     return {
         "case": f"{profile}/{storage}/{budget}/{pattern}",
         "planned_flips": plan.num_flips,
