@@ -98,7 +98,7 @@ from repro.nn.quantization import QuantizationSpec, dequantize, storage_spec
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomState, derive_seed, fork_rng
 
-if TYPE_CHECKING:  # imported in lower_attack: repro.analysis imports repro.defenses
+if TYPE_CHECKING:  # repro.analysis imports repro.defenses, which imports this module
     from repro.analysis.evaluation import EvaluationContext
 
 __all__ = [
@@ -110,6 +110,7 @@ __all__ = [
     "BitTrueMeasurement",
     "BitTrueScorer",
     "VARIANCE_REDUCTION_SCHEMES",
+    "check_trial_options",
     "repair_plan",
     "lower_attack",
 ]
@@ -130,6 +131,17 @@ __all__ = [
 #   two independent trials.  (Tracker re-rolls stay independent per trial;
 #   only the landing draws are antithetic.)
 VARIANCE_REDUCTION_SCHEMES = ("independent", "crn", "antithetic")
+
+
+def check_trial_options(variance_reduction: str, env_drift: float) -> None:
+    """Reject a Monte-Carlo scheme or environmental drift lower_attack cannot run."""
+    if variance_reduction not in VARIANCE_REDUCTION_SCHEMES:
+        raise ConfigurationError(
+            f"variance_reduction must be one of {VARIANCE_REDUCTION_SCHEMES}, "
+            f"got {variance_reduction!r}"
+        )
+    if not -1.0 < env_drift < 1.0:
+        raise ConfigurationError(f"env_drift must lie in (-1, 1), got {env_drift}")
 
 
 @dataclass(frozen=True)
@@ -1248,7 +1260,8 @@ class LoweringReport:
     attacked_accuracy: float
     attacked_model: Sequential
     # Device-model fields (defaults preserve the profile-less pipeline).
-    profile: str | None = None
+    device: DeviceProfile | None = None
+    env_drift: float = 0.0  # drift the repair and trials ran under
     hammer_pattern: str | None = None  # pattern the repair planned against
     executed: BitFlipPlan | None = None  # post-ECC effective plan (== plan w/o ECC)
     ecc_summary: "EccSummary | None" = None  # decoder outcome of the repaired plan
@@ -1440,22 +1453,14 @@ def lower_attack(
     layout: MemoryLayout | None = None,
     budget: HardwareBudget | None = None,
     profile: "str | DeviceProfile | None" = None,
-    template: FlipTemplate | None = None,
-    ecc: EccScheme | None = None,
-    template_seed: int = 0,
-    massage_frames: int | None = None,
     hammer_pattern: "str | HammerPattern | None" = None,
-    trr: "TrrSampler | ProbabilisticTrr | None" = None,
-    max_flips_per_row: int | None = None,
     trials: int = 0,
     rng: "int | np.random.Generator | None" = None,
     variance_reduction: str = "independent",
     crn_seed: int = 0,
     expected_repair: bool = False,
     env_drift: float = 0.0,
-    eval_set=None,
     context: "EvaluationContext | None" = None,
-    batch_size: int = 256,
 ) -> LoweringReport:
     """Lower a solved attack into bit flips and re-verify it bit-true.
 
@@ -1476,30 +1481,18 @@ def lower_attack(
     profile:
         Optional device profile (a name from
         :func:`repro.hardware.device.list_profiles` or a
-        :class:`~repro.hardware.device.DeviceProfile`).  The profile supplies
-        defaults for everything the caller leaves unset: the memory layout
-        (its DRAM geometry), the derived hardware budget, the flip template
-        and the ECC code.  Explicit arguments always win.
-    template, ecc:
-        Device physics overrides; normally taken from ``profile``.
-    template_seed:
-        Extra seed folded into the profile's template derivation (models
-        re-templating a different physical module).
-    massage_frames:
-        Templated physical frames the attacker can steer each page onto
-        (memory massaging); defaults to the profile's value, or 64.
+        :class:`~repro.hardware.device.DeviceProfile`), the only source of
+        device physics: its flip template, ECC code, TRR tracker, per-row
+        flip yield and memory-massaging frames always apply.  It also
+        supplies the memory layout (its DRAM geometry), the derived hardware
+        budget and the hammer pattern when the caller leaves those unset.
+        The report records it as ``device``.
     hammer_pattern:
         Hammer pattern to plan against (a name from
         :func:`repro.hardware.device.list_patterns` or a
         :class:`~repro.hardware.device.HammerPattern`); defaults to the
         profile's pattern.  With a TRR-sampler profile, the pattern decides
         which victim rows can flip at all.
-    trr:
-        TRR sampler override; normally taken from ``profile``.
-    max_flips_per_row:
-        Device per-row controlled-flip yield (normally the profile's);
-        scaled by the pattern's ``flip_yield`` and enforced during repair —
-        overfull rows revert their lowest-impact words.
     trials:
         Monte-Carlo executions of the repaired plan (0 = deterministic
         lowering only).  Each trial samples which flips land from the
@@ -1534,54 +1527,34 @@ def lower_attack(
         positive drift (hot/undervolted victim refreshing more aggressively)
         suppresses landings, negative drift boosts them.  ``0.0`` (default)
         reproduces the nominal model bit-for-bit.
-    eval_set:
-        Held-out dataset for the bit-true accuracy numbers, evaluated in
-        ``batch_size``-row mini-batches.  When neither it nor ``context`` is
-        given the accuracy fields are NaN.
     context:
-        The victim's shared :class:`~repro.analysis.evaluation.EvaluationContext`,
-        given instead of ``eval_set`` (at most one of the two).  Its eval
-        set, batch size, clean accuracy and cached prefix activations then
-        apply, so a campaign evaluates the clean model once per victim and
-        every re-measurement runs only the attacked suffix layers.  The
-        context must belong to ``result.view.model``.
+        The victim's shared :class:`~repro.analysis.evaluation.EvaluationContext`
+        (for campaign cells, ``victim_context(trained).evaluation``).  Its
+        eval set, batch size, clean accuracy and cached prefix activations
+        give the bit-true accuracy numbers, so a campaign evaluates the clean
+        model once per victim and every re-measurement runs only the attacked
+        suffix layers.  The context must belong to ``result.view.model``;
+        without one the accuracy fields are NaN.
     """
     if trials < 0:
         raise ConfigurationError(f"trials must be >= 0, got {trials}")
-    if variance_reduction not in VARIANCE_REDUCTION_SCHEMES:
-        raise ConfigurationError(
-            f"variance_reduction must be one of {VARIANCE_REDUCTION_SCHEMES}, "
-            f"got {variance_reduction!r}"
-        )
-    if not -1.0 < env_drift < 1.0:
-        raise ConfigurationError(
-            f"env_drift must lie in (-1, 1), got {env_drift}"
-        )
+    check_trial_options(variance_reduction, env_drift)
     env_scale = 1.0 - env_drift
     spec = storage_spec(storage)
     device = get_profile(profile) if profile is not None else None
+    template = ecc = trr = max_flips_per_row = None
+    massage_frames = 64
     if device is not None:
         layout = layout if layout is not None else device.layout()
         budget = budget if budget is not None else device.budget()
-        template = template if template is not None else device.template(template_seed)
-        ecc = ecc if ecc is not None else device.ecc
-        trr = trr if trr is not None else device.trr
+        template, ecc, trr = device.template(), device.ecc, device.trr
+        max_flips_per_row = device.max_flips_per_row
+        massage_frames = device.massage_frames
         if hammer_pattern is None:
             hammer_pattern = device.hammer_pattern
-        if max_flips_per_row is None:
-            max_flips_per_row = device.max_flips_per_row
-        if massage_frames is None:
-            massage_frames = device.massage_frames
-    massage_frames = 64 if massage_frames is None else int(massage_frames)
     budget = budget or HardwareBudget()
 
     victim: Sequential = result.view.model
-    if eval_set is not None:
-        if context is not None:
-            raise ConfigurationError("pass at most one of eval_set and context")
-        from repro.analysis.evaluation import EvaluationContext
-
-        context = EvaluationContext(victim, eval_set, batch_size=batch_size)
     if context is not None and context.model is not victim:
         raise ConfigurationError("the evaluation context must belong to the attacked victim")
     scorer = BitTrueScorer(
@@ -1666,7 +1639,8 @@ def lower_attack(
         clean_accuracy=float(clean_accuracy),
         attacked_accuracy=final.accuracy,
         attacked_model=scorer.model,
-        profile=device.name if device is not None else None,
+        device=device,
+        env_drift=env_drift,
         hammer_pattern=repair.hammer_pattern,
         executed=final.executed,
         ecc_summary=final.ecc_summary,

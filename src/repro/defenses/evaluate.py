@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -36,8 +35,7 @@ from repro.defenses.base import (
     get_defense,
 )
 from repro.hardware.bitflip import BitFlipPlan
-from repro.hardware.device import get_pattern, get_profile
-from repro.nn.quantization import storage_spec
+from repro.hardware.device import get_pattern
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomState, derive_seed
 
@@ -88,12 +86,8 @@ def _binomial_ci(outcomes: np.ndarray) -> float:
 def evaluate_defense(
     defense: "str | Defense",
     *,
-    solved: Any,
     report: LoweringReport,
-    profile: str,
-    storage: str,
     defense_seed: int,
-    env_drift: float = 0.0,
 ) -> DefenseStatistics:
     """Score one defense against a lowered attack's Monte-Carlo trials.
 
@@ -101,22 +95,17 @@ def evaluate_defense(
     ----------
     defense:
         Registry name or configured :class:`~repro.defenses.base.Defense`.
-    solved:
-        The solved attack the report was lowered from (must expose ``view``
-        — the victim :class:`~repro.attacks.parameter_view.ParameterView` —
-        and ``plan``, the attack plan the rates are measured on).
     report:
-        ``lower_attack(..., trials=N)`` output for the same cell; its
-        ``trial_stats.outcomes`` are the executions being judged.
-    profile, storage:
-        Device profile and storage format the report was lowered with (the
-        profile supplies the template, injector and ECC the defense needs).
-        Remapped trials are re-measured through ``report.scorer``.
+        ``lower_attack(..., profile=..., trials=N)`` output; its
+        ``trial_stats.outcomes`` are the executions being judged.  The
+        report carries everything else the race needs: the device profile
+        (injector, template, TRR tracker and ECC code), the hammer pattern
+        the repair planned against, the environmental drift the trials ran
+        under (it scales the canary landing probabilities exactly like the
+        attacker's own flips) and the scorer that re-measures remapped
+        trials on the victim it was lowered from.
     defense_seed:
         Root of the defense-private trial streams.
-    env_drift:
-        The environmental-drift axis the trials ran under; scales the canary
-        landing probabilities exactly like the attacker's own flips.
     """
     defense = get_defense(defense)
     stats = report.trial_stats
@@ -125,23 +114,19 @@ def evaluate_defense(
             "defense evaluation needs Monte-Carlo trials: lower the attack "
             "with trials > 0"
         )
-    prof = get_profile(profile)
-    pattern = (
-        get_pattern(report.repair.hammer_pattern)
-        if report.repair.hammer_pattern is not None
-        else None
-    )
-    cost = prof.injector().cost(report.plan, pattern=pattern, trr=prof.trr)
+    device = report.device
+    if device is None:
+        raise ConfigurationError(
+            "defense evaluation needs a device: lower the attack with a profile"
+        )
+    pattern = get_pattern(report.hammer_pattern) if report.hammer_pattern is not None else None
+    cost = device.injector().cost(report.plan, pattern=pattern, trr=device.trr)
     timeline = attack_timeline(report.plan, cost)
     scorer = report.scorer
-    if scorer is None or scorer.victim is not solved.view.model:
-        raise ConfigurationError("the report must come from lower_attack on the solved attack")
-    if storage_spec(storage) != report.spec:
-        raise ConfigurationError(f"the report was lowered to {report.storage}, not {storage}")
     layout = scorer.memory.layout
-    template = prof.template(0)
+    template = device.template()
     yield_scale = (pattern.flip_yield if pattern is not None else 1.0) * (
-        1.0 - env_drift
+        1.0 - report.env_drift
     )
 
     word_index, bit, address, row = report.plan.as_arrays()
@@ -190,7 +175,7 @@ def evaluate_defense(
                 occupant[select], bit[select], address[select], row[select],
                 num_words_total=report.plan.num_words_total,
             )
-            surviving[t] = scorer.measure(remapped, prof.ecc).success_rate
+            surviving[t] = scorer.measure(remapped, device.ecc).success_rate
         elif detected[t] and not evaded[t]:
             # Detection in time triggers restore-from-reference: the trial's
             # payload is rolled back and only the clean-model rate survives.
@@ -201,7 +186,7 @@ def evaluate_defense(
     if not identity_placement:
         # Remapped trials were measured on the report's scratch model; put
         # the lowered attack back on it.
-        scorer.measure(report.plan, prof.ecc)
+        scorer.measure(report.plan, device.ecc)
     ttd = np.asarray(detection_times, dtype=np.float64)
     return DefenseStatistics(
         defense=defense.name,

@@ -32,7 +32,7 @@ from repro.analysis.reporting import (
     defense_cells,
     stochastic_cost_cells,
 )
-from repro.attacks.lowering import VARIANCE_REDUCTION_SCHEMES
+from repro.attacks.lowering import check_trial_options
 from repro.defenses import evaluate_defense, get_defense
 from repro.experiments.campaign import (
     Campaign,
@@ -138,64 +138,28 @@ def _cell(
 
 
 @register_job("defense-matrix-cell")
-def _defense_matrix_cell_job(
-    *,
-    registry: ModelRegistry | None = None,
-    dataset: str,
-    scale: str,
-    seed: int,
-    s: int,
-    r: int,
-    attacker: str,
-    defense: str,
-    budget: str,
-    plan_seed: int,
-    trials: int = DEFAULT_TRIALS,
-    flip_seed: int = 0,
-    variance_reduction: str = "independent",
-    env_drift: float = 0.0,
-) -> dict:
+def _defense_matrix_cell_job(*, attacker: str, defense: str, **params) -> dict:
     """Lower one attack and judge its trials under one defense."""
     profile, pattern = ATTACKER_PROFILES[attacker]
-    cell = lowered_cell(
-        registry=registry,
-        dataset=dataset,
-        scale=scale,
-        seed=seed,
-        s=s,
-        r=r,
-        storage=_STORAGE,
-        profile=profile,
-        budget=budget,
-        pattern=pattern,
-        plan_seed=plan_seed,
-        trials=trials,
-        flip_seed=flip_seed,
-        variance_reduction=variance_reduction,
-        env_drift=env_drift,
-    )
+    cell = lowered_cell(storage=_STORAGE, profile=profile, pattern=pattern, **params)
     stats = evaluate_defense(
         defense,
-        solved=cell.solved,
         report=cell.report,
-        profile=profile,
-        storage=_STORAGE,
         # One defense-private stream root per cell, independent of (but as
         # reproducible as) the attacker's landing streams.
         defense_seed=derive_seed(
             "defense-matrix",
-            int(flip_seed),
-            dataset,
-            scale,
-            int(seed),
-            int(s),
+            int(params.get("flip_seed", 0)),
+            params["dataset"],
+            params["scale"],
+            int(params["seed"]),
+            int(params["s"]),
             _STORAGE,
             profile,
-            budget,
+            params["budget"],
             pattern,
             defense,
         ),
-        env_drift=env_drift,
     )
     return {**cell.metrics(), **stats.as_dict()}
 
@@ -229,13 +193,7 @@ def build_campaign(
         raise ConfigurationError(
             f"the defense race is judged per trial; trials must be > 0, got {trials}"
         )
-    if variance_reduction not in VARIANCE_REDUCTION_SCHEMES:
-        raise ConfigurationError(
-            f"variance_reduction must be one of {VARIANCE_REDUCTION_SCHEMES}, "
-            f"got {variance_reduction!r}"
-        )
-    if not -1.0 < env_drift < 1.0:
-        raise ConfigurationError(f"env_drift must lie in (-1, 1), got {env_drift}")
+    check_trial_options(variance_reduction, env_drift)
     setting = get_setting(scale)
     r = _num_images(setting)
     jobs = [

@@ -49,9 +49,9 @@ from repro.analysis.reporting import (
 )
 from repro.attacks.fault_sneaking import FaultSneakingAttack
 from repro.attacks.lowering import (
-    VARIANCE_REDUCTION_SCHEMES,
     HardwareBudget,
     LoweringReport,
+    check_trial_options,
     lower_attack,
 )
 from repro.attacks.parameter_view import ParameterView
@@ -342,43 +342,9 @@ def lowered_cell(
 
 
 @register_job("hardware-cost-cell")
-def _hardware_cost_cell_job(
-    *,
-    registry: ModelRegistry | None = None,
-    dataset: str,
-    scale: str,
-    seed: int,
-    s: int,
-    r: int,
-    storage: str,
-    profile: str,
-    budget: str,
-    pattern: str = "double-sided",
-    plan_seed: int,
-    trials: int = 0,
-    flip_seed: int = 0,
-    variance_reduction: str = "independent",
-    env_drift: float = 0.0,
-) -> dict:
+def _hardware_cost_cell_job(**params) -> dict:
     """Solve one attack, lower it onto a device and return the cost metrics."""
-    cell = lowered_cell(
-        registry=registry,
-        dataset=dataset,
-        scale=scale,
-        seed=seed,
-        s=s,
-        r=r,
-        storage=storage,
-        profile=profile,
-        budget=budget,
-        pattern=pattern,
-        plan_seed=plan_seed,
-        trials=trials,
-        flip_seed=flip_seed,
-        variance_reduction=variance_reduction,
-        env_drift=env_drift,
-    )
-    return cell.metrics()
+    return lowered_cell(**params).metrics()
 
 
 def build_campaign(
@@ -415,13 +381,7 @@ def build_campaign(
         get_pattern(name)  # fail fast on unknown pattern names
     if trials < 0:
         raise ConfigurationError(f"trials must be >= 0, got {trials}")
-    if variance_reduction not in VARIANCE_REDUCTION_SCHEMES:
-        raise ConfigurationError(
-            f"variance_reduction must be one of {VARIANCE_REDUCTION_SCHEMES}, "
-            f"got {variance_reduction!r}"
-        )
-    if not -1.0 < env_drift < 1.0:
-        raise ConfigurationError(f"env_drift must lie in (-1, 1), got {env_drift}")
+    check_trial_options(variance_reduction, env_drift)
     setting = get_setting(scale)
     r = _num_images(setting)
     jobs = [

@@ -89,6 +89,7 @@ from repro.experiments.telemetry.bus import (
 )
 from repro.experiments.telemetry.events import ArtifactSaved
 from repro.utils.clock import wall_clock
+from repro.utils.errors import ConfigurationError
 from repro.utils.logging import set_verbosity
 
 __all__ = ["main", "build_parser"]
@@ -194,8 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="Monte-Carlo executions per hardware_cost cell (default: the "
-        "experiment's built-in count; 0 disables the stochastic columns)",
+        help="Monte-Carlo executions per hardware_cost or defense_matrix cell "
+        "(default: the experiment's built-in count; 0 disables the stochastic "
+        "columns of hardware_cost, and defense_matrix needs at least 1)",
     )
     parser.add_argument(
         "--flip-seed",
@@ -203,17 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SEED",
         help="seed of the per-cell Monte-Carlo flip sampling in hardware_cost "
-        "(default: 0).  Same seed = byte-identical tables, different seeds = "
-        "independent replications",
+        "and defense_matrix (default: 0).  Same seed = byte-identical tables, "
+        "different seeds = independent replications",
     )
     parser.add_argument(
         "--variance-reduction",
         default=None,
         choices=["independent", "crn", "antithetic"],
-        help="Monte-Carlo sampling scheme of the hardware_cost trials "
-        "(default: independent).  crn = common random numbers across cells "
-        "(keyed by --flip-seed); antithetic = paired complementary landing "
-        "draws — the same CI width at fewer trials",
+        help="Monte-Carlo sampling scheme of the hardware_cost and "
+        "defense_matrix trials (default: independent).  crn = common random "
+        "numbers across cells (keyed by --flip-seed); antithetic = paired "
+        "complementary landing draws — the same CI width at fewer trials",
     )
     parser.add_argument(
         "--env-drift",
@@ -376,6 +378,37 @@ def main(argv: list[str] | None = None) -> int:
     if args.telemetry_port is not None and args.telemetry_port < 0:
         parser.error(f"--telemetry-port must be >= 0, got {args.telemetry_port}")
 
+    names = sorted(CAMPAIGNS) if args.experiment == "all" else [args.experiment]
+    campaigns = {}
+    for name in names:
+        build_campaign, _ = CAMPAIGNS[name]
+        extra = {}
+        if args.profile and name == "hardware_cost":
+            extra["profiles"] = tuple(args.profile)
+        if args.hammer_pattern and name == "hardware_cost":
+            extra["patterns"] = tuple(args.hammer_pattern)
+        if args.trials is not None and name in ("hardware_cost", "defense_matrix"):
+            extra["trials"] = args.trials
+        if args.flip_seed is not None and name in ("hardware_cost", "defense_matrix"):
+            extra["flip_seed"] = args.flip_seed
+        if args.variance_reduction is not None and name in (
+            "hardware_cost",
+            "defense_matrix",
+        ):
+            extra["variance_reduction"] = args.variance_reduction
+        if args.env_drift is not None and name in ("hardware_cost", "defense_matrix"):
+            extra["env_drift"] = args.env_drift
+        if args.attacker and name == "defense_matrix":
+            extra["attackers"] = tuple(args.attacker)
+        if args.defense and name == "defense_matrix":
+            extra["defenses"] = tuple(args.defense)
+        # Every selected campaign is declared before the first one runs, so
+        # a bad option fails the command without running anything.
+        try:
+            campaigns[name] = build_campaign(args.scale, seed=args.seed, **extra)
+        except ConfigurationError as exc:
+            parser.error(f"{name}: {exc}")
+
     store = None
     if args.artifact_dir is not None or args.resume:
         # --artifact-dir names the store explicitly; --resume alone falls back
@@ -411,32 +444,10 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
 
-    names = sorted(CAMPAIGNS) if args.experiment == "all" else [args.experiment]
     try:
-        for name in names:
+        for name, campaign in campaigns.items():
             started = wall_clock()
-            build_campaign, assemble = CAMPAIGNS[name]
-            extra = {}
-            if args.profile and name == "hardware_cost":
-                extra["profiles"] = tuple(args.profile)
-            if args.hammer_pattern and name == "hardware_cost":
-                extra["patterns"] = tuple(args.hammer_pattern)
-            if args.trials is not None and name in ("hardware_cost", "defense_matrix"):
-                extra["trials"] = args.trials
-            if args.flip_seed is not None and name in ("hardware_cost", "defense_matrix"):
-                extra["flip_seed"] = args.flip_seed
-            if args.variance_reduction is not None and name in (
-                "hardware_cost",
-                "defense_matrix",
-            ):
-                extra["variance_reduction"] = args.variance_reduction
-            if args.env_drift is not None and name in ("hardware_cost", "defense_matrix"):
-                extra["env_drift"] = args.env_drift
-            if args.attacker and name == "defense_matrix":
-                extra["attackers"] = tuple(args.attacker)
-            if args.defense and name == "defense_matrix":
-                extra["defenses"] = tuple(args.defense)
-            campaign = build_campaign(args.scale, seed=args.seed, **extra)
+            _, assemble = CAMPAIGNS[name]
             result = run_campaign(
                 campaign, jobs=args.jobs, executor=executor, store=store, fuse=args.fuse
             )

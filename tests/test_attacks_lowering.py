@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.evaluation import EvaluationContext
 from repro.attacks.fault_sneaking import FaultSneakingAttack, FaultSneakingConfig
 from repro.attacks.lowering import (
     HardwareBudget,
@@ -198,7 +199,9 @@ def test_closest_masks_match_a_word_by_word_reference(storage, limit):
 class TestLowerAttack:
     def test_unlimited_float32_matches_solver(self, attack_result, tiny_split):
         report = lower_attack(
-            attack_result, storage="float32", eval_set=tiny_split.test
+            attack_result,
+            storage="float32",
+            context=EvaluationContext(attack_result.view.model, tiny_split.test),
         )
         assert isinstance(report, LoweringReport)
         assert report.flips_dropped == 0

@@ -175,11 +175,4 @@ class TestEvaluateDefense:
             trials=0,
         )
         with pytest.raises(ConfigurationError):
-            evaluate_defense(
-                "checksum",
-                solved=cell.solved,
-                report=cell.report,
-                profile="ddr3-noecc",
-                storage="float32",
-                defense_seed=0,
-            )
+            evaluate_defense("checksum", report=cell.report, defense_seed=0)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments.runner import build_parser, main
+from repro.experiments.telemetry import CallbackSink, RunStarted, global_bus
 
 
 class TestParser:
@@ -167,6 +168,31 @@ class TestMain:
         manifest = json.loads((out_dir / "table3_smoke_manifest.json").read_text())
         assert manifest["stats"]["executed"] == 0
         assert manifest["stats"]["cache_hits"] == manifest["stats"]["total_jobs"]
+
+
+class TestCampaignOptionErrors:
+    @pytest.mark.parametrize("experiment", ["defense_matrix", "all"])
+    def test_bad_campaign_option_fails_before_anything_runs(
+        self, experiment, capsys, tmp_path, monkeypatch
+    ):
+        # defense_matrix needs at least one trial; "all" must reject that
+        # before it runs the experiments sorted ahead of defense_matrix.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        events = []
+        sink = global_bus().attach(CallbackSink(events.append))
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                main([experiment, "--scale", "smoke", "--trials", "0"])
+        finally:
+            global_bus().detach(sink)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        message = err.splitlines()[-1]
+        assert message.startswith("repro-experiments: error: defense_matrix: ")
+        assert "trials must be > 0" in message
+        assert [line for line in err.splitlines() if "error:" in line] == [message]
+        assert not any(isinstance(event, RunStarted) for event in events)
 
 
 class TestDeviceProfileFlags:

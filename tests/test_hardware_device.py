@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.evaluation import EvaluationContext
 from repro.attacks.lowering import HardwareBudget, lower_attack, repair_plan
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
 from repro.attacks.targets import make_attack_plan
@@ -417,9 +418,12 @@ class TestDeviceAwareRepair:
 
     def test_lower_attack_with_profile_end_to_end(self, attack_result, tiny_split):
         report = lower_attack(
-            attack_result, storage="int8", profile="server-ecc", eval_set=tiny_split.test
+            attack_result,
+            storage="int8",
+            profile="server-ecc",
+            context=EvaluationContext(attack_result.view.model, tiny_split.test),
         )
-        assert report.profile == "server-ecc"
+        assert report.device.name == "server-ecc"
         assert report.executed is not None
         assert report.ecc_summary is not None
         record = report.as_dict()

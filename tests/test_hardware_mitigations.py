@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.evaluation import EvaluationContext
 from repro.attacks.lowering import HardwareBudget, lower_attack, repair_plan
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
 from repro.attacks.targets import make_attack_plan
@@ -388,9 +389,9 @@ class TestTrrAwareRepair:
             storage="int8",
             profile="ddr4-trrespass",
             hammer_pattern="many-sided",
-            eval_set=tiny_split.test,
+            context=EvaluationContext(attack_result.view.model, tiny_split.test),
         )
-        assert report.profile == "ddr4-trrespass"
+        assert report.device.name == "ddr4-trrespass"
         assert report.hammer_pattern == "many-sided"
         record = report.as_dict()
         assert record["rows_refreshed"] == 0  # many-sided evades the tracker
@@ -428,7 +429,7 @@ class TestVendorProfiles:
     def test_new_profiles_lower_end_to_end(self, attack_result):
         for name in ("ddr5-ondie", "server-chipkill"):
             report = lower_attack(attack_result, storage="int8", profile=name)
-            assert report.profile == name
+            assert report.device.name == name
             assert report.ecc_summary is not None
             record = report.as_dict()
             assert np.isfinite(record["unrepaired_success"])

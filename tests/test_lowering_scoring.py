@@ -7,10 +7,10 @@ the reuse never shows in a number (each measurement equals a full forward of
 a fresh victim copy carrying the same flips), that the victim is never
 written, and that the work stays bounded: no full-model forwards and one
 model copy per warm campaign cell, and one template lookup per repair
-stage however many words are re-routed or codewords padded.
+stage however many words are re-routed or codewords padded.  A defense
+reads the device and the environmental drift from the report it judges.
 """
 
-import json
 from unittest import mock
 
 import numpy as np
@@ -22,9 +22,10 @@ from repro.attacks.lowering import lower_attack, repair_plan
 from repro.attacks.parameter_view import ParameterView
 from repro.attacks.targets import make_attack_plan
 from repro.defenses import evaluate_defense
+from repro.defenses.canary import CanaryField
 from repro.experiments.campaign import JobSpec, execute_job
 from repro.hardware.bitflip import plan_bit_flips
-from repro.hardware.device import FlipTemplate, get_profile
+from repro.hardware.device import FlipTemplate, get_pattern, get_profile
 from repro.hardware.memory import ParameterMemoryMap
 from repro.nn.model import Sequential
 from repro.nn.quantization import storage_spec
@@ -42,11 +43,6 @@ def attack_result(tiny_model, tiny_split):
     return FaultSneakingAttack(tiny_model, FAST_CONFIG).attack(plan)
 
 
-def _record(report) -> str:
-    # JSON text, so NaN columns compare equal.
-    return json.dumps(report.as_dict(), sort_keys=True)
-
-
 def _parameter_bytes(model) -> dict[str, bytes]:
     return {key: value.tobytes() for key, value in model.snapshot().items()}
 
@@ -57,20 +53,7 @@ def _lower(attack_result, profile, **kwargs):
     )
 
 
-@pytest.mark.parametrize("profile", PROFILES)
-def test_context_and_eval_set_give_equal_reports(attack_result, tiny_model, tiny_split, profile):
-    by_set = _lower(attack_result, profile, eval_set=tiny_split.test)
-    by_context = _lower(
-        attack_result, profile, context=EvaluationContext(tiny_model, tiny_split.test)
-    )
-    assert _record(by_set) == _record(by_context)
-    assert np.isfinite(by_set.as_dict()["mc_accuracy"])
-
-
-def test_eval_set_and_context_are_exclusive(attack_result, tiny_model, tiny_split):
-    context = EvaluationContext(tiny_model, tiny_split.test)
-    with pytest.raises(ConfigurationError):
-        lower_attack(attack_result, eval_set=tiny_split.test, context=context)
+def test_context_must_belong_to_the_victim(attack_result, tiny_model, tiny_split):
     with pytest.raises(ConfigurationError):
         lower_attack(attack_result, context=EvaluationContext(tiny_model.copy(), tiny_split.test))
 
@@ -79,7 +62,7 @@ def test_eval_set_and_context_are_exclusive(attack_result, tiny_model, tiny_spli
 def test_every_trial_equals_a_full_forward_of_a_fresh_copy(
     attack_result, tiny_model, tiny_split, profile
 ):
-    report = _lower(attack_result, profile, eval_set=tiny_split.test)
+    report = _lower(attack_result, profile, context=EvaluationContext(tiny_model, tiny_split.test))
     device = get_profile(profile)
     attack_plan = attack_result.plan
     s = attack_plan.num_targets
@@ -107,19 +90,38 @@ def test_lowering_and_defenses_leave_the_victim_unchanged(attack_result, tiny_mo
     report = _lower(attack_result, "ddr3-noecc")
     assert _parameter_bytes(tiny_model) == before
     attacked = _parameter_bytes(report.attacked_model)
-    stats = evaluate_defense(
-        "aslr",
-        solved=attack_result,
-        report=report,
-        profile="ddr3-noecc",
-        storage="int8",
-        defense_seed=5,
-    )
+    stats = evaluate_defense("aslr", report=report, defense_seed=5)
     assert stats.trials == 3
     assert _parameter_bytes(tiny_model) == before
     # The remapped trials ran on the report's scratch model, which carries
     # the lowered attack again afterwards.
     assert _parameter_bytes(report.attacked_model) == attacked
+
+
+def test_defenses_need_a_device(attack_result):
+    report = lower_attack(attack_result, storage="int8", trials=2, rng=11)
+    with pytest.raises(ConfigurationError, match="profile"):
+        evaluate_defense("canary", report=report, defense_seed=5)
+
+
+def test_environmental_drift_reaches_the_defense(attack_result):
+    report = lower_attack(
+        attack_result,
+        storage="int8",
+        profile="stochastic-trrespass",
+        hammer_pattern="many-sided",
+        trials=2,
+        rng=11,
+        env_drift=0.25,
+    )
+    with mock.patch.object(
+        CanaryField, "judge", autospec=True, side_effect=CanaryField.judge
+    ) as judge:
+        evaluate_defense("canary", report=report, defense_seed=5)
+    assert judge.call_count == 2
+    for call in judge.call_args_list:
+        ctx = call.args[1]
+        assert ctx.yield_scale == get_pattern("many-sided").flip_yield * 0.75
 
 
 def test_a_warm_hardware_cost_cell_runs_no_full_forward_and_one_copy(session_registry):
