@@ -1,12 +1,15 @@
 """Experiment drivers reproducing every table and figure of the paper.
 
-Each module declares its grid as a *campaign* of independent attack jobs
-(``build_campaign``), which the engine in :mod:`repro.experiments.campaign`
-executes serially or across worker processes, memoizing each cell in a
-content-addressed artifact store; ``assemble`` turns the per-cell metrics
-back into the paper's table.  The ``run(scale=..., registry=..., seed=...)``
-convenience wrapper on every module builds, executes and assembles in one
-call and returns a :class:`repro.analysis.reporting.Table`:
+Each driver module declares its experiment once, in ``build_campaign``: the
+grid of independent attack jobs and every option that shapes it.  The engine
+in :mod:`repro.experiments.campaign` executes the jobs serially or across
+worker processes, memoizing each cell in a content-addressed artifact store,
+and the module's ``assemble`` builds the paper's table from the campaign's
+own cells (:meth:`~repro.experiments.campaign.CampaignResult.cells`).
+``module.run(scale, registry=..., seed=..., **options)`` builds, executes and
+assembles in one call and returns a :class:`repro.analysis.reporting.Table`;
+the options are ``build_campaign``'s keywords.  :data:`EXPERIMENTS` maps each
+experiment name to its driver module:
 
 ========================  =====================================================
 Module                    Paper artefact
@@ -66,40 +69,22 @@ from repro.experiments import (
 from repro.experiments import service  # noqa: E402
 
 EXPERIMENTS = {
-    "table1": table1.run,
-    "table2": table2.run,
-    "table3": table3.run,
-    "table4": table4.run,
-    "figure1": figure1.run,
-    "figure2": figure2.run,
-    "figure3": figure3.run,
-    "baseline_comparison": baseline_comparison.run,
-    "ablations": ablations.run,
-    "extension_detection": extension_detection.run,
-    "hardware_cost": hardware_cost.run,
-    "defense_matrix": defense_matrix.run,
-}
-
-# Grid builders and assemblers, used by the CLI runner so it can execute the
-# campaign itself (shared artifact store across experiments, JSON manifests).
-CAMPAIGNS = {
-    "table1": (table1.build_campaign, table1.assemble),
-    "table2": (table2.build_campaign, table2.assemble),
-    "table3": (table3.build_campaign, table3.assemble),
-    "table4": (table4.build_campaign, table4.assemble),
-    "figure1": (figure1.build_campaign, figure1.assemble),
-    "figure2": (figure2.build_campaign, figure2.assemble),
-    "figure3": (figure3.build_campaign, figure3.assemble),
-    "baseline_comparison": (baseline_comparison.build_campaign, baseline_comparison.assemble),
-    "ablations": (ablations.build_campaign, ablations.assemble),
-    "extension_detection": (extension_detection.build_campaign, extension_detection.assemble),
-    "hardware_cost": (hardware_cost.build_campaign, hardware_cost.assemble),
-    "defense_matrix": (defense_matrix.build_campaign, defense_matrix.assemble),
+    "table1": table1,
+    "table2": table2,
+    "table3": table3,
+    "table4": table4,
+    "figure1": figure1,
+    "figure2": figure2,
+    "figure3": figure3,
+    "baseline_comparison": baseline_comparison,
+    "ablations": ablations,
+    "extension_detection": extension_detection,
+    "hardware_cost": hardware_cost,
+    "defense_matrix": defense_matrix,
 }
 
 __all__ = [
     "EXPERIMENTS",
-    "CAMPAIGNS",
     "ArtifactStore",
     "Campaign",
     "CampaignResult",

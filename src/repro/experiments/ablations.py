@@ -10,10 +10,13 @@ These quantify the design choices called out in DESIGN.md:
   modification, under float32 and float16 parameter storage.
 
 Each ablation row is one independent campaign job, so ``run`` executes every
-row of every ablation through one (optionally parallel) campaign.
+row of every ablation through one (optionally parallel) campaign; each family
+function runs just its own rows as an ``ablation_*`` campaign.
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.analysis.reporting import Table
 from repro.attacks.fault_sneaking import FaultSneakingAttack
@@ -68,12 +71,6 @@ def _attack_plan(trained, scale: str, seed: int):
 # -- rho sweep -----------------------------------------------------------------------
 
 
-def _rho_cell(dataset: str, scale: str, seed: int, rho: float) -> JobSpec:
-    return JobSpec.make(
-        "ablation-rho", dataset=dataset, scale=scale, seed=int(seed), rho=float(rho)
-    )
-
-
 @register_job("ablation-rho")
 def _rho_job(
     *, registry: ModelRegistry | None = None, dataset: str, scale: str, seed: int, rho: float
@@ -90,21 +87,26 @@ def _rho_job(
     }
 
 
-def _rho_jobs(scale: str, seed: int, dataset: str, rhos) -> list[JobSpec]:
-    return [_rho_cell(dataset, scale, seed, rho) for rho in rhos]
+def _rho_jobs(scale: str, seed: int, dataset: str, rhos=_DEFAULT_RHOS) -> list[JobSpec]:
+    return [
+        JobSpec.make(
+            "ablation-rho", dataset=dataset, scale=scale, seed=int(seed), rho=float(rho)
+        )
+        for rho in rhos
+    ]
 
 
-def _rho_table(scale: str, seed: int, dataset: str, rhos, results: CampaignResult) -> Table:
-    setting = get_setting(scale)
+def _rho_table(campaign: Campaign, results: CampaignResult) -> Table:
+    setting = get_setting(campaign.scale)
     table = Table(
         title=f"Ablation: ADMM penalty rho sweep (l0 attack, S={_S}, R={_num_images(setting)})",
         columns=["rho", "hard threshold", "l0", "l2", "success rate", "keep rate"],
     )
-    for rho in rhos:
-        metrics = results.metrics_for(_rho_cell(dataset, scale, seed, rho))
+    for params, metrics in results.cells("ablation-rho"):
+        rho = params["rho"]
         table.add_row(
-            float(rho),
-            (2.0 / float(rho)) ** 0.5,
+            rho,
+            (2.0 / rho) ** 0.5,
             format_cell_int(metrics["l0"]),
             metrics["l2"],
             metrics["success_rate"],
@@ -115,12 +117,6 @@ def _rho_table(scale: str, seed: int, dataset: str, rhos, results: CampaignResul
 
 
 # -- warm start ----------------------------------------------------------------------
-
-
-def _warm_cell(dataset: str, scale: str, seed: int, warm: bool) -> JobSpec:
-    return JobSpec.make(
-        "ablation-warm-start", dataset=dataset, scale=scale, seed=int(seed), warm=bool(warm)
-    )
 
 
 @register_job("ablation-warm-start")
@@ -141,19 +137,23 @@ def _warm_start_job(
 
 
 def _warm_jobs(scale: str, seed: int, dataset: str) -> list[JobSpec]:
-    return [_warm_cell(dataset, scale, seed, warm) for warm in (True, False)]
+    return [
+        JobSpec.make(
+            "ablation-warm-start", dataset=dataset, scale=scale, seed=int(seed), warm=warm
+        )
+        for warm in (True, False)
+    ]
 
 
-def _warm_table(scale: str, seed: int, dataset: str, results: CampaignResult) -> Table:
-    setting = get_setting(scale)
+def _warm_table(campaign: Campaign, results: CampaignResult) -> Table:
+    setting = get_setting(campaign.scale)
     table = Table(
         title=f"Ablation: dense warm start (l0 attack, S={_S}, R={_num_images(setting)})",
         columns=["warm start", "l0", "l2", "success rate", "keep rate", "converged"],
     )
-    for warm in (True, False):
-        metrics = results.metrics_for(_warm_cell(dataset, scale, seed, warm))
+    for params, metrics in results.cells("ablation-warm-start"):
         table.add_row(
-            warm,
+            params["warm"],
             format_cell_int(metrics["l0"]),
             metrics["l2"],
             metrics["success_rate"],
@@ -168,16 +168,6 @@ def _warm_table(scale: str, seed: int, dataset: str, results: CampaignResult) ->
 
 
 # -- delta step ----------------------------------------------------------------------
-
-
-def _delta_cell(dataset: str, scale: str, seed: int, alpha) -> JobSpec:
-    return JobSpec.make(
-        "ablation-delta-step",
-        dataset=dataset,
-        scale=scale,
-        seed=int(seed),
-        alpha=None if alpha is None else float(alpha),
-    )
 
 
 @register_job("ablation-delta-step")
@@ -198,20 +188,29 @@ def _delta_step_job(
 
 
 def _delta_jobs(scale: str, seed: int, dataset: str) -> list[JobSpec]:
-    return [_delta_cell(dataset, scale, seed, alpha) for _, alpha in _DELTA_ALPHAS]
+    return [
+        JobSpec.make(
+            "ablation-delta-step",
+            dataset=dataset,
+            scale=scale,
+            seed=int(seed),
+            alpha=None if alpha is None else float(alpha),
+        )
+        for _, alpha in _DELTA_ALPHAS
+    ]
 
 
-def _delta_table(scale: str, seed: int, dataset: str, results: CampaignResult) -> Table:
-    setting = get_setting(scale)
+def _delta_table(campaign: Campaign, results: CampaignResult) -> Table:
+    setting = get_setting(campaign.scale)
     title = (
         f"Ablation: delta-step linearisation constant "
         f"(l0 attack, S={_S}, R={_num_images(setting)})"
     )
+    labels = {alpha: label for label, alpha in _DELTA_ALPHAS}
     table = Table(title=title, columns=["alpha", "l0", "l2", "success rate", "keep rate"])
-    for label, alpha in _DELTA_ALPHAS:
-        metrics = results.metrics_for(_delta_cell(dataset, scale, seed, alpha))
+    for params, metrics in results.cells("ablation-delta-step"):
         table.add_row(
-            label,
+            labels[params["alpha"]],
             format_cell_int(metrics["l0"]),
             metrics["l2"],
             metrics["success_rate"],
@@ -222,12 +221,6 @@ def _delta_table(scale: str, seed: int, dataset: str, results: CampaignResult) -
 
 
 # -- hardware cost -------------------------------------------------------------------
-
-
-def _hardware_cell(dataset: str, scale: str, seed: int, norm: str) -> JobSpec:
-    return JobSpec.make(
-        "ablation-hardware-cost", dataset=dataset, scale=scale, seed=int(seed), norm=norm
-    )
 
 
 @register_job("ablation-hardware-cost")
@@ -256,11 +249,16 @@ def _hardware_cost_job(
 
 
 def _hardware_jobs(scale: str, seed: int, dataset: str) -> list[JobSpec]:
-    return [_hardware_cell(dataset, scale, seed, norm) for norm in ("l0", "l2")]
+    return [
+        JobSpec.make(
+            "ablation-hardware-cost", dataset=dataset, scale=scale, seed=int(seed), norm=norm
+        )
+        for norm in ("l0", "l2")
+    ]
 
 
-def _hardware_table(scale: str, seed: int, dataset: str, results: CampaignResult) -> Table:
-    setting = get_setting(scale)
+def _hardware_table(campaign: Campaign, results: CampaignResult) -> Table:
+    setting = get_setting(campaign.scale)
     table = Table(
         title=(
             f"Ablation: hardware injection cost of the modification "
@@ -277,11 +275,10 @@ def _hardware_table(scale: str, seed: int, dataset: str, results: CampaignResult
             "post-injection success",
         ],
     )
-    for norm in ("l0", "l2"):
-        metrics = results.metrics_for(_hardware_cell(dataset, scale, seed, norm))
+    for params, metrics in results.cells("ablation-hardware-cost"):
         for storage in _STORAGES:
             table.add_row(
-                f"{norm} attack",
+                f"{params['norm']} attack",
                 storage,
                 format_cell_int(metrics[f"{storage}_words"]),
                 format_cell_int(metrics[f"{storage}_flips"]),
@@ -300,137 +297,24 @@ def _hardware_table(scale: str, seed: int, dataset: str, results: CampaignResult
 # -- public drivers ------------------------------------------------------------------
 
 
-def _single_ablation_runner(jobs_builder, table_builder, name: str):
-    """Build a ``run``-style function for one ablation family."""
+def _family_runner(name: str, jobs_builder, table_builder):
+    """Bind ``run_experiment`` to a campaign of one ablation family's rows."""
 
-    def runner(
-        scale: str = "ci",
-        *,
-        registry: ModelRegistry | None = None,
-        seed: int = 0,
-        dataset: str = "mnist_like",
-        jobs: int = 1,
-        executor=None,
-        artifact_dir=None,
-        **extra,
-    ) -> Table:
-        def build(scale, *, seed):
-            return Campaign(
-                name=name,
-                scale=scale,
-                seed=seed,
-                jobs=tuple(jobs_builder(scale, seed, dataset, **extra)),
-            )
+    def build(scale: str = "ci", *, seed: int = 0, dataset: str = "mnist_like", **options):
+        jobs = jobs_builder(scale, seed, dataset, **options)
+        return Campaign(name=name, scale=scale, seed=seed, jobs=tuple(jobs))
 
-        def assemble(campaign, results):
-            return table_builder(campaign.scale, campaign.seed, dataset, **extra, results=results)
-
-        return run_experiment(
-            build,
-            assemble,
-            scale,
-            registry=registry,
-            seed=seed,
-            jobs=jobs,
-            executor=executor,
-            artifact_dir=artifact_dir,
-        )
-
-    return runner
+    return functools.partial(run_experiment, build, table_builder)
 
 
-def rho_sweep(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    dataset: str = "mnist_like",
-    rhos=_DEFAULT_RHOS,
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """ℓ0 norm and success rate of the ℓ0 attack as a function of ρ."""
-    runner = _single_ablation_runner(_rho_jobs, _rho_table, "ablation_rho")
-    return runner(
-        scale,
-        registry=registry,
-        seed=seed,
-        dataset=dataset,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-        rhos=tuple(float(rho) for rho in rhos),
-    )
-
-
-def warm_start_ablation(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    dataset: str = "mnist_like",
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """ADMM with and without the dense warm start."""
-    runner = _single_ablation_runner(_warm_jobs, _warm_table, "ablation_warm_start")
-    return runner(
-        scale,
-        registry=registry,
-        seed=seed,
-        dataset=dataset,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-    )
-
-
-def delta_step_ablation(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    dataset: str = "mnist_like",
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Adaptive trust-region α vs fixed α in the linearised δ-step."""
-    runner = _single_ablation_runner(_delta_jobs, _delta_table, "ablation_delta_step")
-    return runner(
-        scale,
-        registry=registry,
-        seed=seed,
-        dataset=dataset,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-    )
-
-
-def hardware_cost(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    dataset: str = "mnist_like",
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Memory-level cost of executing the ℓ0 vs ℓ2 modification."""
-    runner = _single_ablation_runner(_hardware_jobs, _hardware_table, "ablation_hardware_cost")
-    return runner(
-        scale,
-        registry=registry,
-        seed=seed,
-        dataset=dataset,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-    )
+# l0 norm and success rate of the l0 attack as a function of rho (``rhos=``).
+rho_sweep = _family_runner("ablation_rho", _rho_jobs, _rho_table)
+# ADMM with and without the dense warm start.
+warm_start_ablation = _family_runner("ablation_warm_start", _warm_jobs, _warm_table)
+# Adaptive trust-region alpha vs fixed alpha in the linearised delta-step.
+delta_step_ablation = _family_runner("ablation_delta_step", _delta_jobs, _delta_table)
+# Memory-level cost of executing the l0 vs l2 modification.
+hardware_cost = _family_runner("ablation_hardware_cost", _hardware_jobs, _hardware_table)
 
 
 def build_campaign(
@@ -441,60 +325,25 @@ def build_campaign(
     rhos=_DEFAULT_RHOS,
 ) -> Campaign:
     """Declare every ablation row as one combined campaign."""
-    rhos = tuple(float(rho) for rho in rhos)
     jobs = (
         _rho_jobs(scale, seed, dataset, rhos)
         + _warm_jobs(scale, seed, dataset)
         + _delta_jobs(scale, seed, dataset)
         + _hardware_jobs(scale, seed, dataset)
     )
-    return Campaign(
-        name="ablations",
-        scale=scale,
-        seed=seed,
-        jobs=tuple(jobs),
-        metadata={"dataset": dataset, "rhos": rhos},
-    )
+    return Campaign(name="ablations", scale=scale, seed=seed, jobs=tuple(jobs))
 
 
 def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     """Merge the per-family ablation tables into a single wide table."""
-    scale, seed = campaign.scale, campaign.seed
-    dataset = campaign.metadata["dataset"]
-    rhos = campaign.metadata["rhos"]
-    tables = [
-        _rho_table(scale, seed, dataset, rhos, results),
-        _warm_table(scale, seed, dataset, results),
-        _delta_table(scale, seed, dataset, results),
-        _hardware_table(scale, seed, dataset, results),
-    ]
     merged = Table(title="Ablation studies", columns=["ablation", "row"])
-    for table in tables:
+    for table_builder in (_rho_table, _warm_table, _delta_table, _hardware_table):
+        table = table_builder(campaign, results)
         for row in table.rows:
             merged.add_row(table.title, " | ".join(str(v) for v in row))
         merged.notes.extend(table.notes)
     return merged
 
 
-def run(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    dataset: str = "mnist_like",
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Run every ablation and merge the results into a single wide table."""
-    return run_experiment(
-        build_campaign,
-        assemble,
-        scale,
-        registry=registry,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-        dataset=dataset,
-    )
+# Run every ablation and merge the results into a single wide table.
+run = functools.partial(run_experiment, build_campaign, assemble)

@@ -10,6 +10,8 @@ attack success and the accuracy drop.
 
 from __future__ import annotations
 
+import functools
+
 from repro.analysis.evaluation import evaluate_attack_result
 from repro.analysis.reporting import Table
 from repro.attacks.targets import make_attack_plan
@@ -32,18 +34,6 @@ from repro.experiments.common import (
 from repro.zoo.registry import ModelRegistry
 
 __all__ = ["run", "build_campaign", "assemble"]
-
-
-def _cell(dataset: str, scale: str, seed: int, attack: str, num_images: int) -> JobSpec:
-    return JobSpec.make(
-        "baseline-attack",
-        dataset=dataset,
-        scale=scale,
-        seed=int(seed),
-        attack=attack,
-        num_images=int(num_images),
-        plan_seed=int(seed + 17),
-    )
 
 
 @register_job("baseline-attack")
@@ -93,26 +83,26 @@ def build_campaign(
     datasets: tuple[str, ...] = ("mnist_like", "cifar_like"),
 ) -> Campaign:
     """Declare one job per (dataset, attack) cell of the §5.4 comparison."""
-    setting = get_setting(scale)
-    num_images = s1_num_images(setting)
+    num_images = s1_num_images(get_setting(scale))
     jobs = [
-        _cell(dataset, scale, seed, attack, num_images)
+        JobSpec.make(
+            "baseline-attack",
+            dataset=dataset,
+            scale=scale,
+            seed=int(seed),
+            attack=attack,
+            num_images=int(num_images),
+            plan_seed=int(seed + 17),
+        )
         for dataset in datasets
         for attack, _ in S1_BASELINE_ATTACKS
     ]
-    return Campaign(
-        name="baseline_comparison",
-        scale=scale,
-        seed=seed,
-        jobs=tuple(jobs),
-        metadata={"datasets": tuple(datasets)},
-    )
+    return Campaign(name="baseline_comparison", scale=scale, seed=seed, jobs=tuple(jobs))
 
 
 def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     """Turn the per-attack metrics into the §5.4 comparison table."""
-    setting = get_setting(campaign.scale)
-    num_images = s1_num_images(setting)
+    labels = dict(S1_BASELINE_ATTACKS)
     table = Table(
         title="Baseline comparison: accuracy loss when misclassifying one image (S=1)",
         columns=[
@@ -127,21 +117,17 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
         ],
     )
 
-    for dataset in campaign.metadata["datasets"]:
-        for attack, label in S1_BASELINE_ATTACKS:
-            metrics = results.metrics_for(
-                _cell(dataset, campaign.scale, campaign.seed, attack, num_images)
-            )
-            table.add_row(
-                dataset,
-                label,
-                format_cell_int(metrics["l0"]),
-                metrics["l2"],
-                metrics["success"],
-                metrics["clean_accuracy"],
-                metrics["attacked_accuracy"],
-                100.0 * (metrics["clean_accuracy"] - metrics["attacked_accuracy"]),
-            )
+    for params, metrics in results.cells():
+        table.add_row(
+            params["dataset"],
+            labels[params["attack"]],
+            format_cell_int(metrics["l0"]),
+            metrics["l2"],
+            metrics["success"],
+            metrics["clean_accuracy"],
+            metrics["attacked_accuracy"],
+            100.0 * (metrics["clean_accuracy"] - metrics["attacked_accuracy"]),
+        )
 
     table.add_note(
         "Paper reference: fault sneaking loses 0.8 pts (MNIST) / 1.0 pts (CIFAR); "
@@ -153,25 +139,5 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     return table
 
 
-def run(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    datasets: tuple[str, ...] = ("mnist_like", "cifar_like"),
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Reproduce the §5.4 accuracy-loss comparison."""
-    return run_experiment(
-        build_campaign,
-        assemble,
-        scale,
-        registry=registry,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-        datasets=datasets,
-    )
+# Reproduce the §5.4 accuracy-loss comparison.
+run = functools.partial(run_experiment, build_campaign, assemble)

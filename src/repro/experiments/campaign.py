@@ -552,6 +552,18 @@ class CampaignResult:
         """Return the metric dictionary of one cell."""
         return self.result_for(spec).metrics
 
+    def cells(self, kind: str | None = None) -> Iterator[tuple[dict[str, Any], dict[str, float]]]:
+        """Yield ``(params, metrics)`` per job, in declaration order.
+
+        This is how ``assemble`` reads a campaign: each cell's parameters
+        come from the job itself, so a table can never look up a cell the
+        campaign did not declare.  ``kind`` restricts the walk to one job
+        kind (for campaigns that mix several).
+        """
+        for spec in self.campaign.jobs:
+            if kind is None or spec.kind == kind:
+                yield spec.param_dict(), self.metrics_for(spec)
+
     def manifest(self) -> dict[str, Any]:
         """Structured JSON-serialisable record of the run."""
         by_key = {spec.key: spec for spec in self.campaign.jobs}
@@ -813,10 +825,11 @@ def run_experiment(
 ) -> Any:
     """Build, run and assemble one experiment campaign (driver entry point).
 
-    This is the shared implementation behind every driver's ``run``: the
-    module's grid builder declares the cells, the engine executes them, and
-    the module's ``assemble`` turns the per-cell metrics into the paper's
-    table.
+    Every driver's ``run`` is this function with the module's own pair bound
+    (``functools.partial(run_experiment, build_campaign, assemble)``): the
+    grid builder declares the cells, the engine executes them, and
+    ``assemble`` turns the per-cell metrics into the paper's table.  Keyword
+    arguments other than the execution options go to ``build_campaign``.
     """
     campaign = build_campaign(scale, seed=seed, **kwargs)
     store = ArtifactStore(artifact_dir) if artifact_dir is not None else None

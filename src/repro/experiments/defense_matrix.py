@@ -25,6 +25,8 @@ byte-identical to the serial run.
 
 from __future__ import annotations
 
+import functools
+
 from repro.analysis.reporting import (
     DEFENSE_COLUMNS,
     STOCHASTIC_COST_COLUMNS,
@@ -42,11 +44,10 @@ from repro.experiments.campaign import (
     run_experiment,
 )
 from repro.experiments.common import get_setting
-from repro.experiments.hardware_cost import _num_images, lowered_cell
+from repro.experiments.hardware_cost import _num_images, _scheme_params, lowered_cell
 from repro.hardware.device import get_pattern, get_profile
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import derive_seed
-from repro.zoo.registry import ModelRegistry
 
 __all__ = [
     "run",
@@ -98,43 +99,6 @@ DEFAULT_TRIALS = 3
 # The matrix runs on one storage format; the storage axis belongs to
 # hardware_cost.  float32 is the deployment format the paper evaluates.
 _STORAGE = "float32"
-
-
-def _cell(
-    dataset: str,
-    scale: str,
-    seed: int,
-    s: int,
-    r: int,
-    attacker: str,
-    defense: str,
-    budget: str,
-    trials: int,
-    flip_seed: int,
-    variance_reduction: str = "independent",
-    env_drift: float = 0.0,
-) -> JobSpec:
-    # Same key discipline as hardware_cost: non-default scheme/drift only.
-    extra: dict = {}
-    if variance_reduction != "independent":
-        extra["variance_reduction"] = variance_reduction
-    if env_drift != 0.0:
-        extra["env_drift"] = float(env_drift)
-    return JobSpec.make(
-        "defense-matrix-cell",
-        dataset=dataset,
-        scale=scale,
-        seed=int(seed),
-        s=int(s),
-        r=int(r),
-        attacker=attacker,
-        defense=defense,
-        budget=budget,
-        plan_seed=int(seed),
-        trials=int(trials),
-        flip_seed=int(flip_seed),
-        **extra,
-    )
 
 
 @register_job("defense-matrix-cell")
@@ -197,9 +161,20 @@ def build_campaign(
     setting = get_setting(scale)
     r = _num_images(setting)
     jobs = [
-        _cell(
-            dataset, scale, seed, s, r, attacker, defense, budget,
-            trials, flip_seed, variance_reduction, env_drift,
+        JobSpec.make(
+            "defense-matrix-cell",
+            dataset=dataset,
+            scale=scale,
+            seed=int(seed),
+            s=int(s),
+            r=int(r),
+            attacker=attacker,
+            defense=defense,
+            budget=budget,
+            plan_seed=int(seed),
+            trials=int(trials),
+            flip_seed=int(flip_seed),
+            **_scheme_params(variance_reduction, env_drift),
         )
         for attacker in attackers
         for defense in defenses
@@ -216,10 +191,6 @@ def build_campaign(
             "dataset": dataset,
             "attackers": tuple(attackers),
             "defenses": tuple(defenses),
-            "budgets": tuple(budgets),
-            "trials": int(trials),
-            "flip_seed": int(flip_seed),
-            "variance_reduction": variance_reduction,
             "env_drift": float(env_drift),
         },
     )
@@ -227,20 +198,14 @@ def build_campaign(
 
 def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     """Turn the per-cell metrics into the arms-race matrix."""
-    setting = get_setting(campaign.scale)
-    dataset = campaign.metadata["dataset"]
     attackers = campaign.metadata["attackers"]
     defenses = campaign.metadata["defenses"]
-    budgets = campaign.metadata["budgets"]
-    trials = campaign.metadata["trials"]
-    flip_seed = campaign.metadata.get("flip_seed", 0)
-    variance_reduction = campaign.metadata.get("variance_reduction", "independent")
-    env_drift = campaign.metadata.get("env_drift", 0.0)
-    r = _num_images(setting)
+    env_drift = campaign.metadata["env_drift"]
     table = Table(
         title=(
             f"Arms race: attacker profile × defense × flip budget "
-            f"({dataset}, {_STORAGE}, R={r})"
+            f"({campaign.metadata['dataset']}, {_STORAGE}, "
+            f"R={_num_images(get_setting(campaign.scale))})"
         ),
         columns=[
             "attacker",
@@ -254,40 +219,18 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
             *DEFENSE_COLUMNS,
         ],
     )
-    for attacker in attackers:
-        profile, pattern = ATTACKER_PROFILES[attacker]
-        for defense in defenses:
-            for budget in budgets:
-                for s in setting.hardware_s_values:
-                    if s > r:
-                        continue
-                    metrics = results.metrics_for(
-                        _cell(
-                            dataset,
-                            campaign.scale,
-                            campaign.seed,
-                            s,
-                            r,
-                            attacker,
-                            defense,
-                            budget,
-                            trials,
-                            flip_seed,
-                            variance_reduction,
-                            env_drift,
-                        )
-                    )
-                    table.add_row(
-                        attacker,
-                        profile,
-                        pattern,
-                        defense,
-                        budget,
-                        s,
-                        metrics["bit_true_success"],
-                        *stochastic_cost_cells(metrics),
-                        *defense_cells(metrics),
-                    )
+    for params, metrics in results.cells():
+        attacker = params["attacker"]
+        table.add_row(
+            attacker,
+            *ATTACKER_PROFILES[attacker],
+            params["defense"],
+            params["budget"],
+            params["s"],
+            metrics["bit_true_success"],
+            *stochastic_cost_cells(metrics),
+            *defense_cells(metrics),
+        )
     table.add_note(
         "evasion rate = fraction of trials where the attack's hammer_seconds "
         "elapse before the defense first flags it (± 95% binomial CI); "
@@ -320,39 +263,5 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     return table
 
 
-def run(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    dataset: str = "mnist_like",
-    attackers: tuple[str, ...] = DEFAULT_ATTACKERS,
-    defenses: tuple[str, ...] = DEFAULT_DEFENSES,
-    budgets: tuple[str, ...] = DEFAULT_BUDGETS,
-    trials: int = DEFAULT_TRIALS,
-    flip_seed: int = 0,
-    variance_reduction: str = "independent",
-    env_drift: float = 0.0,
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Run the attacker × defense × budget matrix and return its table."""
-    return run_experiment(
-        build_campaign,
-        assemble,
-        scale,
-        registry=registry,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-        dataset=dataset,
-        attackers=attackers,
-        defenses=defenses,
-        budgets=budgets,
-        trials=trials,
-        flip_seed=flip_seed,
-        variance_reduction=variance_reduction,
-        env_drift=env_drift,
-    )
+# Run the attacker × defense × budget matrix and return its table.
+run = functools.partial(run_experiment, build_campaign, assemble)

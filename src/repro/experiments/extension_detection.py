@@ -18,6 +18,7 @@ the same S = 1 misclassification requirement.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from repro.defenses import detection_report
@@ -43,18 +44,6 @@ from repro.experiments.common import (
 from repro.zoo.registry import ModelRegistry
 
 __all__ = ["run", "build_campaign", "assemble"]
-
-
-def _cell(dataset: str, scale: str, seed: int, attack: str, num_images: int) -> JobSpec:
-    return JobSpec.make(
-        "detection-attack",
-        dataset=dataset,
-        scale=scale,
-        seed=int(seed),
-        attack=attack,
-        num_images=int(num_images),
-        plan_seed=int(seed + 17),
-    )
 
 
 @register_job("detection-attack")
@@ -105,9 +94,19 @@ def build_campaign(
     scale: str = "ci", *, seed: int = 0, dataset: str = "mnist_like"
 ) -> Campaign:
     """Declare one job per attack of the detectability comparison."""
-    setting = get_setting(scale)
-    num_images = s1_num_images(setting)
-    jobs = [_cell(dataset, scale, seed, attack, num_images) for attack, _ in S1_BASELINE_ATTACKS]
+    num_images = s1_num_images(get_setting(scale))
+    jobs = [
+        JobSpec.make(
+            "detection-attack",
+            dataset=dataset,
+            scale=scale,
+            seed=int(seed),
+            attack=attack,
+            num_images=int(num_images),
+            plan_seed=int(seed + 17),
+        )
+        for attack, _ in S1_BASELINE_ATTACKS
+    ]
     return Campaign(
         name="extension_detection",
         scale=scale,
@@ -119,12 +118,9 @@ def build_campaign(
 
 def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     """Turn the per-attack metrics into the detectability table."""
-    setting = get_setting(campaign.scale)
-    dataset = campaign.metadata["dataset"]
-    num_images = s1_num_images(setting)
-
+    labels = dict(S1_BASELINE_ATTACKS)
     table = Table(
-        title=f"Extension: detectability of the S=1 attacks ({dataset})",
+        title=f"Extension: detectability of the S=1 attacks ({campaign.metadata['dataset']})",
         columns=[
             "attack",
             "modified params",
@@ -136,13 +132,10 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
             "audit detection @10%",
         ],
     )
-    for attack, label in S1_BASELINE_ATTACKS:
-        metrics = results.metrics_for(
-            _cell(dataset, campaign.scale, campaign.seed, attack, num_images)
-        )
+    for params, metrics in results.cells():
         probes_needed = metrics["probes_needed_95"]
         table.add_row(
-            label,
+            labels[params["attack"]],
             format_cell_int(metrics["l0"]),
             metrics["attacked_accuracy"],
             metrics["probe_detection_at_100"],
@@ -166,25 +159,5 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     return table
 
 
-def run(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    dataset: str = "mnist_like",
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Run the detectability extension experiment and return its table."""
-    return run_experiment(
-        build_campaign,
-        assemble,
-        scale,
-        registry=registry,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-        dataset=dataset,
-    )
+# Run the detectability extension experiment and return its table.
+run = functools.partial(run_experiment, build_campaign, assemble)

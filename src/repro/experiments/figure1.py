@@ -8,6 +8,8 @@ harness prints it, and the values can be plotted directly if desired.
 
 from __future__ import annotations
 
+import functools
+
 from repro.analysis.plotting import ascii_line_chart
 from repro.analysis.reporting import Table
 from repro.experiments.campaign import (
@@ -17,13 +19,8 @@ from repro.experiments.campaign import (
     run_experiment,
 )
 from repro.experiments.common import get_setting, sweep_cell_spec, usable_r_values
-from repro.zoo.registry import ModelRegistry
 
-__all__ = ["run", "run_for_dataset", "build_campaign", "assemble"]
-
-
-def _cell(dataset: str, scale: str, seed: int, s: int, r: int):
-    return sweep_cell_spec(dataset=dataset, scale=scale, seed=seed, s=s, r=r, norm="l0")
+__all__ = ["run", "build_campaign", "assemble"]
 
 
 def build_campaign_for_dataset(
@@ -32,7 +29,7 @@ def build_campaign_for_dataset(
     """Declare the shared Figure 1/2 sweep grid for one dataset."""
     setting = get_setting(scale)
     jobs = [
-        _cell(dataset, scale, seed, s, r)
+        sweep_cell_spec(dataset=dataset, scale=scale, seed=seed, s=s, r=r, norm="l0")
         for r in usable_r_values(setting)
         for s in setting.s_values
         if s <= r
@@ -53,12 +50,11 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     figure_name = campaign.metadata["figure_name"]
     s_values = setting.s_values
     r_values = usable_r_values(setting)
-
-    def cell_l0(s: int, r: int):
-        if s > r:
-            return None
-        metrics = results.metrics_for(_cell(dataset, campaign.scale, campaign.seed, s, r))
-        return format_cell_int(metrics["l0"])
+    # Cells with S > R are not in the grid: they read as None ("-").
+    l0 = {
+        (params["r"], params["s"]): format_cell_int(metrics["l0"])
+        for params, metrics in results.cells()
+    }
 
     columns = ["R"] + [f"l0 (S={s})" for s in s_values]
     table = Table(
@@ -66,16 +62,12 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
         columns=columns,
     )
     for r in r_values:
-        row = [r]
-        for s in s_values:
-            l0 = cell_l0(s, r)
-            row.append(l0 if l0 is not None else "-")
-        table.add_row(*row)
+        table.add_row(r, *(l0.get((r, s), "-") for s in s_values))
     table.add_note(
         "Expected shape: for fixed R the l0 norm increases with S; for small S the "
         "norm tends to shrink as R grows (a more constrained model needs fewer changes)."
     )
-    series = {f"R={r}": [cell_l0(s, r) for s in s_values] for r in r_values}
+    series = {f"R={r}": [l0.get((r, s)) for s in s_values] for r in r_values}
     table.add_note(
         "\n"
         + ascii_line_chart(
@@ -85,56 +77,10 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     return table
 
 
-def run_for_dataset(
-    dataset: str,
-    figure_name: str,
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Shared implementation for Figures 1 and 2 (they differ only in dataset)."""
-
-    def build(scale, *, seed):
-        return build_campaign_for_dataset(dataset, figure_name, scale, seed=seed)
-
-    return run_experiment(
-        build,
-        assemble,
-        scale,
-        registry=registry,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-    )
-
-
 def build_campaign(scale: str = "ci", *, seed: int = 0) -> Campaign:
     """Declare the Figure 1 (MNIST-like) campaign."""
     return build_campaign_for_dataset("mnist_like", "Figure 1", scale, seed=seed)
 
 
-def run(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Reproduce Figure 1 (MNIST-like dataset)."""
-    return run_for_dataset(
-        "mnist_like",
-        "Figure 1",
-        scale,
-        registry=registry,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-    )
+# Reproduce Figure 1 (MNIST-like dataset).
+run = functools.partial(run_experiment, build_campaign, assemble)

@@ -5,14 +5,10 @@ Identical protocol to Figure 1, run on the CIFAR-like dataset/model.
 
 from __future__ import annotations
 
-from repro.analysis.reporting import Table
-from repro.experiments.campaign import Campaign
-from repro.experiments.figure1 import (
-    assemble,
-    build_campaign_for_dataset,
-    run_for_dataset,
-)
-from repro.zoo.registry import ModelRegistry
+import functools
+
+from repro.experiments.campaign import Campaign, run_experiment
+from repro.experiments.figure1 import assemble, build_campaign_for_dataset
 
 __all__ = ["run", "build_campaign", "assemble"]
 
@@ -22,23 +18,5 @@ def build_campaign(scale: str = "ci", *, seed: int = 0) -> Campaign:
     return build_campaign_for_dataset("cifar_like", "Figure 2", scale, seed=seed)
 
 
-def run(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Reproduce Figure 2 (CIFAR-like dataset)."""
-    return run_for_dataset(
-        "cifar_like",
-        "Figure 2",
-        scale,
-        registry=registry,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-    )
+# Reproduce Figure 2 (CIFAR-like dataset).
+run = functools.partial(run_experiment, build_campaign, assemble)

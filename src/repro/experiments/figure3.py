@@ -8,6 +8,8 @@ successfully injected faults saturates near that tolerance.
 
 from __future__ import annotations
 
+import functools
+
 from repro.analysis.plotting import ascii_line_chart
 from repro.analysis.reporting import Table
 from repro.attacks.fault_sneaking import FaultSneakingAttack
@@ -35,18 +37,6 @@ __all__ = ["run", "build_campaign", "assemble"]
 def _num_images(setting) -> int:
     requested = max(setting.tolerance_r, max(setting.tolerance_s_values))
     return min(requested, anchor_pool_size(setting))
-
-
-def _cell(dataset: str, scale: str, seed: int, s: int, num_images: int) -> JobSpec:
-    return JobSpec.make(
-        "tolerance-cell",
-        dataset=dataset,
-        scale=scale,
-        seed=int(seed),
-        s=int(s),
-        num_images=int(num_images),
-        plan_seed=int(seed),
-    )
 
 
 @register_job("tolerance-cell")
@@ -84,51 +74,45 @@ def build_campaign(
     setting = get_setting(scale)
     num_images = _num_images(setting)
     jobs = [
-        _cell(dataset, scale, seed, s, num_images)
+        JobSpec.make(
+            "tolerance-cell",
+            dataset=dataset,
+            scale=scale,
+            seed=int(seed),
+            s=int(s),
+            num_images=int(num_images),
+            plan_seed=int(seed),
+        )
         for dataset in datasets
         for s in setting.tolerance_s_values
     ]
-    return Campaign(
-        name="figure3",
-        scale=scale,
-        seed=seed,
-        jobs=tuple(jobs),
-        metadata={"datasets": tuple(datasets)},
-    )
+    return Campaign(name="figure3", scale=scale, seed=seed, jobs=tuple(jobs))
 
 
 def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     """Turn the per-point metrics into the Figure 3 table and chart."""
-    setting = get_setting(campaign.scale)
-    s_values = list(setting.tolerance_s_values)
-    num_images = _num_images(setting)
-
     table = Table(
         title="Figure 3: fault sneaking attack success rate vs S",
         columns=["dataset", "S", "success rate", "successful faults", "keep rate", "l0"],
     )
     success_series: dict[str, list[float]] = {}
-    for dataset in campaign.metadata["datasets"]:
-        rates = []
-        faults = []
-        for s in s_values:
-            metrics = results.metrics_for(
-                _cell(dataset, campaign.scale, campaign.seed, s, num_images)
-            )
-            rates.append(metrics["success_rate"])
-            faults.append(format_cell_int(metrics["successful_faults"]))
-            table.add_row(
-                dataset,
-                s,
-                metrics["success_rate"],
-                format_cell_int(metrics["successful_faults"]),
-                metrics["keep_rate"],
-                format_cell_int(metrics["l0"]),
-            )
-        success_series[dataset] = rates
-        tolerance = max(faults) if faults else 0
+    faults: dict[str, list[int]] = {}
+    for params, metrics in results.cells():
+        dataset = params["dataset"]
+        successful = format_cell_int(metrics["successful_faults"])
+        success_series.setdefault(dataset, []).append(metrics["success_rate"])
+        faults.setdefault(dataset, []).append(successful)
+        table.add_row(
+            dataset,
+            params["s"],
+            metrics["success_rate"],
+            successful,
+            metrics["keep_rate"],
+            format_cell_int(metrics["l0"]),
+        )
+    for dataset, counts in faults.items():
         table.add_note(
-            f"{dataset}: observed fault tolerance (max successful faults) = {tolerance}"
+            f"{dataset}: observed fault tolerance (max successful faults) = {max(counts)}"
         )
     table.add_note(
         "Paper reference: success rate stays ~100% for S < 10 and drops beyond; the "
@@ -137,7 +121,7 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     table.add_note(
         "\n"
         + ascii_line_chart(
-            s_values,
+            list(get_setting(campaign.scale).tolerance_s_values),
             success_series,
             title="Figure 3: success rate vs S",
             y_label="rate",
@@ -146,25 +130,5 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     return table
 
 
-def run(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    datasets: tuple[str, ...] = ("mnist_like", "cifar_like"),
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Reproduce Figure 3 and return it as a :class:`Table`."""
-    return run_experiment(
-        build_campaign,
-        assemble,
-        scale,
-        registry=registry,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-        datasets=datasets,
-    )
+# Reproduce Figure 3 and return it as a :class:`Table`.
+run = functools.partial(run_experiment, build_campaign, assemble)

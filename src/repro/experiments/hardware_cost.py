@@ -32,6 +32,7 @@ Each cell is an independent campaign job, so the grid parallelises under
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,45 +127,19 @@ def _num_images(setting) -> int:
     return min(_R, anchor_pool_size(setting))
 
 
-def _cell(
-    dataset: str,
-    scale: str,
-    seed: int,
-    s: int,
-    r: int,
-    storage: str,
-    profile: str,
-    budget: str,
-    pattern: str,
-    trials: int,
-    flip_seed: int,
-    variance_reduction: str = "independent",
-    env_drift: float = 0.0,
-) -> JobSpec:
-    # The scheme and the drift enter the spec only when they differ from the
-    # historical defaults, so every pre-existing artifact key (and golden
-    # manifest) stays byte-identical for nominal "independent" campaigns.
-    extra: dict = {}
+def _scheme_params(variance_reduction: str, env_drift: float) -> dict:
+    """Cell parameters for a non-default trial scheme and drift.
+
+    The scheme and the drift enter a cell's spec only when they differ from
+    the historical defaults, so every pre-existing artifact key (and golden
+    manifest) stays byte-identical for nominal "independent" campaigns.
+    """
+    params: dict = {}
     if variance_reduction != "independent":
-        extra["variance_reduction"] = variance_reduction
+        params["variance_reduction"] = variance_reduction
     if env_drift != 0.0:
-        extra["env_drift"] = float(env_drift)
-    return JobSpec.make(
-        "hardware-cost-cell",
-        dataset=dataset,
-        scale=scale,
-        seed=int(seed),
-        s=int(s),
-        r=int(r),
-        storage=storage,
-        profile=profile,
-        budget=budget,
-        pattern=pattern,
-        plan_seed=int(seed),
-        trials=int(trials),
-        flip_seed=int(flip_seed),
-        **extra,
-    )
+        params["env_drift"] = float(env_drift)
+    return params
 
 
 @dataclass
@@ -385,9 +360,21 @@ def build_campaign(
     setting = get_setting(scale)
     r = _num_images(setting)
     jobs = [
-        _cell(
-            dataset, scale, seed, s, r, storage, profile, budget, pattern,
-            trials, flip_seed, variance_reduction, env_drift,
+        JobSpec.make(
+            "hardware-cost-cell",
+            dataset=dataset,
+            scale=scale,
+            seed=int(seed),
+            s=int(s),
+            r=int(r),
+            storage=storage,
+            profile=profile,
+            budget=budget,
+            pattern=pattern,
+            plan_seed=int(seed),
+            trials=int(trials),
+            flip_seed=int(flip_seed),
+            **_scheme_params(variance_reduction, env_drift),
         )
         for storage in storages
         for profile in profiles
@@ -403,12 +390,10 @@ def build_campaign(
         jobs=tuple(jobs),
         metadata={
             "dataset": dataset,
-            "storages": tuple(storages),
             "profiles": tuple(profiles),
             "patterns": tuple(patterns),
             "trials": int(trials),
             "flip_seed": int(flip_seed),
-            "variance_reduction": variance_reduction,
             "env_drift": float(env_drift),
         },
     )
@@ -416,19 +401,16 @@ def build_campaign(
 
 def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     """Turn the per-cell metrics into the hardware-cost table."""
-    setting = get_setting(campaign.scale)
-    dataset = campaign.metadata["dataset"]
     profiles = campaign.metadata["profiles"]
-    patterns = campaign.metadata.get("patterns", DEFAULT_PATTERNS)
-    trials = campaign.metadata.get("trials", 0)
-    flip_seed = campaign.metadata.get("flip_seed", 0)
-    variance_reduction = campaign.metadata.get("variance_reduction", "independent")
-    env_drift = campaign.metadata.get("env_drift", 0.0)
-    r = _num_images(setting)
+    patterns = campaign.metadata["patterns"]
+    trials = campaign.metadata["trials"]
+    flip_seed = campaign.metadata["flip_seed"]
+    env_drift = campaign.metadata["env_drift"]
     table = Table(
         title=(
             f"Bit-true hardware cost per storage format, device profile, "
-            f"budget and hammer pattern ({dataset}, R={r})"
+            f"budget and hammer pattern ({campaign.metadata['dataset']}, "
+            f"R={_num_images(get_setting(campaign.scale))})"
         ),
         columns=[
             "storage",
@@ -444,43 +426,20 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
             *STOCHASTIC_COST_COLUMNS,
         ],
     )
-    for storage in campaign.metadata["storages"]:
-        for profile in profiles:
-            for budget in BUDGET_LEVELS:
-                for pattern in patterns:
-                    for s in setting.hardware_s_values:
-                        if s > r:
-                            continue
-                        metrics = results.metrics_for(
-                            _cell(
-                                dataset,
-                                campaign.scale,
-                                campaign.seed,
-                                s,
-                                r,
-                                storage,
-                                profile,
-                                budget,
-                                pattern,
-                                trials,
-                                flip_seed,
-                                variance_reduction,
-                                env_drift,
-                            )
-                        )
-                        table.add_row(
-                            storage,
-                            profile,
-                            budget,
-                            pattern,
-                            s,
-                            format_cell_int(metrics["l0"]),
-                            metrics["solver_success"],
-                            *bit_cost_cells(metrics),
-                            *device_cost_cells(metrics),
-                            *hammer_cost_cells(metrics),
-                            *stochastic_cost_cells(metrics),
-                        )
+    for params, metrics in results.cells():
+        table.add_row(
+            params["storage"],
+            params["profile"],
+            params["budget"],
+            params["pattern"],
+            params["s"],
+            format_cell_int(metrics["l0"]),
+            metrics["solver_success"],
+            *bit_cost_cells(metrics),
+            *device_cost_cells(metrics),
+            *hammer_cost_cells(metrics),
+            *stochastic_cost_cells(metrics),
+        )
     table.add_note(
         "bit-true rates are re-measured on the model rebuilt from the flipped "
         "memory words after template/ECC-aware repair; the solver rate is the "
@@ -531,39 +490,5 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     return table
 
 
-def run(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    dataset: str = "mnist_like",
-    storages: tuple[str, ...] = STORAGE_FORMATS,
-    profiles: tuple[str, ...] = DEFAULT_PROFILES,
-    patterns: tuple[str, ...] = DEFAULT_PATTERNS,
-    trials: int = DEFAULT_TRIALS,
-    flip_seed: int = 0,
-    variance_reduction: str = "independent",
-    env_drift: float = 0.0,
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Run the bit-true hardware-cost sweep and return its table."""
-    return run_experiment(
-        build_campaign,
-        assemble,
-        scale,
-        registry=registry,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-        dataset=dataset,
-        storages=storages,
-        profiles=profiles,
-        patterns=patterns,
-        trials=trials,
-        flip_seed=flip_seed,
-        variance_reduction=variance_reduction,
-        env_drift=env_drift,
-    )
+# Run the bit-true hardware-cost sweep and return its table.
+run = functools.partial(run_experiment, build_campaign, assemble)

@@ -70,10 +70,11 @@ dashboard (``python -m repro.experiments.dashboard``)::
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
-from repro.experiments import CAMPAIGNS
+from repro.experiments import EXPERIMENTS
 from repro.experiments.campaign import (
     EXECUTOR_BACKENDS,
     ArtifactStore,
@@ -94,6 +95,20 @@ from repro.utils.logging import set_verbosity
 
 __all__ = ["main", "build_parser"]
 
+# Campaign options: CLI destination -> the ``build_campaign`` keyword it sets.
+# Each reaches every selected experiment whose ``build_campaign`` takes that
+# keyword; an option none of them takes is a usage error.
+_CAMPAIGN_OPTIONS = {
+    "profile": "profiles",
+    "hammer_pattern": "patterns",
+    "trials": "trials",
+    "flip_seed": "flip_seed",
+    "variance_reduction": "variance_reduction",
+    "env_drift": "env_drift",
+    "attacker": "attackers",
+    "defense": "defenses",
+}
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -111,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         nargs="?",
-        choices=sorted(CAMPAIGNS) + ["all"],
+        choices=sorted(EXPERIMENTS) + ["all"],
         help="which experiment to run ('all' runs every table and figure)",
     )
     parser.add_argument(
@@ -179,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         default=None,
         help="device profile for the hardware_cost grid (repeatable; default: "
-        "the experiment's built-in pair)",
+        "the experiment's built-in pair).  Like every campaign option below, "
+        "it is rejected when no selected experiment takes it",
     )
     parser.add_argument(
         "--hammer-pattern",
@@ -197,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="Monte-Carlo executions per hardware_cost or defense_matrix cell "
         "(default: the experiment's built-in count; 0 disables the stochastic "
-        "columns of hardware_cost, and defense_matrix needs at least 1)",
+        "columns of hardware_cost, and defense_matrix needs at least 1).  "
+        "Rejected when no selected experiment takes it",
     )
     parser.add_argument(
         "--flip-seed",
@@ -233,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         default=None,
         help="attacker profile for the defense_matrix grid (repeatable; "
-        "default: all named attackers)",
+        "default: all named attackers; rejected when defense_matrix is not "
+        "selected)",
     )
     parser.add_argument(
         "--defense",
@@ -378,34 +396,29 @@ def main(argv: list[str] | None = None) -> int:
     if args.telemetry_port is not None and args.telemetry_port < 0:
         parser.error(f"--telemetry-port must be >= 0, got {args.telemetry_port}")
 
-    names = sorted(CAMPAIGNS) if args.experiment == "all" else [args.experiment]
+    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    accepted = {
+        name: inspect.signature(EXPERIMENTS[name].build_campaign).parameters for name in names
+    }
+    options = {}
+    for dest, keyword in _CAMPAIGN_OPTIONS.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if not any(keyword in accepted[name] for name in names):
+            flag = "--" + dest.replace("_", "-")
+            parser.error(f"{flag} is not an option of {args.experiment}")
+        options[keyword] = tuple(value) if isinstance(value, list) else value
+
+    # Every selected campaign is declared before the first one runs, so a bad
+    # option fails the command without running anything.
     campaigns = {}
     for name in names:
-        build_campaign, _ = CAMPAIGNS[name]
-        extra = {}
-        if args.profile and name == "hardware_cost":
-            extra["profiles"] = tuple(args.profile)
-        if args.hammer_pattern and name == "hardware_cost":
-            extra["patterns"] = tuple(args.hammer_pattern)
-        if args.trials is not None and name in ("hardware_cost", "defense_matrix"):
-            extra["trials"] = args.trials
-        if args.flip_seed is not None and name in ("hardware_cost", "defense_matrix"):
-            extra["flip_seed"] = args.flip_seed
-        if args.variance_reduction is not None and name in (
-            "hardware_cost",
-            "defense_matrix",
-        ):
-            extra["variance_reduction"] = args.variance_reduction
-        if args.env_drift is not None and name in ("hardware_cost", "defense_matrix"):
-            extra["env_drift"] = args.env_drift
-        if args.attacker and name == "defense_matrix":
-            extra["attackers"] = tuple(args.attacker)
-        if args.defense and name == "defense_matrix":
-            extra["defenses"] = tuple(args.defense)
-        # Every selected campaign is declared before the first one runs, so
-        # a bad option fails the command without running anything.
+        extra = {key: value for key, value in options.items() if key in accepted[name]}
         try:
-            campaigns[name] = build_campaign(args.scale, seed=args.seed, **extra)
+            campaigns[name] = EXPERIMENTS[name].build_campaign(
+                args.scale, seed=args.seed, **extra
+            )
         except ConfigurationError as exc:
             parser.error(f"{name}: {exc}")
 
@@ -447,11 +460,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for name, campaign in campaigns.items():
             started = wall_clock()
-            _, assemble = CAMPAIGNS[name]
             result = run_campaign(
                 campaign, jobs=args.jobs, executor=executor, store=store, fuse=args.fuse
             )
-            table = assemble(campaign, result)
+            table = EXPERIMENTS[name].assemble(campaign, result)
             elapsed = wall_clock() - started
             stats = result.stats
             print(table.render(args.format))

@@ -9,6 +9,8 @@ most directly.  This driver reproduces the same rows for the MNIST-like model.
 
 from __future__ import annotations
 
+import functools
+
 from repro.analysis.reporting import Table
 from repro.attacks.fault_sneaking import FaultSneakingAttack
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
@@ -28,18 +30,6 @@ __all__ = ["run", "build_campaign", "assemble", "ATTACKED_LAYERS"]
 
 # The three FC layers of the benchmark architectures, first to last.
 ATTACKED_LAYERS = ("fc1", "fc2", "fc_logits")
-
-
-def _cell(dataset: str, scale: str, seed: int, layer: str, s: int) -> JobSpec:
-    return JobSpec.make(
-        "layer-attack",
-        dataset=dataset,
-        scale=scale,
-        seed=int(seed),
-        layer=layer,
-        s=int(s),
-        plan_seed=int(seed + s),
-    )
 
 
 @register_job("layer-attack")
@@ -73,7 +63,15 @@ def build_campaign(
     """Declare one job per (layer, S) cell of Table 1."""
     setting = get_setting(scale)
     jobs = [
-        _cell(dataset, scale, seed, layer, s)
+        JobSpec.make(
+            "layer-attack",
+            dataset=dataset,
+            scale=scale,
+            seed=int(seed),
+            layer=layer,
+            s=int(s),
+            plan_seed=int(seed + s),
+        )
         for layer in ATTACKED_LAYERS
         for s in setting.layer_s_values
     ]
@@ -88,27 +86,23 @@ def build_campaign(
 
 def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     """Turn the per-cell metrics into the paper's Table 1."""
-    setting = get_setting(campaign.scale)
-    dataset = campaign.metadata["dataset"]
-    s_values = setting.layer_s_values
-    columns = ["layer", "total_params"] + [f"l0 (S=R={s})" for s in s_values]
+    s_values = get_setting(campaign.scale).layer_s_values
+    cells = {(params["layer"], params["s"]): metrics for params, metrics in results.cells()}
     table = Table(
-        title=f"Table 1: l0 norm of parameter modifications per FC layer ({dataset})",
-        columns=columns,
+        title=(
+            "Table 1: l0 norm of parameter modifications per FC layer "
+            f"({campaign.metadata['dataset']})"
+        ),
+        columns=["layer", "total_params"] + [f"l0 (S=R={s})" for s in s_values],
     )
 
     for layer in ATTACKED_LAYERS:
-        row = [layer]
-        cells = []
-        total_params = 0
+        row = []
         for s in s_values:
-            metrics = results.metrics_for(_cell(dataset, campaign.scale, campaign.seed, layer, s))
-            total_params = format_cell_int(metrics["total_params"])
+            metrics = cells[layer, s]
             l0 = format_cell_int(metrics["l0"])
-            cells.append(l0 if metrics["success_rate"] >= 1.0 else f"{l0}*")
-        row.append(total_params)
-        row.extend(cells)
-        table.add_row(*row)
+            row.append(l0 if metrics["success_rate"] >= 1.0 else f"{l0}*")
+        table.add_row(layer, format_cell_int(metrics["total_params"]), *row)
 
     table.add_note(
         "Paper reference (MNIST, S=R=1/4/16): fc1 205000 params -> 14016/40649/120597, "
@@ -122,25 +116,5 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     return table
 
 
-def run(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    dataset: str = "mnist_like",
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Reproduce Table 1 and return it as a :class:`Table`."""
-    return run_experiment(
-        build_campaign,
-        assemble,
-        scale,
-        registry=registry,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-        dataset=dataset,
-    )
+# Reproduce Table 1 and return it as a :class:`Table`.
+run = functools.partial(run_experiment, build_campaign, assemble)

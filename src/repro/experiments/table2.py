@@ -10,6 +10,8 @@ attack of Liu et al.
 
 from __future__ import annotations
 
+import functools
+
 from repro.analysis.reporting import Table
 from repro.attacks.fault_sneaking import FaultSneakingAttack
 from repro.attacks.targets import make_attack_plan
@@ -31,22 +33,6 @@ _CASES = (
     ("weights", True, False),
     ("biases", False, True),
 )
-
-
-def _cell(
-    dataset: str, scale: str, seed: int, layer: str, s: int, weights: bool, biases: bool
-) -> JobSpec:
-    return JobSpec.make(
-        "param-type-attack",
-        dataset=dataset,
-        scale=scale,
-        seed=int(seed),
-        layer=layer,
-        s=int(s),
-        include_weights=weights,
-        include_biases=biases,
-        plan_seed=int(seed + s),
-    )
 
 
 @register_job("param-type-attack")
@@ -86,7 +72,17 @@ def build_campaign(
     """Declare one job per (parameter type, S) cell of Table 2."""
     setting = get_setting(scale)
     jobs = [
-        _cell(dataset, scale, seed, layer, s, weights, biases)
+        JobSpec.make(
+            "param-type-attack",
+            dataset=dataset,
+            scale=scale,
+            seed=int(seed),
+            layer=layer,
+            s=int(s),
+            include_weights=weights,
+            include_biases=biases,
+            plan_seed=int(seed + s),
+        )
         for _, weights, biases in _CASES
         for s in setting.type_s_values
     ]
@@ -95,32 +91,32 @@ def build_campaign(
         scale=scale,
         seed=seed,
         jobs=tuple(jobs),
-        metadata={"dataset": dataset, "layer": layer},
+        metadata={"dataset": dataset},
     )
 
 
 def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     """Turn the per-cell metrics into the paper's Table 2."""
-    setting = get_setting(campaign.scale)
-    dataset = campaign.metadata["dataset"]
-    layer = campaign.metadata["layer"]
-    s_values = setting.type_s_values
-    columns = ["parameter type", "metric"] + [f"S=R={s}" for s in s_values]
+    s_values = get_setting(campaign.scale).type_s_values
+    labels = {(weights, biases): label for label, weights, biases in _CASES}
     table = Table(
-        title=f"Table 2: l0 norm and success rate per parameter type, last FC layer ({dataset})",
-        columns=columns,
+        title=(
+            "Table 2: l0 norm and success rate per parameter type, last FC layer "
+            f"({campaign.metadata['dataset']})"
+        ),
+        columns=["parameter type", "metric"] + [f"S=R={s}" for s in s_values],
     )
 
-    for label, weights, biases in _CASES:
-        l0_row = [label, "l0 norm"]
-        success_row = [label, "success rate"]
-        for s in s_values:
-            metrics = results.metrics_for(
-                _cell(dataset, campaign.scale, campaign.seed, layer, s, weights, biases)
-            )
-            succeeded = metrics["success_rate"] >= 1.0
-            l0_row.append(format_cell_int(metrics["l0"]) if succeeded else "-")
-            success_row.append(metrics["success_rate"])
+    # Cells run S-fastest within each case: one l0 row and one success row
+    # per parameter type, filled left to right.
+    rows: dict[str, tuple[list, list]] = {}
+    for params, metrics in results.cells():
+        label = labels[params["include_weights"], params["include_biases"]]
+        l0_row, success_row = rows.setdefault(label, ([label, "l0 norm"], [label, "success rate"]))
+        succeeded = metrics["success_rate"] >= 1.0
+        l0_row.append(format_cell_int(metrics["l0"]) if succeeded else "-")
+        success_row.append(metrics["success_rate"])
+    for l0_row, success_row in rows.values():
         table.add_row(*l0_row)
         table.add_row(*success_row)
 
@@ -132,27 +128,5 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     return table
 
 
-def run(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    dataset: str = "mnist_like",
-    layer: str = "fc_logits",
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Reproduce Table 2 and return it as a :class:`Table`."""
-    return run_experiment(
-        build_campaign,
-        assemble,
-        scale,
-        registry=registry,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-        dataset=dataset,
-        layer=layer,
-    )
+# Reproduce Table 2 and return it as a :class:`Table`.
+run = functools.partial(run_experiment, build_campaign, assemble)

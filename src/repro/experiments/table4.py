@@ -9,16 +9,13 @@ percentage point for MNIST.
 
 from __future__ import annotations
 
+import functools
+
 from repro.analysis.reporting import Table
 from repro.experiments.campaign import Campaign, CampaignResult, run_experiment
 from repro.experiments.common import get_setting, sweep_cell_spec, usable_r_values
-from repro.zoo.registry import ModelRegistry
 
 __all__ = ["run", "build_campaign", "assemble"]
-
-
-def _cell(dataset: str, scale: str, seed: int, s: int, r: int):
-    return sweep_cell_spec(dataset=dataset, scale=scale, seed=seed, s=s, r=r, norm="l0")
 
 
 def build_campaign(
@@ -30,7 +27,7 @@ def build_campaign(
     """Declare the (S, R) accuracy grid as one job per valid cell."""
     setting = get_setting(scale)
     jobs = [
-        _cell(dataset, scale, seed, s, r)
+        sweep_cell_spec(dataset=dataset, scale=scale, seed=seed, s=s, r=r, norm="l0")
         for dataset in datasets
         for r in usable_r_values(setting)
         for s in setting.s_values
@@ -49,6 +46,10 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     """Turn the per-cell metrics into the paper's Table 4."""
     setting = get_setting(campaign.scale)
     s_values = setting.s_values
+    cells = {
+        (params["dataset"], params["r"], params["s"]): metrics
+        for params, metrics in results.cells()
+    }
     columns = ["dataset", "clean accuracy", "R"] + [f"S={s}" for s in s_values]
     table = Table(
         title="Table 4: test accuracy after DNN parameter modifications",
@@ -59,17 +60,17 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
         rows = []
         clean_accuracy = None
         for r in usable_r_values(setting):
-            cells = []
+            row = []
             for s in s_values:
                 if s > r:
-                    cells.append("-")
+                    row.append("-")
                     continue
-                metrics = results.metrics_for(_cell(dataset, campaign.scale, campaign.seed, s, r))
-                cells.append(metrics["attacked_accuracy"])
+                metrics = cells[dataset, r, s]
+                row.append(metrics["attacked_accuracy"])
                 clean_accuracy = metrics["clean_accuracy"]
-            rows.append((r, cells))
-        for r, cells in rows:
-            table.add_row(dataset, clean_accuracy, r, *cells)
+            rows.append((r, row))
+        for r, row in rows:
+            table.add_row(dataset, clean_accuracy, r, *row)
 
     table.add_note(
         "Paper reference: MNIST clean 99.5%, S=1/R=1000 -> 98.7% (0.8 pt drop); "
@@ -79,25 +80,5 @@ def assemble(campaign: Campaign, results: CampaignResult) -> Table:
     return table
 
 
-def run(
-    scale: str = "ci",
-    *,
-    registry: ModelRegistry | None = None,
-    seed: int = 0,
-    datasets: tuple[str, ...] = ("mnist_like", "cifar_like"),
-    jobs: int = 1,
-    executor=None,
-    artifact_dir=None,
-) -> Table:
-    """Reproduce Table 4 and return it as a :class:`Table`."""
-    return run_experiment(
-        build_campaign,
-        assemble,
-        scale,
-        registry=registry,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        artifact_dir=artifact_dir,
-        datasets=datasets,
-    )
+# Reproduce Table 4 and return it as a :class:`Table`.
+run = functools.partial(run_experiment, build_campaign, assemble)

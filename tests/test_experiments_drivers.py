@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis.reporting import Table
 from repro.experiments import (
-    CAMPAIGNS,
     EXPERIMENTS,
     ablations,
     baseline_comparison,
@@ -22,6 +21,7 @@ from repro.experiments import (
     table3,
     table4,
 )
+from repro.experiments.campaign import CampaignResult, CampaignStats, JobResult
 
 
 class TestRegistry:
@@ -42,10 +42,62 @@ class TestRegistry:
         }
         assert expected == set(EXPERIMENTS)
 
-    def test_campaign_registry_matches_experiments(self):
-        # The runner validates its `experiment` argument against CAMPAIGNS;
-        # the two registries must never drift apart.
-        assert set(CAMPAIGNS) == set(EXPERIMENTS)
+
+class _RecordingResults(dict):
+    """A campaign's result map that records every key looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read: list[str] = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+
+class _CannedMetrics(dict):
+    """Metrics of a cell that never ran: every metric reads as 0.5."""
+
+    def __missing__(self, name):
+        return 0.5
+
+
+# Every experiment with its default options, plus the two lowering grids
+# under the non-default trial scheme and drift (extra cell parameters).
+_ASSEMBLY_CASES = [(name, {}) for name in sorted(EXPERIMENTS)] + [
+    (name, {"variance_reduction": "crn", "env_drift": 0.1})
+    for name in ("hardware_cost", "defense_matrix")
+]
+
+
+@pytest.mark.parametrize("scale", ["smoke", "ci"])
+@pytest.mark.parametrize(
+    "name, options",
+    _ASSEMBLY_CASES,
+    ids=[name + ("-crn-drift" if options else "") for name, options in _ASSEMBLY_CASES],
+)
+def test_assemble_reads_every_job_and_nothing_else(name, options, scale):
+    # No solve: each declared job gets canned metrics, and the table must be
+    # built from exactly those cells.
+    module = EXPERIMENTS[name]
+    campaign = module.build_campaign(scale, **options)
+    results = _RecordingResults(
+        {
+            spec.key: JobResult(key=spec.key, kind=spec.kind, metrics=_CannedMetrics())
+            for spec in campaign.jobs
+        }
+    )
+    stats = CampaignStats(
+        total=len(results),
+        executed=0,
+        cache_hits=0,
+        elapsed_seconds=0.0,
+        executor="serial",
+        jobs=1,
+    )
+    table = module.assemble(campaign, CampaignResult(campaign, results, stats))
+    assert table.rows
+    assert set(results.read) == set(results)
 
 
 class TestTable1:

@@ -195,6 +195,68 @@ class TestCampaignOptionErrors:
         assert not any(isinstance(event, RunStarted) for event in events)
 
 
+class TestUnusedCampaignOptions:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["table1", "--trials", "3"], "--trials"),
+            (["defense_matrix", "--profile", "ddr3-noecc"], "--profile"),
+            (["hardware_cost", "--attacker", "ddr3-blitz"], "--attacker"),
+        ],
+    )
+    def test_option_no_selected_experiment_takes_is_rejected(
+        self, argv, flag, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        events = []
+        sink = global_bus().attach(CallbackSink(events.append))
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--scale", "smoke"])
+        finally:
+            global_bus().detach(sink)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"repro-experiments: error: {flag} is not an option of {argv[0]}"]
+        assert not any(isinstance(event, RunStarted) for event in events)
+
+    def test_all_routes_each_option_to_the_experiments_that_take_it(
+        self, capsys, monkeypatch
+    ):
+        import functools
+
+        from repro.analysis.reporting import Table
+        from repro.experiments import EXPERIMENTS
+        from repro.experiments.campaign import Campaign
+
+        received = {}
+        for name, module in EXPERIMENTS.items():
+
+            @functools.wraps(module.build_campaign)
+            def build(scale, *, seed=0, _name=name, **options):
+                received[_name] = options
+                return Campaign(name=_name, scale=scale, seed=seed, jobs=())
+
+            monkeypatch.setattr(module, "build_campaign", build)
+            monkeypatch.setattr(module, "assemble", lambda c, r: Table(c.name, ["cell"]))
+
+        argv = ["all", "--scale", "smoke", "--trials", "2", "--profile", "server-ecc"]
+        assert main(argv + ["--attacker", "ddr3-blitz", "--env-drift", "0.1"]) == 0
+        assert received.pop("hardware_cost") == {
+            "profiles": ("server-ecc",),
+            "trials": 2,
+            "env_drift": 0.1,
+        }
+        assert received.pop("defense_matrix") == {
+            "trials": 2,
+            "env_drift": 0.1,
+            "attackers": ("ddr3-blitz",),
+        }
+        assert received == {name: {} for name in received}
+        assert len(received) == 10
+
+
 class TestDeviceProfileFlags:
     def test_list_profiles_prints_registry_and_exits(self, capsys):
         from repro.hardware.device import get_profile, list_profiles
