@@ -74,9 +74,11 @@ otherwise-deterministic devices.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -112,6 +114,7 @@ __all__ = [
     "VARIANCE_REDUCTION_SCHEMES",
     "check_trial_options",
     "repair_plan",
+    "shared_repairs",
     "lower_attack",
 ]
 
@@ -1446,6 +1449,44 @@ class BitTrueScorer:
         )
 
 
+# The planned and repaired plans of the lowerings run inside the current
+# shared_repairs() block, keyed by every input the two stages read; None
+# outside a block.  A context variable, so a block covers only the thread
+# (or task) that opened it.
+_shared_repairs: ContextVar[dict[tuple, tuple[BitFlipPlan, PlanRepair]] | None] = ContextVar(
+    "shared_repairs", default=None
+)
+
+
+@contextmanager
+def shared_repairs() -> Iterator[None]:
+    """Plan and repair each distinct lowering once while the block runs.
+
+    :func:`~repro.experiments.campaign.run_campaign` runs every campaign
+    inside one block, and each process-pool worker holds one open for its
+    lifetime (a pool lives for one campaign).  The memo is emptied when the
+    block exits; a nested block starts its own and restores the outer one.
+    """
+    memo: dict[tuple, tuple[BitFlipPlan, PlanRepair]] = {}
+    token = _shared_repairs.set(memo)
+    try:
+        yield
+    finally:
+        memo.clear()
+        _shared_repairs.reset(token)
+
+
+def _read_only(planned: BitFlipPlan, repair: PlanRepair) -> tuple[BitFlipPlan, PlanRepair]:
+    """Freeze every array of a shared plan and repair, so no holder can
+    write through to the others."""
+    for plan in (planned, repair.plan, repair.pre_ecc_plan):
+        if plan is not None:
+            plan.freeze()
+    if repair.frames is not None:
+        repair.frames.flags.writeable = False
+    return planned, repair
+
+
 def lower_attack(
     result,
     *,
@@ -1463,6 +1504,16 @@ def lower_attack(
     context: "EvaluationContext | None" = None,
 ) -> LoweringReport:
     """Lower a solved attack into bit flips and re-verify it bit-true.
+
+    Inside a :func:`shared_repairs` block (every
+    :func:`~repro.experiments.campaign.run_campaign` opens one) the planned
+    and repaired plans are reused: calls with equal pristine memory,
+    selection, storage, layout, targets, budget, device profile, hammer
+    pattern, ``expected_repair`` and ``env_drift`` plan and repair once and
+    share the result, read-only.  Everything after the repair — the
+    scorer, the trials, the report — is still built per call, so the six
+    ``defense_matrix`` cells of one lowering share one repair but no
+    measurement.  Outside a block every call plans and repairs afresh.
 
     Parameters
     ----------
@@ -1573,14 +1624,38 @@ def lower_attack(
         )
 
     target_values = view.baseline + result.delta
-    planned = plan_bit_flips(memory, target_values)
-    repair = repair_plan(
-        planned, memory, target_values, budget,
-        template=template, ecc=ecc, massage_frames=massage_frames,
-        trr=trr, hammer_pattern=hammer_pattern, max_flips_per_row=max_flips_per_row,
-        optimize_expected=expected_repair,
-        env_scale=env_scale,
-    )
+
+    def plan_and_repair() -> tuple[BitFlipPlan, PlanRepair]:
+        planned = plan_bit_flips(memory, target_values)
+        return planned, repair_plan(
+            planned, memory, target_values, budget,
+            template=template, ecc=ecc, massage_frames=massage_frames,
+            trr=trr, hammer_pattern=hammer_pattern, max_flips_per_row=max_flips_per_row,
+            optimize_expected=expected_repair,
+            env_scale=env_scale,
+        )
+
+    memo = _shared_repairs.get()
+    if memo is None:
+        planned, repair = plan_and_repair()
+    else:
+        # Everything the two stages read: the memory (pristine words,
+        # selection, format, geometry), the targets and the device inputs.
+        key = (
+            scorer.pristine.tobytes(),
+            target_values.tobytes(),
+            view.selector,
+            spec,
+            memory.layout,
+            budget,
+            device,
+            hammer_pattern,
+            expected_repair,
+            env_drift,
+        )
+        if key not in memo:
+            memo[key] = _read_only(*plan_and_repair())
+        planned, repair = memo[key]
 
     trial_stats = None
     if trials > 0:

@@ -51,12 +51,14 @@ import math
 import random
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import ExitStack
 
 import numpy as np
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.attacks.lowering import shared_repairs
 from repro.experiments.telemetry.bus import CallbackSink, global_bus
 from repro.experiments.telemetry.events import (
     JobCached,
@@ -304,6 +306,8 @@ def default_artifact_dir() -> Path:
 # per worker by :func:`_init_worker` so that every worker shares the parent's
 # on-disk model cache (warmed up before dispatch) instead of retraining.
 _WORKER_REGISTRY: ModelRegistry | None = None
+# Contexts a pool worker keeps open for its lifetime (see _init_pool_worker).
+_WORKER_SCOPE = ExitStack()
 
 
 def _worker_registry_config(registry: ModelRegistry | None) -> tuple[str | None, bool]:
@@ -328,6 +332,13 @@ def _init_worker(cache_dir: str | None, cache_disabled: bool = False) -> None:
         _WORKER_REGISTRY = ModelRegistry(DiskCache(enabled=False))
     elif cache_dir is not None:
         _WORKER_REGISTRY = ModelRegistry(DiskCache(cache_dir))
+
+
+def _init_pool_worker(cache_dir: str | None, cache_disabled: bool = False) -> None:
+    """Set up a process-pool worker: its registry, and plan repairs shared
+    across its jobs until it exits (a pool lives for one campaign)."""
+    _init_worker(cache_dir, cache_disabled)
+    _WORKER_SCOPE.enter_context(shared_repairs())
 
 
 def _execute_spec(spec: JobSpec) -> JobResult:
@@ -444,7 +455,7 @@ class FuturesExecutor(Executor):
         bus = global_bus()
         with ProcessPoolExecutor(
             max_workers=min(self.jobs, max(len(specs), 1)),
-            initializer=_init_worker,
+            initializer=_init_pool_worker,
             initargs=_worker_registry_config(registry),
         ) as executor:
             pending = set()
@@ -770,20 +781,23 @@ def run_campaign(
         if pending and executor.parallel and warmup_reaches_workers:
             _warm_model_caches(campaign, pending, registry)
 
-        for group in fused_groups:
-            # Fused groups run in-parent: the per-group batched solve is the
-            # parallelism.  Events mirror the scalar path cell for cell — the
-            # per-job (event, key, kind) multiset of a fused run equals the
-            # serial run's.
-            for spec in group:
-                bus.publish(JobStarted(key=spec.key, kind=spec.kind))
-            for result in run_fused_group(group, registry=registry):
+        # In-process cells of this campaign plan and repair each distinct
+        # lowering once (pool workers hold their own block).
+        with shared_repairs():
+            for group in fused_groups:
+                # Fused groups run in-parent: the per-group batched solve is
+                # the parallelism.  Events mirror the scalar path cell for
+                # cell — the per-job (event, key, kind) multiset of a fused
+                # run equals the serial run's.
+                for spec in group:
+                    bus.publish(JobStarted(key=spec.key, kind=spec.kind))
+                for result in run_fused_group(group, registry=registry):
+                    store.store(result)
+                    results[result.key] = result
+                    bus.publish(_job_finished(result))
+            for result in executor.run(pending, registry=registry):
                 store.store(result)
                 results[result.key] = result
-                bus.publish(_job_finished(result))
-        for result in executor.run(pending, registry=registry):
-            store.store(result)
-            results[result.key] = result
 
         stats = CampaignStats(
             total=len(unique),

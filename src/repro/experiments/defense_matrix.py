@@ -21,6 +21,13 @@ attacking, not just which DRAM generation.  Defenses come from the
 :mod:`repro.defenses` registry.  Each cell is an independent campaign job:
 the grid parallelises under ``--jobs N`` / every executor backend and stays
 byte-identical to the serial run.
+
+The defenses of one (attacker, budget, S) point lower the same attack, and
+within one campaign run (or one pool worker) they share its plan repair
+(:func:`repro.attacks.lowering.shared_repairs`): the repair, most of a
+lowering's cost, runs once per lowering instead of once per defense.
+Every cell still runs its own Monte-Carlo trials and defense evaluation on
+its own scorer, so no metric depends on which cell repaired first.
 """
 
 from __future__ import annotations

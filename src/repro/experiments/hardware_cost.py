@@ -214,6 +214,9 @@ class LoweredCell:
     ``defense_matrix`` replays the same lowering (same solve cache, same
     trial-seed derivation, hence bit-identical Monte-Carlo columns) and then
     runs the defense evaluation on top of the report's per-trial outcomes.
+    Inside a campaign, cells with one lowering share its plan repair
+    (:func:`repro.attacks.lowering.shared_repairs`); the report, its scorer
+    and its trials are always the cell's own.
     """
 
     solved: _SolvedAttack

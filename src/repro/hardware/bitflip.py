@@ -171,6 +171,16 @@ class BitFlipPlan:
         return unique, np.bitwise_xor.reduceat(masks, starts)
 
     # -- mutation --------------------------------------------------------------------
+    def freeze(self) -> "BitFlipPlan":
+        """Make the flip arrays read-only and return the plan.
+
+        For plans shared between callers: an in-place write into one of
+        them raises instead of reaching every other holder.
+        """
+        for array in (self._word_index, self._bit, self._address, self._row):
+            array.flags.writeable = False
+        return self
+
     def append(self, flip: BitFlip) -> None:
         """Add one flip to the plan (derived statistics update automatically)."""
         self.extend([flip])

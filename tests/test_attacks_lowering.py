@@ -1,9 +1,13 @@
 """Tests for repro.attacks.lowering (bit-true attack lowering + plan repair)."""
 
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.analysis.evaluation import EvaluationContext
+from repro.attacks import lowering
 from repro.attacks.fault_sneaking import FaultSneakingAttack, FaultSneakingConfig
 from repro.attacks.lowering import (
     HardwareBudget,
@@ -11,6 +15,7 @@ from repro.attacks.lowering import (
     _closest_masks,
     lower_attack,
     repair_plan,
+    shared_repairs,
 )
 from repro.attacks.parameter_view import ParameterView
 from repro.attacks.targets import make_attack_plan
@@ -322,3 +327,128 @@ class TestLowerAttack:
 
         with pytest.raises(ConfigurationError):
             lower_attack(FakeResult())
+
+
+def _as_json(report: LoweringReport) -> str:
+    """The report's metrics in a form where NaN equals NaN."""
+    return json.dumps(report.as_dict(), sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def lowering_inputs(attack_result, tiny_model, tiny_split):
+    """Solved attacks that differ from ``attack_result`` in one repair input.
+
+    ``plan`` solves another attack plan (other S, other targets); ``victim``
+    lowers onto a victim with one attacked weight changed, with the delta
+    shifted so the target values stay the same: only the pristine memory
+    words differ.
+    """
+    plan = make_attack_plan(tiny_split.test, num_targets=1, num_images=20, seed=1)
+    baseline, delta = attack_result.view.baseline, attack_result.delta.copy()
+    index = int(np.flatnonzero((delta == 0) & (baseline != 0))[0])
+    values = baseline.copy()
+    values[index] *= 1.5
+    victim = tiny_model.copy()
+    ParameterView(victim, attack_result.view.selector).scatter(values)
+    view = ParameterView(victim, attack_result.view.selector)
+    delta[index] = baseline[index] - values[index]  # exact: Sterbenz
+    np.testing.assert_array_equal(view.baseline + delta, baseline + attack_result.delta)
+    shifted = SimpleNamespace(view=view, delta=delta, plan=attack_result.plan)
+    return {
+        "base": attack_result,
+        "plan": FaultSneakingAttack(tiny_model, FAST_CONFIG).attack(plan),
+        "victim": shifted,
+    }
+
+
+# Pairs of lower_attack calls that differ in exactly one input the repair
+# reads.  Every call runs trials, so the reports carry Monte-Carlo columns.
+_BASE_CALL = {"result": "base", "profile": "stochastic-ddr3", "trials": 2, "rng": 0}
+KEY_CASES = {
+    "storage": ({"storage": "float32"}, {"storage": "float16"}),
+    # Same geometry, budget and pattern; only the landing probabilities differ.
+    "profile": ({}, {"profile": "ddr3-noecc"}),
+    "budget-unlimited": ({"budget": HardwareBudget()}, {}),
+    "budget-expected": ({}, {"expected_repair": True}),
+    "pattern": ({"hammer_pattern": "double-sided"}, {"hammer_pattern": "many-sided"}),
+    "env_drift": ({}, {"env_drift": 0.2}),
+    "layout": ({"layout": SMALL_ROWS}, {"layout": MemoryLayout(base_address=0)}),
+    "plan": ({}, {"result": "plan"}),
+    "victim": ({}, {"result": "victim"}),
+}
+
+
+class TestSharedRepairs:
+    @pytest.fixture()
+    def repairs(self, monkeypatch):
+        """Counts repair_plan calls, as lower_attack makes them."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(lowering._shared_repairs.get())
+            return repair_plan(*args, **kwargs)
+
+        monkeypatch.setattr(lowering, "repair_plan", counting)
+        return calls
+
+    @staticmethod
+    def _lower(inputs, call):
+        call = {**_BASE_CALL, **call}
+        return lower_attack(inputs[call.pop("result")], **call)
+
+    @pytest.mark.parametrize("case", list(KEY_CASES))
+    def test_each_key_input_forces_its_own_repair(self, case, lowering_inputs, repairs):
+        calls = KEY_CASES[case]
+        with shared_repairs():
+            inside = [self._lower(lowering_inputs, call) for call in calls]
+        assert len(repairs) == 2
+        outside = [self._lower(lowering_inputs, call) for call in calls]
+        assert [_as_json(r) for r in inside] == [_as_json(r) for r in outside]
+
+    def test_equal_lowerings_share_one_repair(self, lowering_inputs, repairs):
+        with shared_repairs():
+            first = self._lower(lowering_inputs, {})
+            second = self._lower(lowering_inputs, {"rng": 1})
+        assert len(repairs) == 1
+        assert second.repair is first.repair and second.planned is first.planned
+        # Only the repair is shared: each call measures on its own scorer.
+        assert second.scorer is not first.scorer
+        assert _as_json(second) == _as_json(self._lower(lowering_inputs, {"rng": 1}))
+
+    def test_no_reuse_outside_a_block(self, lowering_inputs, repairs):
+        self._lower(lowering_inputs, {})
+        self._lower(lowering_inputs, {})
+        assert repairs == [None, None]
+
+    def test_shared_arrays_are_read_only(self, lowering_inputs):
+        with shared_repairs():
+            report = self._lower(lowering_inputs, {})
+        for plan in (report.planned, report.plan):
+            with pytest.raises(ValueError, match="read-only"):
+                plan._word_index[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            report.repair.frames[0] = 0
+        # A plan derived from a shared one is the holder's own.
+        derived = report.plan.select(np.ones(report.plan.num_flips, dtype=bool))
+        derived._bit[0] = 0
+
+    def test_unshared_arrays_stay_writable(self, lowering_inputs):
+        report = self._lower(lowering_inputs, {})
+        report.plan._word_index[0] = 0
+        report.repair.frames[0] = 0
+
+    def test_block_exit_empties_and_deactivates_the_memo(self, lowering_inputs, repairs):
+        with pytest.raises(RuntimeError):
+            with shared_repairs():
+                self._lower(lowering_inputs, {})
+                raise RuntimeError("job failed")
+        (memo,) = repairs
+        assert memo == {} and lowering._shared_repairs.get() is None
+
+    def test_nested_block_restores_the_outer_memo(self, lowering_inputs, repairs):
+        with shared_repairs():
+            self._lower(lowering_inputs, {})
+            with shared_repairs():
+                self._lower(lowering_inputs, {})
+            self._lower(lowering_inputs, {})
+        assert len(repairs) == 2 and repairs[0] is not repairs[1]

@@ -8,10 +8,14 @@ byte-identical between serial and parallel execution, and new campaign axes
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.attacks import lowering
 from repro.defenses import evaluate_defense
 from repro.experiments import defense_matrix, hardware_cost
+from repro.experiments.campaign import Campaign, JobSpec, execute_job, run_campaign
 from repro.experiments.common import get_setting
 from repro.utils.errors import ConfigurationError
 
@@ -126,6 +130,69 @@ class TestDefenseMatrix:
         serial = defense_matrix.run("smoke", **kwargs)
         parallel = defense_matrix.run("smoke", jobs=2, executor=backend, **kwargs)
         assert parallel.render("csv", digits=9) == serial.render("csv", digits=9)
+
+
+class TestSharedRepairs:
+    """A campaign plans and repairs each distinct lowering once, and no
+    cell's metrics change: every cell equals its own job run on its own."""
+
+    @pytest.fixture()
+    def repairs(self, monkeypatch):
+        """The memo each repair_plan call ran under, one entry per call."""
+        calls = []
+        repair_plan = lowering.repair_plan
+
+        def counting(*args, **kwargs):
+            calls.append(lowering._shared_repairs.get())
+            return repair_plan(*args, **kwargs)
+
+        monkeypatch.setattr(lowering, "repair_plan", counting)
+        return calls
+
+    @staticmethod
+    def _assert_cells_match_unshared(campaign, result, registry):
+        for spec in campaign.jobs:
+            alone = execute_job(spec, registry=registry).metrics
+            # json form: NaN metrics compare equal
+            assert json.dumps(result.metrics_for(spec), sort_keys=True) == json.dumps(
+                alone, sort_keys=True
+            )
+
+    def test_defense_matrix_repairs_each_lowering_once(self, session_registry, repairs):
+        campaign = defense_matrix.build_campaign(
+            "smoke", attackers=ATTACKERS, defenses=DEFENSES, budgets=BUDGETS
+        )
+        result = run_campaign(campaign, registry=session_registry)
+        lowerings = {(cell["attacker"], cell["budget"], cell["s"]) for cell, _ in result.cells()}
+        assert len(repairs) == len(lowerings) == len(campaign.jobs) // len(DEFENSES)
+        repairs.clear()
+        self._assert_cells_match_unshared(campaign, result, session_registry)
+        assert repairs == [None] * len(campaign.jobs)
+
+    def test_hardware_cost_repairs_every_cell(self, session_registry, repairs):
+        campaign = hardware_cost.build_campaign(
+            "smoke", storages=("float32", "int8"), profiles=("ddr3-noecc", "server-ecc")
+        )
+        result = run_campaign(campaign, registry=session_registry)
+        assert len(repairs) == len(campaign.jobs)
+        self._assert_cells_match_unshared(campaign, result, session_registry)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_memo_is_empty_and_inactive_after_the_campaign(
+        self, fails, session_registry, repairs
+    ):
+        good = hardware_cost.build_campaign(
+            "smoke", storages=("float32",), profiles=("ddr3-noecc",)
+        ).jobs[0]
+        jobs = (good, JobSpec.make(good.kind, **{**good.param_dict(), "profile": "nope"}))
+        campaign = Campaign(name="memo-scope", scale="smoke", seed=0, jobs=jobs[: 1 + fails])
+        if fails:
+            with pytest.raises(ConfigurationError):
+                run_campaign(campaign, registry=session_registry)
+        else:
+            run_campaign(campaign, registry=session_registry)
+        (memo,) = repairs
+        assert memo == {} and lowering._shared_repairs.get() is None
 
 
 class TestCellKeyDiscipline:
