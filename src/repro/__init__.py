@@ -13,7 +13,7 @@ contribution on top:
   Liu et al. baselines;
 * :mod:`repro.hardware` — simulated parameter memory, bit-flip planning and
   injection cost models;
-* :mod:`repro.analysis` — attack evaluation, sweeps and reporting;
+* :mod:`repro.analysis` — attack evaluation and reporting;
 * :mod:`repro.experiments` — drivers regenerating every table and figure of
   the paper.
 

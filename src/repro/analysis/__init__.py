@@ -1,13 +1,10 @@
-"""Evaluation, sweeps and reporting utilities for the attack experiments."""
+"""Evaluation and reporting utilities for the attack experiments."""
 
 from repro.analysis.evaluation import (
     AttackEvaluation,
     count_modified_parameters,
     evaluate_attack_result,
-    evaluate_modification,
 )
-from repro.analysis.tolerance import ToleranceCurve, fault_tolerance_curve
-from repro.analysis.sweeps import SweepRecord, sweep_s_r_grid
 from repro.analysis.reporting import Table, format_float, render_markdown, render_text
 from repro.analysis.plotting import ascii_bar_chart, ascii_line_chart
 from repro.defenses.detectors import (
@@ -21,12 +18,7 @@ from repro.defenses.detectors import (
 __all__ = [
     "AttackEvaluation",
     "evaluate_attack_result",
-    "evaluate_modification",
     "count_modified_parameters",
-    "ToleranceCurve",
-    "fault_tolerance_curve",
-    "SweepRecord",
-    "sweep_s_r_grid",
     "Table",
     "render_text",
     "render_markdown",

@@ -31,7 +31,6 @@ __all__ = [
     "AttackEvaluation",
     "EvaluationContext",
     "count_modified_parameters",
-    "evaluate_modification",
     "evaluate_attack_result",
     "evaluate_attack_results",
 ]
@@ -84,19 +83,6 @@ class AttackEvaluation:
             "attacked_accuracy": self.attacked_test_accuracy,
             "accuracy_drop_percent": self.accuracy_drop_percent,
         }
-
-
-def evaluate_modification(
-    clean_model: Sequential,
-    attacked_model: Sequential,
-    test_set: Dataset,
-    *,
-    batch_size: int = 256,
-) -> tuple[float, float]:
-    """Return ``(clean_accuracy, attacked_accuracy)`` on a test dataset."""
-    clean = clean_model.evaluate(test_set.images, test_set.labels, batch_size=batch_size)
-    attacked = attacked_model.evaluate(test_set.images, test_set.labels, batch_size=batch_size)
-    return clean, attacked
 
 
 class EvaluationContext:

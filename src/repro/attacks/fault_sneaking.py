@@ -22,7 +22,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -339,50 +339,6 @@ class FaultSneakingAttack:
         _LOGGER.info("%s", result.summary())
         return result
 
-    def attack_images(
-        self,
-        target_images: np.ndarray,
-        target_labels: np.ndarray,
-        *,
-        keep_images: np.ndarray | None = None,
-        keep_labels: np.ndarray | None = None,
-        true_labels: np.ndarray | None = None,
-    ) -> FaultSneakingResult:
-        """Run the attack from raw arrays instead of an :class:`AttackPlan`.
-
-        Parameters
-        ----------
-        target_images, target_labels:
-            The ``S`` images and the labels they should be classified as.
-        keep_images, keep_labels:
-            The ``R − S`` images whose classification must stay at
-            ``keep_labels`` (both optional).
-        true_labels:
-            Correct labels of the target images; only used for bookkeeping
-            (defaults to the model's current predictions).
-        """
-        target_images = np.asarray(target_images, dtype=np.float64)
-        target_labels = np.asarray(target_labels, dtype=np.int64)
-        if keep_images is None:
-            keep_images = target_images[:0]
-            keep_labels = target_labels[:0]
-        else:
-            keep_images = np.asarray(keep_images, dtype=np.float64)
-            if keep_labels is None:
-                raise ConfigurationError("keep_labels is required when keep_images is given")
-            keep_labels = np.asarray(keep_labels, dtype=np.int64)
-        if true_labels is None:
-            true_labels = self.model.predict(target_images) if len(target_images) else target_labels
-        true_labels = np.asarray(true_labels, dtype=np.int64)
-
-        plan = AttackPlan(
-            images=np.concatenate([target_images, keep_images], axis=0),
-            true_labels=np.concatenate([true_labels, keep_labels], axis=0),
-            target_labels=target_labels,
-            num_targets=int(target_labels.shape[0]),
-        )
-        return self.attack(plan)
-
 
 def build_objective(
     config: FaultSneakingConfig, view: ParameterView, plan: AttackPlan
@@ -550,12 +506,3 @@ def _candidate_keys(
         for lane, objective in enumerate(stacked.objectives)
     ]
 
-
-def l0_attack_config(**overrides) -> FaultSneakingConfig:
-    """Convenience constructor for the ℓ0-based attack configuration."""
-    return replace(FaultSneakingConfig(norm="l0"), **overrides)
-
-
-def l2_attack_config(**overrides) -> FaultSneakingConfig:
-    """Convenience constructor for the ℓ2-based attack configuration."""
-    return replace(FaultSneakingConfig(norm="l2"), **overrides)

@@ -1,9 +1,9 @@
 """The two benchmark dataset stand-ins used throughout the reproduction.
 
 ``mnist_like`` and ``cifar_like`` mirror the shapes and relative difficulty of
-MNIST and CIFAR-10 (see DESIGN.md for the substitution rationale).  Both
-return a :class:`repro.data.dataset.DataSplit` with i.i.d. train and test
-partitions drawn from the same synthetic distribution.
+MNIST and CIFAR-10 but train in seconds on a CPU (see the README's
+introduction).  Both return a :class:`repro.data.dataset.DataSplit` with
+i.i.d. train and test partitions drawn from the same synthetic distribution.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Ablation studies beyond the paper's tables.
 
-These quantify the design choices called out in DESIGN.md:
+These quantify the attack's design choices:
 
 * ``rho_sweep`` — how the ADMM penalty ρ trades off the ℓ0 norm against the
   attack's success (the hard-threshold level is ``sqrt(2/ρ)``).

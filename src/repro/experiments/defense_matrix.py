@@ -51,7 +51,12 @@ from repro.experiments.campaign import (
     run_experiment,
 )
 from repro.experiments.common import get_setting
-from repro.experiments.hardware_cost import _num_images, _scheme_params, lowered_cell
+from repro.experiments.hardware_cost import (
+    BUDGET_LEVELS,
+    _num_images,
+    _scheme_params,
+    lowered_cell,
+)
 from repro.hardware.device import get_pattern, get_profile
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import derive_seed
@@ -95,8 +100,9 @@ DEFAULT_DEFENSES = (
 )
 
 # Flip-budget levels swept by default: the profile-derived budget and its
-# expected-success variant.  "unlimited" is available via --budget but adds
-# little to the race (the defenses act on landed flips either way).
+# expected-success variant.  "unlimited" is available via
+# ``run(budgets=...)`` but adds little to the race (the defenses act on
+# landed flips either way).
 DEFAULT_BUDGETS = ("derived", "expected")
 
 # Monte-Carlo executions judged per cell.  Matches hardware_cost's default
@@ -160,6 +166,10 @@ def build_campaign(
         get_pattern(pattern)
     for name in defenses:
         get_defense(name)  # fail fast on unknown defense names
+    for name in budgets:
+        if name not in BUDGET_LEVELS:
+            known = ", ".join(BUDGET_LEVELS)
+            raise ConfigurationError(f"unknown budget {name!r}; known budgets: {known}")
     if trials <= 0:
         raise ConfigurationError(
             f"the defense race is judged per trial; trials must be > 0, got {trials}"

@@ -132,31 +132,26 @@ def plan_fusion(
     relative order — so a fused campaign visits cells in a deterministic
     order regardless of how the grid interleaves fusable and scalar cells.
     """
-    grouped: dict[tuple[str, Hashable], list[JobSpec]] = {}
+    grouped: dict[tuple[str, Hashable], list[tuple[int, JobSpec]]] = {}
     scalar: list[tuple[int, JobSpec]] = []
-    positions: dict[tuple[str, Hashable], int] = {}
     for position, spec in enumerate(specs):
         rule = _FUSION_RULES.get(spec.kind)
         key = rule.group_key(spec.param_dict()) if rule is not None else None
         if key is None:
             scalar.append((position, spec))
             continue
-        group_id = (spec.kind, key)
-        grouped.setdefault(group_id, []).append(spec)
-        positions.setdefault(group_id, position)
+        grouped.setdefault((spec.kind, key), []).append((position, spec))
 
     # Insertion order of ``grouped`` is first-member submission order.
     groups: list[list[JobSpec]] = []
-    demoted: list[tuple[int, JobSpec]] = []
-    for group_id, members in grouped.items():
-        rule = _FUSION_RULES[group_id[0]]
-        if len(members) >= rule.min_group:
-            groups.append(members)
+    for (kind, _), members in grouped.items():
+        if len(members) >= _FUSION_RULES[kind].min_group:
+            groups.append([spec for _, spec in members])
         else:
-            # An undersized group keeps its first-seen position so the
-            # remainder interleaves exactly as submitted.
-            demoted.extend((positions[group_id], member) for member in members)
-    remainder = [spec for _, spec in sorted(scalar + demoted, key=lambda item: item[0])]
+            # An undersized group's members keep their own submission
+            # positions, so the remainder interleaves exactly as submitted.
+            scalar.extend(members)
+    remainder = [spec for _, spec in sorted(scalar, key=lambda item: item[0])]
     return groups, remainder
 
 

@@ -212,11 +212,6 @@ class BitFlipPlan:
             num_words_total=self.num_words_total,
         )
 
-    def drop_words(self, words: Iterable[int]) -> "BitFlipPlan":
-        """Return a new plan with every flip of the given words removed."""
-        drop = np.isin(self._word_index, np.asarray(list(words), dtype=np.int64))
-        return self.select(~drop)
-
     def with_flips(self, words, bits, memory) -> "BitFlipPlan":
         """Return a new plan with extra ``(word, bit)`` flips appended.
 

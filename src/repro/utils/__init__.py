@@ -11,7 +11,6 @@ from repro.utils.validation import (
 from repro.utils.errors import (
     ReproError,
     ConfigurationError,
-    ConvergenceWarning,
     ShapeError,
 )
 from repro.utils.cache import DiskCache, default_cache_dir
@@ -29,7 +28,6 @@ __all__ = [
     "check_probability",
     "ReproError",
     "ConfigurationError",
-    "ConvergenceWarning",
     "ShapeError",
     "DiskCache",
     "default_cache_dir",

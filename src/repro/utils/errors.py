@@ -1,4 +1,4 @@
-"""Exception and warning types used across the library.
+"""Exception types used across the library.
 
 A small, explicit hierarchy so that callers can either catch the broad
 :class:`ReproError` or a specific subclass.
@@ -22,10 +22,3 @@ class ConfigurationError(ReproError, ValueError):
 class ShapeError(ReproError):
     """An array argument has an incompatible shape."""
 
-
-class NotFittedError(ReproError):
-    """A component was used before it was trained / prepared."""
-
-
-class ConvergenceWarning(UserWarning):
-    """An iterative solver stopped before meeting its convergence criterion."""

@@ -8,7 +8,6 @@ from repro.analysis.evaluation import (
     count_modified_parameters,
     evaluate_attack_result,
     evaluate_attack_results,
-    evaluate_modification,
 )
 from repro.attacks.fault_sneaking import FaultSneakingAttack, FaultSneakingConfig
 from repro.attacks.targets import make_attack_plan
@@ -28,12 +27,6 @@ class TestCountModified:
     def test_negative_tolerance_raises(self):
         with pytest.raises(ValueError):
             count_modified_parameters(np.ones(3), tolerance=-1.0)
-
-
-class TestEvaluateModification:
-    def test_identical_models(self, tiny_model, tiny_split):
-        clean, attacked = evaluate_modification(tiny_model, tiny_model, tiny_split.test)
-        assert clean == attacked
 
 
 class TestEvaluateAttackResult:

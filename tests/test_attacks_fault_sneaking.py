@@ -6,8 +6,6 @@ import pytest
 from repro.attacks.fault_sneaking import (
     FaultSneakingAttack,
     FaultSneakingConfig,
-    l0_attack_config,
-    l2_attack_config,
 )
 from repro.attacks.targets import make_attack_plan
 from repro.utils.errors import ConfigurationError
@@ -91,10 +89,6 @@ class TestConfig:
         assert (admm.norm, admm.rho, admm.alpha, admm.iterations) == ("l1", 42.0, 2.0, 7)
         default = FaultSneakingConfig(norm="l0")
         assert default.admm_config().rho == default.effective_rho == 500.0
-
-    def test_convenience_constructors(self):
-        assert l0_attack_config(iterations=5).norm == "l0"
-        assert l2_attack_config(iterations=5).norm == "l2"
 
 
 class TestAttack:
@@ -214,31 +208,6 @@ class TestAttackVariants:
         # without the warm start the l0 attack typically fails; the call must
         # still return a well-formed (possibly zero) result
         assert result.delta.shape == (result.view.size,)
-
-    def test_attack_images_entry_point(self, victim, tiny_split_module):
-        test_set = tiny_split_module.test
-        target = test_set.images[:1]
-        true_label = int(victim.predict(target)[0])
-        target_label = (true_label + 1) % 6
-        config = FaultSneakingConfig(norm="l0", **FAST)
-        result = FaultSneakingAttack(victim, config).attack_images(
-            target,
-            np.array([target_label]),
-            keep_images=test_set.images[1:9],
-            keep_labels=victim.predict(test_set.images[1:9]),
-        )
-        assert result.num_targets == 1
-        assert result.num_images == 9
-        assert result.success_rate == 1.0
-
-    def test_attack_images_requires_keep_labels(self, victim, tiny_split_module):
-        test_set = tiny_split_module.test
-        config = FaultSneakingConfig(norm="l0", **FAST)
-        attack = FaultSneakingAttack(victim, config)
-        with pytest.raises(ConfigurationError):
-            attack.attack_images(
-                test_set.images[:1], np.array([0]), keep_images=test_set.images[1:3]
-            )
 
     def test_deterministic_given_same_plan(self, victim, plan):
         config = FaultSneakingConfig(norm="l0", **FAST)

@@ -224,6 +224,8 @@ class TestCellKeyDiscipline:
             defense_matrix.build_campaign("smoke", trials=0)
         with pytest.raises(ConfigurationError):
             defense_matrix.build_campaign("smoke", env_drift=1.0)
+        with pytest.raises(ConfigurationError, match="unknown budget 'bogus'"):
+            defense_matrix.build_campaign("smoke", budgets=("bogus",))
 
 
 class TestEvaluateDefense:

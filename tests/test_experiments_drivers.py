@@ -2,7 +2,7 @@
 
 These verify that every table/figure driver runs end to end, produces a table
 with the expected columns/rows, and that the headline qualitative properties
-(the "shapes" described in DESIGN.md) hold even at the smallest scale where
+(the "shapes" of the paper's results) hold even at the smallest scale where
 they are meaningful.
 """
 

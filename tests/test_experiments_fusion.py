@@ -132,6 +132,11 @@ class TestPlanFusion:
         trio = pair + [JobSpec.make("test-trio", value=3)]
         assert plan_fusion(trio) == ([trio], [])
 
+    def test_undersized_group_interleaves_in_submission_order(self):
+        a, b = (JobSpec.make("test-trio", value=v) for v in (1, 2))
+        x = _echo("", 3)
+        assert plan_fusion([a, x, b]) == ([], [a, x, b])
+
 
 # -- execution -----------------------------------------------------------------------
 

@@ -1,8 +1,16 @@
 """Tests for the top-level package API (repro.__init__)."""
 
+import ast
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 import repro
+import repro.analysis
+import repro.attacks
+
+EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
 
 
 class TestPublicSurface:
@@ -10,8 +18,9 @@ class TestPublicSurface:
         assert repro.__version__
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        for package in (repro, repro.attacks, repro.analysis):
+            for name in package.__all__:
+                assert hasattr(package, name), f"{package.__name__}.{name}"
 
     def test_core_classes_exported(self):
         assert repro.FaultSneakingAttack is not None
@@ -30,3 +39,30 @@ class TestQuickstart:
         assert 0.0 <= evaluation.success_rate <= 1.0
         assert evaluation.l0_norm == result.l0_norm
         assert np.isfinite(evaluation.attacked_test_accuracy)
+
+
+class TestExamples:
+    def test_example_imports_resolve(self):
+        """Every ``from repro... import name`` in ``examples/*.py`` resolves.
+
+        Nothing else runs the examples, so a removed or renamed public name
+        would otherwise break them silently.
+        """
+        scripts = sorted(EXAMPLES_DIR.glob("*.py"))
+        assert scripts
+        checked = 0
+        for script in scripts:
+            for node in ast.walk(ast.parse(script.read_text(), filename=str(script))):
+                if not isinstance(node, ast.ImportFrom) or node.module is None:
+                    continue
+                if node.module.split(".")[0] != "repro":
+                    continue
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    # ``from package import submodule`` resolves without an attribute.
+                    submodule = f"{node.module}.{alias.name}"
+                    assert hasattr(module, alias.name) or importlib.util.find_spec(
+                        submodule
+                    ), f"{script.name}: from {node.module} import {alias.name}"
+                    checked += 1
+        assert checked
