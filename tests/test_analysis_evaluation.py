@@ -29,6 +29,19 @@ class TestCountModified:
             count_modified_parameters(np.ones(3), tolerance=-1.0)
 
 
+class TestEvaluationContext:
+    @pytest.mark.parametrize("start", ["first", "last"])
+    def test_unmodified_model_scores_clean_accuracy(self, start, tiny_model, tiny_split):
+        # Scoring the clean victim itself from any layer reproduces the clean
+        # accuracy: an unmodified model shows no accuracy change.
+        context = EvaluationContext(tiny_model, tiny_split.test, batch_size=64)
+        index = 0 if start == "first" else len(tiny_model.layers) - 1
+        assert context.accuracies([tiny_model], index) == [context.clean_accuracy]
+        assert context.clean_accuracy == tiny_model.evaluate(
+            tiny_split.test.images, tiny_split.test.labels, batch_size=64
+        )
+
+
 class TestEvaluateAttackResult:
     @pytest.fixture(scope="class")
     def evaluated(self, request):

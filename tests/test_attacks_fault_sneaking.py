@@ -7,7 +7,7 @@ from repro.attacks.fault_sneaking import (
     FaultSneakingAttack,
     FaultSneakingConfig,
 )
-from repro.attacks.targets import make_attack_plan
+from repro.attacks.targets import AttackPlan, make_attack_plan
 from repro.utils.errors import ConfigurationError
 
 # A reduced iteration budget keeps each attack in the sub-second range on the
@@ -208,6 +208,25 @@ class TestAttackVariants:
         # without the warm start the l0 attack typically fails; the call must
         # still return a well-formed (possibly zero) result
         assert result.delta.shape == (result.view.size,)
+
+    def test_attack_plan_from_raw_arrays(self, victim, tiny_split_module):
+        # Raw image arrays enter the attack through a hand-built AttackPlan:
+        # the target first, then keep images pinned to the victim's labels.
+        images = tiny_split_module.test.images[:9]
+        true_labels = victim.predict(images)
+        target_label = (int(true_labels[0]) + 1) % 6
+        plan = AttackPlan(
+            images=images,
+            true_labels=true_labels,
+            target_labels=np.array([target_label]),
+            num_targets=1,
+        )
+        config = FaultSneakingConfig(norm="l0", **FAST)
+        result = FaultSneakingAttack(victim, config).attack(plan)
+        assert result.num_targets == 1
+        assert result.num_images == 9
+        assert result.success_rate == 1.0
+        assert int(result.modified_model().predict(images[:1])[0]) == target_label
 
     def test_deterministic_given_same_plan(self, victim, plan):
         config = FaultSneakingConfig(norm="l0", **FAST)

@@ -1,9 +1,19 @@
 """Tests for repro.experiments.common."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.attacks.fault_sneaking import FaultSneakingConfig
-from repro.experiments.common import SETTINGS, attack_config_for, get_setting, get_trained_model
+from repro.experiments.common import (
+    SETTINGS,
+    anchor_and_eval_split,
+    anchor_pool_size,
+    attack_config_for,
+    get_setting,
+    get_trained_model,
+    usable_r_values,
+)
 from repro.utils.errors import ConfigurationError
 
 
@@ -45,6 +55,39 @@ class TestAttackConfigFor:
     def test_layer_selection(self):
         config = attack_config_for("smoke", layers=("fc1",))
         assert config.layers == ("fc1",)
+
+    @pytest.mark.parametrize("norm", ["l0", "l1", "l2"])
+    def test_norm_keeps_scale_budget(self, norm):
+        config = attack_config_for("smoke", norm=norm)
+        assert config == FaultSneakingConfig(
+            norm=norm,
+            layers=("fc_logits",),
+            iterations=get_setting("smoke").attack_iterations,
+            warmup_iterations=get_setting("smoke").warmup_iterations,
+            refine_support_steps=get_setting("smoke").refine_steps,
+        )
+
+
+class TestAnchorPool:
+    def test_pool_size_is_even_indexed_half(self):
+        assert anchor_pool_size(replace(get_setting("smoke"), n_test=7)) == 4
+        assert anchor_pool_size(replace(get_setting("smoke"), n_test=8)) == 4
+
+    def test_usable_r_values_drop_r_beyond_pool(self):
+        setting = replace(get_setting("smoke"), n_test=100, r_values=(10, 50, 51, 200))
+        assert usable_r_values(setting) == [10, 50]
+
+    def test_split_is_disjoint_and_covers_test_set(self, session_registry):
+        # Accuracy is scored on images the attack never anchors on.
+        trained = get_trained_model("mnist_like", "smoke", registry=session_registry, seed=0)
+        anchor_pool, eval_set = anchor_and_eval_split(trained)
+        test = trained.data.test
+        assert len(anchor_pool) == anchor_pool_size(get_setting("smoke"))
+        assert len(anchor_pool) + len(eval_set) == len(test)
+        anchors = {image.tobytes() for image in anchor_pool.images}
+        assert not anchors & {image.tobytes() for image in eval_set.images}
+        assert (anchor_pool.images == test.images[0::2]).all()
+        assert (eval_set.labels == test.labels[1::2]).all()
 
 
 class TestGetTrainedModel:

@@ -14,6 +14,7 @@ from repro.experiments import (
     ablations,
     baseline_comparison,
     figure1,
+    figure2,
     figure3,
     hardware_cost,
     table1,
@@ -21,7 +22,15 @@ from repro.experiments import (
     table3,
     table4,
 )
-from repro.experiments.campaign import CampaignResult, CampaignStats, JobResult
+from repro.experiments.campaign import (
+    CampaignResult,
+    CampaignStats,
+    JobResult,
+    JobSpec,
+    execute_job,
+)
+from repro.experiments.common import anchor_pool_size, get_setting, usable_r_values
+from repro.utils.errors import ConfigurationError
 
 
 class TestRegistry:
@@ -98,6 +107,157 @@ def test_assemble_reads_every_job_and_nothing_else(name, options, scale):
     table = module.assemble(campaign, CampaignResult(campaign, results, stats))
     assert table.rows
     assert set(results.read) == set(results)
+
+
+def _canned_result(campaign, metrics_for) -> CampaignResult:
+    """The campaign's result with ``metrics_for(params)`` as each cell's metrics."""
+    results = {
+        spec.key: JobResult(
+            key=spec.key, kind=spec.kind, metrics=metrics_for(spec.param_dict())
+        )
+        for spec in campaign.jobs
+    }
+    stats = CampaignStats(
+        total=len(results),
+        executed=0,
+        cache_hits=0,
+        elapsed_seconds=0.0,
+        executor="serial",
+        jobs=1,
+    )
+    return CampaignResult(campaign, results, stats)
+
+
+@pytest.mark.parametrize("scale", ["smoke", "ci"])
+class TestSweepGrid:
+    """Table 4 and Figures 1-2 declare the (S, R) grid as shared sweep cells."""
+
+    def test_table4_declares_every_valid_cell_once(self, scale):
+        setting = get_setting(scale)
+        campaign = table4.build_campaign(scale, datasets=("mnist_like",))
+        cells = [
+            (spec.kind, spec.param_dict()["s"], spec.param_dict()["r"]) for spec in campaign.jobs
+        ]
+        assert sorted(cells) == sorted(
+            ("sweep-cell", s, r)
+            for r in usable_r_values(setting)
+            for s in setting.s_values
+            if s <= r
+        )
+        assert len(set(cells)) == len(cells)
+
+    def test_cell_params_follow_the_protocol(self, scale):
+        campaign = table4.build_campaign(scale, seed=5, datasets=("cifar_like",))
+        for spec in campaign.jobs:
+            params = spec.param_dict()
+            assert params["dataset"] == "cifar_like"
+            assert params["scale"] == scale
+            assert params["norm"] == "l0"
+            assert params["target_strategy"] == "random"
+            # One plan seed across the whole grid.
+            assert params["seed"] == params["plan_seed"] == 5
+
+    def test_figures_reuse_table4_cells(self, scale):
+        table4_keys = {spec.key for spec in table4.build_campaign(scale).jobs}
+        figure_keys = {
+            spec.key
+            for module in (figure1, figure2)
+            for spec in module.build_campaign(scale).jobs
+        }
+        assert figure_keys and figure_keys <= table4_keys
+
+
+class TestFigure3Campaign:
+    @pytest.mark.parametrize("scale", ["smoke", "ci"])
+    def test_one_job_per_point(self, scale):
+        setting = get_setting(scale)
+        campaign = figure3.build_campaign(scale, seed=2)
+        points = [
+            (spec.kind, spec.param_dict()["dataset"], spec.param_dict()["s"])
+            for spec in campaign.jobs
+        ]
+        assert points == [
+            ("tolerance-cell", dataset, s)
+            for dataset in ("mnist_like", "cifar_like")
+            for s in setting.tolerance_s_values
+        ]
+        expected_r = min(
+            max(setting.tolerance_r, max(setting.tolerance_s_values)), anchor_pool_size(setting)
+        )
+        for spec in campaign.jobs:
+            params = spec.param_dict()
+            assert params["num_images"] == expected_r
+            assert params["s"] <= params["num_images"]
+            assert params["seed"] == params["plan_seed"] == 2
+
+    def test_tolerance_is_max_successful_faults(self):
+        # The fault count saturates below the largest S: the tolerance note
+        # reports the maximum over the curve, not the last point.
+        campaign = figure3.build_campaign("ci")
+        faults = {("mnist_like", 2): 2, ("mnist_like", 6): 5, ("mnist_like", 12): 4}
+        table = figure3.assemble(
+            campaign,
+            _canned_result(
+                campaign,
+                lambda params: {
+                    "success_rate": 1.0,
+                    "successful_faults": faults.get((params["dataset"], params["s"]), 1),
+                    "keep_rate": 1.0,
+                    "l0": 3,
+                },
+            ),
+        )
+        assert "mnist_like: observed fault tolerance (max successful faults) = 5" in table.notes
+        assert "cifar_like: observed fault tolerance (max successful faults) = 1" in table.notes
+
+    def test_rows_follow_the_curve(self):
+        campaign = figure3.build_campaign("smoke", datasets=("mnist_like",))
+        table = figure3.assemble(
+            campaign,
+            _canned_result(
+                campaign,
+                lambda params: {
+                    "success_rate": 1.0 if params["s"] == 1 else 0.75,
+                    "successful_faults": min(params["s"], 3),
+                    "keep_rate": 0.9,
+                    "l0": 7,
+                },
+            ),
+        )
+        records = table.to_records()
+        assert [(r["S"], r["success rate"], r["successful faults"]) for r in records] == [
+            (1, 1.0, 1),
+            (4, 0.75, 3),
+        ]
+
+    def test_tolerance_cell_bounds_faults_by_s(self, session_registry):
+        spec = JobSpec.make(
+            "tolerance-cell",
+            dataset="mnist_like",
+            scale="smoke",
+            seed=0,
+            s=4,
+            num_images=10,
+            plan_seed=0,
+        )
+        metrics = execute_job(spec, registry=session_registry).metrics
+        assert 0.0 <= metrics["success_rate"] <= 1.0
+        assert 0.0 <= metrics["keep_rate"] <= 1.0
+        assert 0 <= metrics["successful_faults"] <= 4
+        assert metrics["successful_faults"] == round(4 * metrics["success_rate"])
+
+    def test_tolerance_cell_rejects_s_beyond_r(self, session_registry):
+        spec = JobSpec.make(
+            "tolerance-cell",
+            dataset="mnist_like",
+            scale="smoke",
+            seed=0,
+            s=11,
+            num_images=10,
+            plan_seed=0,
+        )
+        with pytest.raises(ConfigurationError):
+            execute_job(spec, registry=session_registry)
 
 
 class TestTable1:

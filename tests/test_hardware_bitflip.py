@@ -161,6 +161,17 @@ class TestBitFlipPlanMutation:
         with pytest.raises(ShapeError):
             plan.select([True, False])
 
+    def test_select_drops_every_flip_of_a_word(self):
+        plan = BitFlipPlan(
+            [BitFlip(0, 0, 0, 0), BitFlip(0, 5, 0, 0), BitFlip(2, 1, 8, 1)],
+            num_words_total=4,
+        )
+        word_index = plan.as_arrays()[0]
+        remaining = plan.select(word_index != 0)
+        assert remaining.num_flips == 1
+        assert remaining.flips[0].word_index == 2
+        assert remaining.num_words_touched == 1
+
     def test_word_masks_aggregates_bits(self):
         plan = BitFlipPlan(
             [BitFlip(5, 0, 20, 0), BitFlip(5, 3, 20, 0), BitFlip(1, 7, 4, 0)],
