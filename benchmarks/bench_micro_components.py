@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.admm import ADMMConfig, ADMMSolver
-from repro.attacks.objective import AttackObjective
+from repro.attacks.objective import AttackObjective, StackedAttackObjective
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
 from repro.attacks.proximal import prox_l0
 from repro.attacks.targets import make_attack_plan
@@ -40,11 +40,13 @@ def bench_cnn_forward(benchmark, victim_setup):
 
 
 def bench_objective_value_and_gradient(benchmark, victim_setup):
+    """One objective evaluation as the solver runs it: a one-lane stack."""
     _, _, _, view, objective = victim_setup
-    delta = np.zeros(view.size)
-    value, grad = benchmark(lambda: objective.value_and_gradient(delta))
-    assert grad.shape == (view.size,)
-    assert value >= 0.0
+    stacked = StackedAttackObjective([objective])
+    deltas = np.zeros((1, view.size))
+    values, grads = benchmark(lambda: stacked.value_and_gradient(deltas))
+    assert grads.shape == (1, view.size)
+    assert values[0] >= 0.0
 
 
 def bench_proximal_l0(benchmark, victim_setup):
@@ -57,7 +59,7 @@ def bench_proximal_l0(benchmark, victim_setup):
 def bench_admm_iterations(benchmark, victim_setup):
     """Cost of 10 ADMM iterations (z-step + linearised δ-step + dual update)."""
     _, _, _, view, objective = victim_setup
-    solver = ADMMSolver(ADMMConfig(norm="l0", rho=500.0, iterations=10, track_history=False))
+    solver = ADMMSolver(ADMMConfig(norm="l0", rho=500.0, iterations=10))
     warm = np.random.default_rng(1).standard_normal(view.size) * 0.05
     result = benchmark.pedantic(
         lambda: solver.solve(objective, initial_delta=warm), rounds=3, iterations=1

@@ -17,10 +17,10 @@ alternating three steps per iteration ``k`` (eqs. (10)–(12)):
 
 * **dual update** — ``s^{k+1} = s^k + z^{k+1} − δ^{k+1}``.
 
-The solver additionally tracks, at every iteration, how well the sparse
-iterate ``z`` already satisfies the misclassification requirements, and keeps
-the best feasible candidate seen so far; this is what is returned as the
-attack's parameter modification.
+The solver additionally evaluates, at every iteration, how well the sparse
+iterate ``z`` already satisfies the misclassification requirements, records
+it in the run's history, and keeps the best feasible candidate seen so far;
+this is what is returned as the attack's parameter modification.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ from repro.utils.logging import get_logger
 __all__ = ["ADMMConfig", "ADMMHistory", "ADMMResult", "ADMMSolver", "satisfaction"]
 
 _LOGGER = get_logger("attacks.admm")
+
+# Lower bound on the adaptive α: keeps the δ-step well-defined when the
+# misclassification objective is already satisfied and its gradient vanishes.
+_ALPHA_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -63,31 +67,19 @@ class ADMMConfig:
     trust_radius:
         Maximum Euclidean length of the gradient part of one δ-step when
         ``alpha`` is ``None``.
-    alpha_floor:
-        Lower bound on the adaptive α (keeps the δ-step well-defined when the
-        misclassification objective is already satisfied and its gradient
-        vanishes).
     iterations:
         Maximum number of ADMM iterations.
-    evaluate_every:
-        How often (in iterations) to evaluate the candidate ``z`` against the
-        misclassification requirements for best-candidate tracking.
     primal_tolerance:
         Early stop when the constraints are met and ``‖z − δ‖₂`` falls below
         this value.
-    track_history:
-        Record per-iteration diagnostics in :class:`ADMMHistory`.
     """
 
     norm: str = "l0"
     rho: float = 1.0
     alpha: float | None = None
     trust_radius: float = 0.05
-    alpha_floor: float = 1.0
     iterations: int = 100
-    evaluate_every: int = 1
     primal_tolerance: float = 1e-4
-    track_history: bool = True
 
     def __post_init__(self):
         get_proximal_operator(self.norm)  # validates the norm name
@@ -97,12 +89,8 @@ class ADMMConfig:
             raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
         if self.trust_radius <= 0:
             raise ConfigurationError(f"trust_radius must be positive, got {self.trust_radius}")
-        if self.alpha_floor <= 0:
-            raise ConfigurationError(f"alpha_floor must be positive, got {self.alpha_floor}")
         if self.iterations <= 0:
             raise ConfigurationError(f"iterations must be positive, got {self.iterations}")
-        if self.evaluate_every <= 0:
-            raise ConfigurationError(f"evaluate_every must be positive, got {self.evaluate_every}")
         if self.primal_tolerance < 0:
             raise ConfigurationError("primal_tolerance must be non-negative")
 
@@ -254,12 +242,6 @@ class ADMMSolver:
         best_scores = [(-1.0, np.inf)] * lanes
         converged = np.zeros(lanes, dtype=bool)
         iterations_run = np.zeros(lanes, dtype=np.int64)
-        # Carried across non-evaluation iterations (not read back from the
-        # histories, which stay empty when track_history is off) so the
-        # recorded rates always describe the last *evaluated* candidate.
-        last_values = np.zeros(lanes)
-        last_successes = np.zeros(lanes)
-        last_keeps = np.zeros(lanes)
 
         # Converged lanes drop out of the stacked passes entirely: ``rows``
         # maps the compacted stack back to original lane indices, and the
@@ -279,7 +261,7 @@ class ADMMSolver:
 
             # δ-step (eq. (22)): linearised update using ∇G at the previous
             # δ, with per-lane adaptive α.
-            grads = sub.gradient(deltas[rows])
+            grads = sub.value_and_gradient(deltas[rows])[1]
             alphas = self._effective_alphas(grads, num_images, rho_lanes[rows])
             denominators = (alphas * num_images + rho_lanes[rows])[:, None]
             deltas_new = (
@@ -299,31 +281,24 @@ class ADMMSolver:
             # adversary would actually implement; keep the best one seen.  The
             # objective value, rates and measure are all evaluated at z^{k+1},
             # so a history row describes one iterate consistently.
-            if iteration % cfg.evaluate_every == 0 or iteration == cfg.iterations - 1:
-                values, successes, keeps = sub.evaluate_candidates(z[rows])
-                for pos, lane in enumerate(rows):
-                    success = float(successes[pos])
-                    keep = float(keeps[pos])
-                    score = satisfaction(objective.objectives[lane], success, keep)
-                    measure = _measure(z[lane], cfg.norm)
-                    best = best_scores[lane]
-                    if (score, -measure) > (best[0], -best[1]):
-                        best_scores[lane] = (score, measure)
-                        best_candidates[lane] = z[lane].copy()
-                        best_feasible[lane] = bool(success >= 1.0 and keep >= 1.0)
-                    last_values[lane] = values[pos]
-                    last_successes[lane] = success
-                    last_keeps[lane] = keep
-
-            if cfg.track_history:
-                for pos, lane in enumerate(rows):
-                    history = histories[lane]
-                    history.objective.append(float(last_values[lane]))
-                    history.measure.append(_measure(z[lane], cfg.norm))
-                    history.primal_residual.append(float(primal_residuals[pos]))
-                    history.dual_residual.append(float(dual_residuals[pos]))
-                    history.success_rate.append(float(last_successes[lane]))
-                    history.keep_rate.append(float(last_keeps[lane]))
+            values, successes, keeps = sub.evaluate_candidates(z[rows])
+            for pos, lane in enumerate(rows):
+                success = float(successes[pos])
+                keep = float(keeps[pos])
+                measure = _measure(z[lane], cfg.norm)
+                score = satisfaction(objective.objectives[lane], success, keep)
+                best = best_scores[lane]
+                if (score, -measure) > (best[0], -best[1]):
+                    best_scores[lane] = (score, measure)
+                    best_candidates[lane] = z[lane].copy()
+                    best_feasible[lane] = bool(success >= 1.0 and keep >= 1.0)
+                history = histories[lane]
+                history.objective.append(float(values[pos]))
+                history.measure.append(measure)
+                history.primal_residual.append(float(primal_residuals[pos]))
+                history.dual_residual.append(float(dual_residuals[pos]))
+                history.success_rate.append(success)
+                history.keep_rate.append(keep)
 
             newly_converged = best_feasible[rows] & (
                 primal_residuals <= cfg.primal_tolerance
@@ -372,7 +347,7 @@ class ADMMSolver:
         grad_norms = row_norms(grads)
         needed_denominators = grad_norms / cfg.trust_radius
         alphas = (needed_denominators - rhos) / max(num_images, 1)
-        return np.maximum(alphas, cfg.alpha_floor)
+        return np.maximum(alphas, _ALPHA_FLOOR)
 
 
 def satisfaction(objective: AttackObjective, success: float, keep: float) -> float:

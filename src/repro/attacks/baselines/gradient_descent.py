@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.attacks.objective import AttackObjective
+from repro.attacks.objective import AttackObjective, StackedAttackObjective
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
 from repro.attacks.targets import AttackPlan
 from repro.nn.model import Sequential
@@ -143,43 +143,33 @@ class GradientDescentAttack:
         """Run GDA for an attack plan (keep images only used if keep_weight > 0)."""
         cfg = self.config
         view = ParameterView(self.model, cfg.selector())
-
-        if cfg.keep_weight > 0 and plan.num_keep:
-            images = plan.images
-            desired = plan.desired_labels
-            num_targets = plan.num_targets
-            weights = np.concatenate(
-                [np.ones(plan.num_targets), np.full(plan.num_keep, cfg.keep_weight)]
-            )
-        else:
-            images = plan.target_images
-            desired = plan.target_labels
-            num_targets = plan.num_targets
-            weights = np.ones(plan.num_targets)
-
-        objective = AttackObjective(
-            view,
-            images,
-            desired,
-            num_targets=num_targets,
-            weights=weights,
-            kappa=cfg.kappa,
+        weights = np.concatenate(
+            [np.ones(plan.num_targets), np.full(plan.num_keep, cfg.keep_weight)]
         )
+        # Success / keep are always reported against the *full* plan so GDA
+        # and the fault sneaking attack are measured identically.
+        full = StackedAttackObjective(
+            [
+                AttackObjective(
+                    view,
+                    plan.images,
+                    plan.desired_labels,
+                    num_targets=plan.num_targets,
+                    weights=weights,
+                    kappa=cfg.kappa,
+                )
+            ]
+        )
+        if cfg.keep_weight > 0 and plan.num_keep:
+            objective = full
+        else:
+            objective = StackedAttackObjective(
+                [AttackObjective(view, plan.target_images, plan.target_labels, kappa=cfg.kappa)]
+            )
 
         delta, iterations_run, loss_history = self._descend(objective)
         delta, compression_rounds_run = self._compress(objective, delta)
-
-        # Success / keep are always reported against the *full* plan so GDA
-        # and the fault sneaking attack are measured identically.
-        full_objective = AttackObjective(
-            view,
-            plan.images,
-            plan.desired_labels,
-            num_targets=plan.num_targets,
-            kappa=0.0,
-        )
-        success_mask = full_objective.success_mask(delta)
-        keep_mask = full_objective.keep_mask(delta)
+        ((success_mask, keep_mask),) = full.masks(delta[None])
         view.restore()
         return GradientDescentResult(
             delta=delta,
@@ -193,26 +183,28 @@ class GradientDescentAttack:
         )
 
     # -- internals ------------------------------------------------------------------
-    def _descend(self, objective: AttackObjective) -> tuple[np.ndarray, int, list[float]]:
+    def _descend(self, objective: StackedAttackObjective) -> tuple[np.ndarray, int, list[float]]:
         cfg = self.config
-        delta = np.zeros(objective.view.size)
+        delta = np.zeros(objective.size)
         loss_history: list[float] = []
         iterations_run = 0
         for iteration in range(cfg.iterations):
             iterations_run = iteration + 1
-            value, grad = objective.value_and_gradient(delta)
+            values, grads = objective.value_and_gradient(delta[None])
+            value = float(values[0])
             loss_history.append(value)
             if value <= 0.0:
                 break
-            delta = delta - cfg.learning_rate * grad
+            delta = delta - cfg.learning_rate * grads[0]
         return delta, iterations_run, loss_history
 
-    def _feasible(self, objective: AttackObjective, delta: np.ndarray) -> bool:
+    def _feasible(self, objective: StackedAttackObjective, delta: np.ndarray) -> bool:
         """The feasibility check of [16]: every attacked image hits its target."""
-        return bool(objective.success_rate(delta) >= 1.0)
+        ((success_mask, _),) = objective.masks(delta[None])
+        return bool(success_mask.all())
 
     def _compress(
-        self, objective: AttackObjective, delta: np.ndarray
+        self, objective: StackedAttackObjective, delta: np.ndarray
     ) -> tuple[np.ndarray, int]:
         """Modification compression: zero the smallest entries while feasible."""
         cfg = self.config

@@ -133,12 +133,11 @@ class SingleBiasAttack:
         is computed and the resulting accuracy on the reference set is
         measured; the class with the highest post-attack accuracy wins.
         """
-        num_classes = self.model.logits(image[None]).shape[1]
         current = int(self.model.predict(image[None])[0])
         view = self._view()
         best_class = -1
         best_accuracy = -1.0
-        for candidate in range(num_classes):
+        for candidate in range(self.model.num_classes):
             if candidate == current:
                 continue
             delta = np.zeros(view.size)

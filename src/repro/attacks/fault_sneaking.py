@@ -75,7 +75,7 @@ class FaultSneakingConfig:
         fully connected layer, ``("fc_logits",)``.
     include_weights, include_biases:
         Restrict the attack to weight or bias parameters (Table 2).
-    rho, alpha, trust_radius, iterations, evaluate_every, primal_tolerance:
+    rho, alpha, trust_radius, iterations, primal_tolerance:
         ADMM hyper-parameters, see :class:`~repro.attacks.admm.ADMMConfig`.
         ``rho=None`` (default) calibrates ρ per attack: for the ℓ0/ℓ1 norms
         the hard/soft threshold ``sqrt(2/ρ)`` / ``1/ρ`` is set to a percentile
@@ -124,7 +124,6 @@ class FaultSneakingConfig:
     alpha: float | None = None
     trust_radius: float = 0.05
     iterations: int = 200
-    evaluate_every: int = 1
     primal_tolerance: float = 1e-4
     kappa: float = 1.0
     keep_kappa: float = 0.0
@@ -153,6 +152,7 @@ class FaultSneakingConfig:
             raise ConfigurationError("warmup_momentum must be in [0, 1)")
         if self.zero_tolerance < 0:
             raise ConfigurationError("zero_tolerance must be non-negative")
+        self.admm_config()  # validates the ADMM hyper-parameters
 
     @property
     def effective_rho(self) -> float:
@@ -204,7 +204,6 @@ class FaultSneakingConfig:
             alpha=self.alpha,
             trust_radius=self.trust_radius,
             iterations=self.iterations,
-            evaluate_every=self.evaluate_every,
             primal_tolerance=self.primal_tolerance,
         )
 
@@ -387,8 +386,7 @@ def run_attack_lanes(
             f"all plans in a batch must share the anchor count R, got {sorted(num_images)}"
         )
     view = ParameterView(model, config.selector())
-    objectives = [build_objective(config, view, plan) for plan in plans]
-    stacked = StackedAttackObjective(objectives)
+    stacked = StackedAttackObjective([build_objective(config, view, plan) for plan in plans])
 
     initial_deltas = _dense_warm_start(config, stacked) if config.warm_start else None
     rhos = np.array(
@@ -411,11 +409,11 @@ def run_attack_lanes(
             config=config,
             plan=plan,
             view=view,
-            success_mask=objective.success_mask(deltas[lane]),
-            keep_mask=objective.keep_mask(deltas[lane]),
+            success_mask=success_mask,
+            keep_mask=keep_mask,
             admm=admm_results[lane],
         )
-        for lane, (plan, objective) in enumerate(zip(plans, objectives))
+        for lane, (plan, (success_mask, keep_mask)) in enumerate(zip(plans, stacked.masks(deltas)))
     ]
     view.restore()
     return results

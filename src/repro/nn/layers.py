@@ -66,6 +66,10 @@ class Layer:
     arrays when they hold trainable parameters.
     """
 
+    # Attributes in which a forward pass keeps what backward needs.  They are
+    # per-pass scratch, so :meth:`repro.nn.model.Sequential.copy` omits them.
+    SCRATCH = ("_last_input", "_cache", "_mask", "_input", "_output")
+
     def __init__(self, name: str | None = None):
         self.name = name or self.__class__.__name__.lower()
         self.params: dict[str, np.ndarray] = {}

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.nn.layers import Layer, Softmax, layer_from_config
+from repro.nn.layers import Dense, Layer, Softmax, layer_from_config
 from repro.nn.metrics import accuracy as _accuracy
 from repro.utils.errors import ConfigurationError
 
@@ -80,6 +80,15 @@ class Sequential:
         if self.layers and isinstance(self.layers[-1], Softmax):
             return len(self.layers) - 1
         return len(self.layers)
+
+    @property
+    def num_classes(self) -> int:
+        """Width of the logit vector: ``out_features`` of the last :class:`Dense`
+        layer (every layer that accepts its 2-D output keeps the width)."""
+        for layer in reversed(self.layers[: self.logits_end]):
+            if isinstance(layer, Dense):
+                return layer.out_features
+        raise ConfigurationError("the logits must come from a Dense layer")
 
     def logits(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Return the pre-softmax class scores ``Z(θ, x)``."""
@@ -201,8 +210,17 @@ class Sequential:
             value[...] = stored
 
     def copy(self) -> "Sequential":
-        """Return an independent deep copy of the model (structure + weights)."""
-        return _copy.deepcopy(self)
+        """Return an independent deep copy of the model (structure + weights).
+
+        The copy starts without the layers' forward caches (:attr:`Layer.SCRATCH`):
+        after a stacked pass they hold activations of every lane.
+        """
+        memo: dict[int, None] = {}
+        for layer in self.layers:
+            for name in Layer.SCRATCH:
+                if getattr(layer, name, None) is not None:
+                    memo[id(getattr(layer, name))] = None
+        return _copy.deepcopy(self, memo)
 
     # -- description -------------------------------------------------------------
     def get_config(self) -> dict:

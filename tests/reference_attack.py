@@ -1,11 +1,14 @@
 """One-image-at-a-time reference of the fault sneaking attack, for tests only.
 
 The library runs every attack as lanes of one stacked solve
-(:func:`repro.attacks.fault_sneaking.run_attack_lanes`).  This module keeps
-the earlier per-plan implementation — the plain ADMM loop of §4 over one
-:class:`~repro.attacks.objective.AttackObjective`, its dense warm start and
-its support refinement — unchanged, so the bit-identity tests can pin the
-stacked path to an independent computation instead of to itself.
+(:func:`repro.attacks.fault_sneaking.run_attack_lanes`) and evaluates every
+objective through :class:`~repro.attacks.objective.StackedAttackObjective`.
+This module keeps the earlier per-plan implementation — a scalar objective
+(its own forward, hinge and ±c_i backward), the plain ADMM loop of §4, the
+dense warm start and the support refinement — unchanged, so the
+bit-identity tests can pin the stacked path to an independent computation
+instead of to itself.  Every entry point takes the library's
+:class:`~repro.attacks.objective.AttackObjective` lane description.
 """
 
 from __future__ import annotations
@@ -27,11 +30,94 @@ from repro.attacks.targets import AttackPlan
 from repro.nn.model import Sequential
 from repro.utils.errors import ConfigurationError
 
+ALPHA_FLOOR = 1.0
 
-def evaluate_candidate(objective: AttackObjective, delta: np.ndarray) -> tuple[float, float, float]:
+
+class ScalarObjective:
+    """``G(θ + δ)`` of one lane, its gradient and masks, one delta at a time."""
+
+    def __init__(self, lane: AttackObjective):
+        self.lane = lane
+        self.view = lane.view
+        self.model = lane.model
+        self.num_images = lane.num_images
+        self.num_targets = lane.num_targets
+        self.desired_labels = lane.desired_labels
+        self.weights = lane.weights
+        self.kappa = lane.kappa
+        self.target_slice = slice(0, lane.num_targets)
+        self.keep_slice = slice(lane.num_targets, lane.num_images)
+
+    def logits(self, delta: np.ndarray) -> np.ndarray:
+        with self.view.applied(delta):
+            return self.model.forward_between(
+                self.lane.features, self.lane.start_layer, self.model.logits_end
+            )
+
+    def margins_from_logits(self, logits: np.ndarray) -> np.ndarray:
+        rows = np.arange(self.num_images)
+        desired_logit = logits[rows, self.desired_labels]
+        masked = logits.copy()
+        masked[rows, self.desired_labels] = -np.inf
+        return masked.max(axis=1) - desired_logit
+
+    def value(self, delta: np.ndarray) -> float:
+        margins = self.margins_from_logits(self.logits(delta))
+        return float((self.weights * np.maximum(margins + self.kappa, 0.0)).sum())
+
+    def gradient(self, delta: np.ndarray) -> np.ndarray:
+        return self.value_and_gradient(delta)[1]
+
+    def value_and_gradient(self, delta: np.ndarray) -> tuple[float, np.ndarray]:
+        with self.view.applied(delta):
+            logits = self.model.forward_between(
+                self.lane.features, self.lane.start_layer, self.model.logits_end
+            )
+            margins = self.margins_from_logits(logits)
+            hinge = np.maximum(margins + self.kappa, 0.0)
+            value = float((self.weights * hinge).sum())
+
+            rows = np.arange(self.num_images)
+            masked = logits.copy()
+            masked[rows, self.desired_labels] = -np.inf
+            best_other = masked.argmax(axis=1)
+            active = (margins + self.kappa) > 0
+
+            grad_logits = np.zeros_like(logits)
+            active_rows = rows[active]
+            grad_logits[active_rows, best_other[active]] += self.weights[active]
+            grad_logits[active_rows, self.desired_labels[active]] -= self.weights[active]
+
+            self.model.zero_grads()
+            self.model.backward_between(grad_logits, self.lane.start_layer, self.model.logits_end)
+            grad = self.view.gather_grads()
+        return value, grad
+
+    def predictions(self, delta: np.ndarray) -> np.ndarray:
+        return np.argmax(self.logits(delta), axis=1)
+
+    def success_mask(self, delta: np.ndarray) -> np.ndarray:
+        preds = self.predictions(delta)
+        return preds[self.target_slice] == self.desired_labels[self.target_slice]
+
+    def keep_mask(self, delta: np.ndarray) -> np.ndarray:
+        preds = self.predictions(delta)
+        return preds[self.keep_slice] == self.desired_labels[self.keep_slice]
+
+    def success_rate(self, delta: np.ndarray) -> float:
+        mask = self.success_mask(delta)
+        return float(mask.mean()) if mask.size else 1.0
+
+    def keep_rate(self, delta: np.ndarray) -> float:
+        mask = self.keep_mask(delta)
+        return float(mask.mean()) if mask.size else 1.0
+
+
+def evaluate_candidate(lane: AttackObjective, delta: np.ndarray) -> tuple[float, float, float]:
     """Return ``(G(θ+δ), success_rate, keep_rate)`` from one forward pass."""
+    objective = ScalarObjective(lane)
     logits = objective.logits(delta)
-    margins = objective._margins_from_logits(logits)
+    margins = objective.margins_from_logits(logits)
     value = float((objective.weights * np.maximum(margins + objective.kappa, 0.0)).sum())
     preds = np.argmax(logits, axis=1)
     success = preds[objective.target_slice] == objective.desired_labels[objective.target_slice]
@@ -55,10 +141,10 @@ def _effective_alpha(cfg: ADMMConfig, grad: np.ndarray, num_images: int) -> floa
     grad_norm = float(np.linalg.norm(grad))
     needed_denominator = grad_norm / cfg.trust_radius
     alpha = (needed_denominator - cfg.rho) / max(num_images, 1)
-    return max(alpha, cfg.alpha_floor)
+    return max(alpha, ALPHA_FLOOR)
 
 
-def _satisfaction(objective: AttackObjective, success: float, keep: float) -> float:
+def _satisfaction(objective: ScalarObjective, success: float, keep: float) -> float:
     num_targets = objective.num_targets
     num_keep = objective.num_images - num_targets
     total = max(objective.num_images, 1)
@@ -67,11 +153,12 @@ def _satisfaction(objective: AttackObjective, success: float, keep: float) -> fl
 
 def reference_solve(
     cfg: ADMMConfig,
-    objective: AttackObjective,
+    lane: AttackObjective,
     *,
     initial_delta: np.ndarray | None = None,
 ) -> ADMMResult:
     """The ADMM iterations of §4 on one objective (eqs. (10)–(22))."""
+    objective = ScalarObjective(lane)
     prox = get_proximal_operator(cfg.norm)
     size = objective.view.size
     num_images = objective.num_images
@@ -94,9 +181,6 @@ def reference_solve(
     best_score = (-1.0, np.inf)  # (constraint satisfaction, measure) — maximise then minimise
     converged = False
     iterations_run = 0
-    last_value = 0.0
-    last_success = 0.0
-    last_keep = 0.0
 
     for iteration in range(cfg.iterations):
         iterations_run = iteration + 1
@@ -118,22 +202,20 @@ def reference_solve(
         dual = dual + z - delta_new
         delta = delta_new
 
-        if iteration % cfg.evaluate_every == 0 or iteration == cfg.iterations - 1:
-            last_value, last_success, last_keep = evaluate_candidate(objective, z)
-            satisfaction = _satisfaction(objective, last_success, last_keep)
-            measure = _measure(z, cfg.norm)
-            if (satisfaction, -measure) > (best_score[0], -best_score[1]):
-                best_score = (satisfaction, measure)
-                best_candidate = z.copy()
-                best_feasible = bool(last_success >= 1.0 and last_keep >= 1.0)
+        value, success, keep = evaluate_candidate(lane, z)
+        satisfaction = _satisfaction(objective, success, keep)
+        measure = _measure(z, cfg.norm)
+        if (satisfaction, -measure) > (best_score[0], -best_score[1]):
+            best_score = (satisfaction, measure)
+            best_candidate = z.copy()
+            best_feasible = bool(success >= 1.0 and keep >= 1.0)
 
-        if cfg.track_history:
-            history.objective.append(last_value)
-            history.measure.append(_measure(z, cfg.norm))
-            history.primal_residual.append(primal_residual)
-            history.dual_residual.append(dual_residual)
-            history.success_rate.append(last_success)
-            history.keep_rate.append(last_keep)
+        history.objective.append(value)
+        history.measure.append(_measure(z, cfg.norm))
+        history.primal_residual.append(primal_residual)
+        history.dual_residual.append(dual_residual)
+        history.success_rate.append(success)
+        history.keep_rate.append(keep)
 
         if best_feasible and primal_residual <= cfg.primal_tolerance:
             converged = True
@@ -151,8 +233,9 @@ def reference_solve(
     )
 
 
-def dense_warm_start(config: FaultSneakingConfig, objective: AttackObjective) -> np.ndarray:
+def dense_warm_start(config: FaultSneakingConfig, lane: AttackObjective) -> np.ndarray:
     """Normalised-gradient descent with momentum on ``G(θ + δ)`` alone."""
+    objective = ScalarObjective(lane)
     delta = np.zeros(objective.view.size)
     velocity = np.zeros_like(delta)
     best = delta.copy()
@@ -172,16 +255,17 @@ def dense_warm_start(config: FaultSneakingConfig, objective: AttackObjective) ->
     return best
 
 
-def _candidate_key(objective: AttackObjective, delta: np.ndarray) -> tuple[float, float]:
+def _candidate_key(objective: ScalarObjective, delta: np.ndarray) -> tuple[float, float]:
     success = objective.success_rate(delta)
     keep = objective.keep_rate(delta)
     return (_satisfaction(objective, success, keep), -float(np.linalg.norm(delta)))
 
 
 def refine_on_support(
-    config: FaultSneakingConfig, objective: AttackObjective, delta: np.ndarray
+    config: FaultSneakingConfig, lane: AttackObjective, delta: np.ndarray
 ) -> np.ndarray:
     """Extra normalised δ-steps restricted to the existing support of ``δ``."""
+    objective = ScalarObjective(lane)
     support = np.abs(delta) > config.zero_tolerance
     if not support.any():
         return delta
@@ -210,15 +294,16 @@ def reference_attack(
 ) -> FaultSneakingResult:
     """The fault sneaking attack on one plan: warm start, ρ, ADMM, refinement."""
     view = ParameterView(model, config.selector())
-    objective = build_objective(config, view, plan)
-    initial_delta = dense_warm_start(config, objective) if config.warm_start else None
+    lane = build_objective(config, view, plan)
+    objective = ScalarObjective(lane)
+    initial_delta = dense_warm_start(config, lane) if config.warm_start else None
     rho = config.calibrated_rho(initial_delta)
     admm_config = replace(config.admm_config(), rho=rho)
-    admm_result = reference_solve(admm_config, objective, initial_delta=initial_delta)
+    admm_result = reference_solve(admm_config, lane, initial_delta=initial_delta)
 
     delta = admm_result.delta
     if config.refine_support_steps:
-        delta = refine_on_support(config, objective, delta)
+        delta = refine_on_support(config, lane, delta)
 
     success_mask = objective.success_mask(delta)
     keep_mask = objective.keep_mask(delta)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.admm import ADMMConfig, ADMMSolver
-from repro.attacks.objective import AttackObjective
+from repro.attacks.objective import AttackObjective, StackedAttackObjective
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
 from repro.attacks.targets import make_attack_plan
 from repro.utils.errors import ConfigurationError
@@ -47,9 +47,7 @@ class TestConfig:
             {"rho": 0.0},
             {"alpha": -1.0},
             {"trust_radius": 0.0},
-            {"alpha_floor": 0.0},
             {"iterations": 0},
-            {"evaluate_every": 0},
             {"primal_tolerance": -1.0},
         ],
     )
@@ -64,7 +62,8 @@ class TestSolver:
         solver = ADMMSolver(ADMMConfig(norm="l0", rho=500.0, iterations=100))
         result = solver.solve(objective, initial_delta=start)
         assert result.iterations_run <= 100
-        assert objective.success_rate(result.delta) >= 0.5
+        _, success, _ = StackedAttackObjective([objective]).evaluate_candidates(result.delta[None])
+        assert success[0] >= 0.5
         # the sparse result must have fewer non-zeros than the dense start
         assert result.l0_norm < np.count_nonzero(start)
 
@@ -74,11 +73,6 @@ class TestSolver:
         assert result.history.iterations == result.iterations_run
         assert len(result.history.measure) == result.iterations_run
         assert len(result.history.success_rate) == result.iterations_run
-
-    def test_history_disabled(self, objective):
-        solver = ADMMSolver(ADMMConfig(norm="l0", rho=500.0, iterations=10, track_history=False))
-        result = solver.solve(objective, initial_delta=dense_start(objective))
-        assert result.history.iterations == 0
 
     def test_zero_start_l2(self, objective):
         solver = ADMMSolver(ADMMConfig(norm="l2", rho=50.0, iterations=150))
@@ -121,7 +115,7 @@ class TestSolver:
         np.testing.assert_array_equal(alphas, [3.0, 3.0])
 
     def test_effective_alpha_floor(self, objective):
-        config = ADMMConfig(norm="l2", rho=50.0, iterations=10, alpha_floor=2.5)
-        solver = ADMMSolver(config)
+        """A vanishing gradient leaves the adaptive α at its floor of 1."""
+        solver = ADMMSolver(ADMMConfig(norm="l2", rho=50.0, iterations=10))
         alphas = solver._effective_alphas(np.zeros((1, objective.view.size)), 10, np.full(1, 50.0))
-        np.testing.assert_array_equal(alphas, [2.5])
+        np.testing.assert_array_equal(alphas, [1.0])

@@ -124,6 +124,20 @@ class TestGradientDescentAttack:
         hacked = result.modified_model()
         assert int(hacked.predict(plan.target_images)[0]) == int(plan.target_labels[0])
 
+    @pytest.mark.parametrize("keep_weight", [0.0, 1.0])
+    def test_masks_match_modified_model(self, keep_weight, tiny_model, tiny_split):
+        """Both masks describe the full plan under θ + δ, whichever images the
+        descent saw."""
+        plan = make_attack_plan(tiny_split.test, num_targets=2, num_images=10, seed=4)
+        config = GradientDescentAttackConfig(
+            iterations=150, learning_rate=0.1, keep_weight=keep_weight
+        )
+        result = GradientDescentAttack(tiny_model, config).attack(plan)
+        assert result.l0_norm > 0
+        correct = result.modified_model().predict(plan.images) == plan.desired_labels
+        np.testing.assert_array_equal(result.success_mask, correct[: plan.num_targets])
+        np.testing.assert_array_equal(result.keep_mask, correct[plan.num_targets :])
+
     def test_victim_unchanged(self, gda_result):
         result, _, model = gda_result
         np.testing.assert_array_equal(result.view.gather(), result.view.baseline)

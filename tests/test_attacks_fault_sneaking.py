@@ -46,6 +46,11 @@ class TestConfig:
             {"warmup_iterations": -1},
             {"warmup_momentum": 1.0},
             {"zero_tolerance": -1e-9},
+            {"iterations": 0},
+            {"rho": -1.0},
+            {"trust_radius": 0.0},
+            {"alpha": -1.0},
+            {"primal_tolerance": -1.0},
         ],
     )
     def test_invalid(self, kwargs):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dense, Flatten, ReLU, Softmax
+from repro.nn.layers import Dense, Flatten, Layer, ReLU, Softmax
 from repro.nn.model import Sequential
 from repro.utils.errors import ConfigurationError
 
@@ -61,6 +61,16 @@ class TestForward:
     def test_logits_end_without_softmax(self):
         model = Sequential([Dense(3, 2, seed=0)])
         assert model.logits_end == 1
+
+    def test_num_classes_is_logit_width(self):
+        model = small_model()
+        assert model.num_classes == 4
+        assert model.num_classes == model.logits(RNG.random((2, 4, 4, 1))).shape[1]
+        assert Sequential([Dense(3, 2, seed=0), ReLU(name="act")]).num_classes == 2
+
+    def test_num_classes_needs_dense_logits(self):
+        with pytest.raises(ConfigurationError, match="Dense"):
+            _ = Sequential([Flatten(name="flatten"), ReLU(name="act")]).num_classes
 
     def test_forward_between_composes(self):
         model = small_model()
@@ -157,6 +167,24 @@ class TestParameters:
         clone = model.copy()
         x = RNG.random((3, 4, 4, 1))
         np.testing.assert_allclose(model.forward(x), clone.forward(x))
+
+    def test_copy_omits_forward_caches(self):
+        model = small_model()
+        model.forward(RNG.random((3, 4, 4, 1)))
+        clone = model.copy()
+        for original, copied in zip(model.layers, clone.layers):
+            for name in Layer.SCRATCH:
+                if hasattr(original, name):
+                    assert getattr(copied, name) is None, (original.name, name)
+        assert model.get_layer("fc1")._last_input is not None
+        x = RNG.random((2, 4, 4, 1))
+        clone.forward(x)
+        clone.backward(np.ones((2, 4)))
+        model.forward(x)
+        model.backward(np.ones((2, 4)))
+        np.testing.assert_array_equal(
+            clone.get_layer("fc1").grads["W"], model.get_layer("fc1").grads["W"]
+        )
 
 
 class TestBackward:
