@@ -192,9 +192,9 @@ class ADMMSolver:
 
         One stacked forward/backward per iteration does the work of ``lanes``
         separate passes, and every lane's arithmetic is bit-identical to a
-        one-lane solve of that lane alone.  A lane that converges freezes
-        (its iterates, candidate and history stop changing) while the
-        remaining lanes keep iterating.
+        one-lane solve of that lane alone.  A lane that converges drops out
+        of the stack (its iterates, candidate and history stop changing)
+        while the remaining lanes keep iterating.
 
         Parameters
         ----------
@@ -244,11 +244,11 @@ class ADMMSolver:
         iterations_run = np.zeros(lanes, dtype=np.int64)
 
         # Converged lanes drop out of the stacked passes entirely: ``rows``
-        # maps the compacted stack back to original lane indices, and the
-        # objective is re-stacked over the survivors at every convergence
-        # event.  Lane slices are arithmetically independent (each is the
-        # exact one-lane computation), so compaction never perturbs the
-        # remaining lanes' bits — it only stops paying for frozen ones.
+        # maps the compacted stack back to original lane indices, and ``sub``
+        # is the sub-stack of the survivors.  Lane slices are arithmetically
+        # independent (each is the exact one-lane computation), so compaction
+        # never perturbs the remaining lanes' bits — it only stops paying for
+        # finished ones.
         rows = np.arange(lanes)
         sub = objective
 
@@ -313,9 +313,7 @@ class ADMMSolver:
                 rows = rows[~newly_converged]
                 if rows.size == 0:
                     break
-                sub = StackedAttackObjective(
-                    [objective.objectives[lane] for lane in rows]
-                )
+                sub = sub.subset(np.flatnonzero(~newly_converged))
 
         return [
             ADMMResult(

@@ -372,10 +372,12 @@ def run_attack_lanes(
 
     The phases are the dense warm start, per-lane ρ calibration, ADMM
     (:meth:`~repro.attacks.admm.ADMMSolver.solve_batch`) and support
-    refinement.  A lane that finishes a phase early freezes while the other
-    lanes keep iterating, and every stacked kernel computes a lane's slice
-    with the one-lane arithmetic, so each result is independent of the lanes
-    it was solved beside.  All plans must share the anchor count ``R``.  The
+    refinement.  A lane that finishes a phase early drops out of the stack
+    (:meth:`~repro.attacks.objective.StackedAttackObjective.subset`), and
+    every stacked kernel computes a lane's slice with the one-lane
+    arithmetic, so each result is independent of the lanes it was solved
+    beside, and each phase costs as many lane-passes as the one-plan solves
+    together.  All plans must share the anchor count ``R``.  The
     model is restored to its original parameters before returning.
     """
     if not plans:
@@ -424,33 +426,34 @@ def _dense_warm_start(config: FaultSneakingConfig, stacked: StackedAttackObjecti
 
     Normalised-gradient descent with momentum on ``G(θ + δ)`` alone.  The
     step length equals ``trust_radius`` so the path (and therefore the ℓ2
-    norm of the warm start) stays short.  A lane stops stepping (its δ and
-    velocity freeze) as soon as its weighted hinge reaches zero or its
-    gradient vanishes; the lowest-valued iterate of each lane is returned.
+    norm of the warm start) stays short.  A lane drops out of the stack as
+    soon as its weighted hinge reaches zero or its gradient vanishes; the
+    lowest-valued iterate of each lane is returned.
     """
     lanes, size = stacked.lanes, stacked.size
     deltas = np.zeros((lanes, size))
     velocities = np.zeros_like(deltas)
     best = deltas.copy()
     best_values = np.full(lanes, np.inf)
-    active = np.ones(lanes, dtype=bool)
+    rows, sub = np.arange(lanes), stacked
     for _ in range(config.warmup_iterations):
-        values, grads = stacked.value_and_gradient(deltas)
-        improved = active & (values < best_values)
-        best_values[improved] = values[improved]
-        best[improved] = deltas[improved]
-        active &= ~(values <= 0.0)
+        values, grads = sub.value_and_gradient(deltas[rows])
+        improved = values < best_values[rows]
+        best_values[rows[improved]] = values[improved]
+        best[rows[improved]] = deltas[rows[improved]]
         grad_norms = row_norms(grads)
-        active &= ~(grad_norms <= 0.0)
-        if not active.any():
+        keep = ~(values <= 0.0) & ~(grad_norms <= 0.0)
+        rows = rows[keep]
+        if not rows.size:
             break
+        sub = sub.subset(np.flatnonzero(keep))
+        grads, grad_norms = grads[keep], grad_norms[keep]
         safe_norms = np.where(grad_norms > 0, grad_norms, 1.0)
-        stepped = (
-            config.warmup_momentum * velocities
+        velocities[rows] = (
+            config.warmup_momentum * velocities[rows]
             - config.trust_radius * grads / safe_norms[:, None]
         )
-        velocities[active] = stepped[active]
-        deltas[active] = (deltas + velocities)[active]
+        deltas[rows] = deltas[rows] + velocities[rows]
     return best
 
 
@@ -461,32 +464,35 @@ def _refine_on_support(
 
     No new parameters are modified, so the ℓ0 norm cannot increase; the
     values on the support are nudged to repair any still-violated
-    constraint.  Per lane, the candidate with the best constraint
-    satisfaction (ties broken by smaller ℓ2 norm) is returned.
+    constraint.  A lane drops out of the stack once its hinge reaches zero
+    or its gradient on the support vanishes.  Per lane, the candidate with
+    the best constraint satisfaction (ties broken by smaller ℓ2 norm) is
+    returned.
     """
     supports = np.abs(deltas) > config.zero_tolerance
-    active = supports.any(axis=1)
     best = deltas.copy()
-    if not active.any():
+    rows = np.flatnonzero(supports.any(axis=1))
+    if not rows.size:
         return best
-    best_keys = _candidate_keys(stacked, deltas)
+    sub = stacked.subset(rows)
+    best_keys = dict(zip(rows, _candidate_keys(sub, deltas[rows])))
     current = deltas.copy()
     for _ in range(config.refine_support_steps):
-        values, grads = stacked.value_and_gradient(current)
-        active &= ~(values <= 0.0)
-        grads = np.where(supports, grads, 0.0)
+        values, grads = sub.value_and_gradient(current[rows])
+        grads = np.where(supports[rows], grads, 0.0)
         grad_norms = row_norms(grads)
-        active &= ~(grad_norms <= 0.0)
-        if not active.any():
+        keep = ~(values <= 0.0) & ~(grad_norms <= 0.0)
+        rows = rows[keep]
+        if not rows.size:
             break
+        sub = sub.subset(np.flatnonzero(keep))
+        grads, grad_norms = grads[keep], grad_norms[keep]
         safe_norms = np.where(grad_norms > 0, grad_norms, 1.0)
-        stepped = current - config.trust_radius * grads / safe_norms[:, None]
-        stepped = np.where(supports, stepped, 0.0)
-        current[active] = stepped[active]
-        keys = _candidate_keys(stacked, current)
-        for lane in np.nonzero(active)[0]:
-            if keys[lane] > best_keys[lane]:
-                best_keys[lane] = keys[lane]
+        stepped = current[rows] - config.trust_radius * grads / safe_norms[:, None]
+        current[rows] = np.where(supports[rows], stepped, 0.0)
+        for lane, key in zip(rows, _candidate_keys(sub, current[rows])):
+            if key > best_keys[lane]:
+                best_keys[lane] = key
                 best[lane] = current[lane].copy()
     return best
 
@@ -503,4 +509,3 @@ def _candidate_keys(
         )
         for lane, objective in enumerate(stacked.objectives)
     ]
-

@@ -22,6 +22,8 @@ computes them once, and every evaluation only runs the network suffix.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.attacks.parameter_view import ParameterView, StackedParameterView
@@ -180,6 +182,25 @@ class StackedAttackObjective:
     def size(self) -> int:
         return self.view.size
 
+    def subset(self, lanes: np.ndarray) -> StackedAttackObjective:
+        """Return the sub-stack of the given (ascending) lane indices.
+
+        The per-lane arrays are sliced from this stack rather than stacked
+        again from the lanes.  This is how every solve phase drops its
+        finished lanes: they leave the stack and cost nothing in later
+        passes.  Selecting every lane returns this stack itself.
+        """
+        if np.array_equal(lanes, np.arange(self.lanes)):
+            return self
+        sub = copy.copy(self)
+        sub.objectives = [self.objectives[lane] for lane in lanes]
+        sub.lanes = len(sub.objectives)
+        sub.stacked_view = StackedParameterView(self.view, sub.lanes)
+        for name in ("num_targets", "desired_labels", "weights", "kappa", "_stacked_features"):
+            setattr(sub, name, getattr(self, name)[lanes])
+        sub._lane_idx = np.arange(sub.lanes)[:, None]
+        return sub
+
     # -- forward ------------------------------------------------------------------
     def logits(self, deltas: np.ndarray) -> np.ndarray:
         """Return stacked logits of shape ``(lanes, R, num_classes)``."""
@@ -225,7 +246,6 @@ class StackedAttackObjective:
             grad_logits[self._lane_idx, self._row_idx, best_other] = active_weight
             grad_logits[self._lane_idx, self._row_idx, self.desired_labels] -= active_weight
 
-            self.model.zero_grads()
             self.model.backward_between(grad_logits, self._start_layer, self._logits_end)
             grads = self.stacked_view.gather_grads()
         return values, grads

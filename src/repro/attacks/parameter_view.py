@@ -11,6 +11,7 @@ the ADMM solver works in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,11 +86,13 @@ class SelectedParameter:
     shape: tuple[int, ...]
     offset: int
 
-    @property
+    # Both are read for every block of every apply/gather on the solve's hot
+    # path, and the fields are frozen, so each is computed once.
+    @cached_property
     def size(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
+    @cached_property
     def slice(self) -> slice:
         return slice(self.offset, self.offset + self.size)
 

@@ -86,7 +86,13 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backpropagate ``grad_output`` and return the gradient w.r.t. the input."""
+        """Backpropagate ``grad_output`` and return the gradient w.r.t. the input.
+
+        Layers holding parameters also accept ``need_input_grad=False``: they
+        then only fill :attr:`grads` and return ``None``, which is how
+        :meth:`repro.nn.model.Sequential.backward_between` stops at its bottom
+        layer.
+        """
         raise NotImplementedError
 
     def get_config(self) -> dict:
@@ -201,7 +207,9 @@ class Dense(Layer):
             out = out + self.params["b"]
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, need_input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._last_input is None:
             raise RuntimeError("backward called before forward")
         x = self._last_input
@@ -214,10 +222,14 @@ class Dense(Layer):
             if self.use_bias:
                 per_lane = self.params["b"].ndim == 2
                 self.grads["b"] = grad_output.sum(axis=1 if per_lane else (0, 1))
+            if not need_input_grad:
+                return None
             return np.matmul(grad_output, w.transpose(0, 2, 1) if w.ndim == 3 else w.T)
         self.grads["W"] = x.T @ grad_output
         if self.use_bias:
             self.grads["b"] = grad_output.sum(axis=0)
+        if not need_input_grad:
+            return None
         return grad_output @ w.T
 
     def get_config(self) -> dict:
@@ -314,7 +326,9 @@ class Conv2D(Layer):
         self._cache = (x.shape, cols)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, need_input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         input_shape, cols = self._cache
@@ -326,16 +340,20 @@ class Conv2D(Layer):
             grad3 = grad_output.reshape(lanes, n * out_h * out_w, self.out_channels)
             if w.ndim == 5:
                 self.grads["W"] = np.matmul(cols3.transpose(0, 2, 1), grad3).reshape(w.shape)
-                w_mat = w.reshape(lanes, k, self.out_channels)
-                grad_cols = np.matmul(grad3, w_mat.transpose(0, 2, 1))
             else:
                 self.grads["W"] = np.tensordot(
                     cols3, grad3, axes=([0, 1], [0, 1])
                 ).reshape(w.shape)
-                grad_cols = np.matmul(grad3, w.reshape(k, self.out_channels).T)
             if self.use_bias:
                 per_lane = self.params["b"].ndim == 2
                 self.grads["b"] = grad3.sum(axis=1 if per_lane else (0, 1))
+            if not need_input_grad:
+                return None
+            if w.ndim == 5:
+                w_mat = w.reshape(lanes, k, self.out_channels)
+                grad_cols = np.matmul(grad3, w_mat.transpose(0, 2, 1))
+            else:
+                grad_cols = np.matmul(grad3, w.reshape(k, self.out_channels).T)
             folded = col2im(
                 grad_cols.reshape(lanes * n * out_h * out_w, k),
                 (lanes * n, *input_shape[2:]),
@@ -350,6 +368,8 @@ class Conv2D(Layer):
         self.grads["W"] = (cols.T @ grad_mat).reshape(w.shape)
         if self.use_bias:
             self.grads["b"] = grad_mat.sum(axis=0)
+        if not need_input_grad:
+            return None
 
         w_mat = w.reshape(-1, self.out_channels)
         grad_cols = grad_mat @ w_mat.T
@@ -697,7 +717,9 @@ class BatchNorm1D(Layer):
         self._cache = (x_hat, var)
         return self.params["gamma"] * x_hat + self.params["beta"]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, need_input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x_hat, var = self._cache
@@ -709,6 +731,8 @@ class BatchNorm1D(Layer):
             axis = 1 if per_lane else (0, 1)
             self.grads["gamma"] = np.sum(grad_output * x_hat, axis=axis)
             self.grads["beta"] = grad_output.sum(axis=axis)
+            if not need_input_grad:
+                return None
             dx_hat = grad_output * (gamma[:, None, :] if per_lane else gamma)
             return (
                 inv_std
@@ -722,6 +746,8 @@ class BatchNorm1D(Layer):
         n = grad_output.shape[0]
         self.grads["gamma"] = np.sum(grad_output * x_hat, axis=0)
         self.grads["beta"] = grad_output.sum(axis=0)
+        if not need_input_grad:
+            return None
         dx_hat = grad_output * gamma
         return (
             inv_std

@@ -146,13 +146,25 @@ class Sequential:
 
     def backward_between(
         self, grad_output: np.ndarray, start: int = 0, stop: int | None = None
-    ) -> np.ndarray:
-        """Backpropagate through only ``self.layers[start:stop]``."""
+    ) -> None:
+        """Fill the parameter gradients of ``self.layers[start:stop]``.
+
+        Unlike :meth:`backward`, this computes no gradient below the lowest
+        layer of the slice that holds parameters: that layer fills only its
+        parameter gradients, and the parameter-free layers beneath it are
+        skipped.  Every layer assigns (never accumulates) its gradients, so
+        no :meth:`zero_grads` is needed first.
+        """
         stop = len(self.layers) if stop is None else stop
+        layers = self.layers[start:stop]
+        with_params = [index for index, layer in enumerate(layers) if layer.params]
+        if not with_params:
+            return
+        bottom = with_params[0]
         grad = grad_output
-        for layer in reversed(self.layers[start:stop]):
+        for layer in reversed(layers[bottom + 1 :]):
             grad = layer.backward(grad)
-        return grad
+        layers[bottom].backward(grad, need_input_grad=False)
 
     def zero_grads(self) -> None:
         """Reset parameter gradients on every layer."""

@@ -152,7 +152,6 @@ class Trainer:
                 logits = model.forward_between(images, 0, logits_end, training=True)
                 batch_loss = self.loss.value(logits, labels)
                 grad = self.loss.gradient(logits, labels)
-                model.zero_grads()
                 model.backward_between(grad, 0, logits_end)
                 optimizer.step()
 

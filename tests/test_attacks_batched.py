@@ -9,10 +9,15 @@ start and refinement.  The
 property tests pin that over heterogeneous lanes (different target counts
 and plan seeds, shared anchor count R — the shape the campaign fusion pass
 produces) and over the configuration knobs, across every ``ADMMResult``
-field and the full per-iteration history.  The remaining tests pin the
-solver-level pieces: per-lane early-stop freezing and the history rows
-describing the ``z^{k+1}`` iterate they were recorded at.
+field and the full per-iteration history.  A work-count gate pins lane
+compaction: a stacked solve pays, phase by phase, exactly the lane-passes of
+its one-plan solves.  The remaining tests pin the solver-level pieces:
+per-lane early-stop freezing and the history rows describing the
+``z^{k+1}`` iterate they were recorded at.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,12 +29,14 @@ from reference_attack import (
     reference_solve,
 )
 
+from repro.attacks import fault_sneaking
 from repro.attacks.admm import ADMMConfig, ADMMSolver
 from repro.attacks.batched import BatchedFaultSneakingAttack
 from repro.attacks.fault_sneaking import (
     FaultSneakingAttack,
     FaultSneakingConfig,
     build_objective,
+    run_attack_lanes,
 )
 from repro.attacks.objective import StackedAttackObjective
 from repro.attacks.parameter_view import ParameterView
@@ -265,3 +272,65 @@ class TestHistoryAlignment:
         assert result.history.success_rate[-1] == success
         assert result.history.keep_rate[-1] == keep
         assert result.history.measure[-1] == float(np.count_nonzero(result.z))
+
+
+# Each solve phase of ``run_attack_lanes`` and the function that runs it.
+PHASES = {
+    "warm_start": (fault_sneaking, "_dense_warm_start"),
+    "admm": (ADMMSolver, "solve_batch"),
+    "refinement": (fault_sneaking, "_refine_on_support"),
+}
+
+
+def phase_lane_passes(model, config, plans):
+    """Run the plans as one stacked solve; return the rows each phase passed to
+    :meth:`StackedAttackObjective.value_and_gradient`, and the results."""
+    counts = dict.fromkeys(PHASES, 0)
+    current = []
+    evaluate = StackedAttackObjective.value_and_gradient
+
+    def counting(self, deltas):
+        (phase,) = current  # every gradient pass belongs to exactly one phase
+        counts[phase] += len(deltas)
+        return evaluate(self, deltas)
+
+    def in_phase(phase, function):
+        def run(*args, **kwargs):
+            current.append(phase)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                current.pop()
+
+        return run
+
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(
+            mock.patch.object(StackedAttackObjective, "value_and_gradient", counting)
+        )
+        for phase, (owner, name) in PHASES.items():
+            patches.enter_context(
+                mock.patch.object(owner, name, in_phase(phase, getattr(owner, name)))
+            )
+        results = run_attack_lanes(model, config, plans)
+    return counts, results
+
+
+class TestLaneCompaction:
+    """Work-count gate: every phase evaluates only the lanes still active."""
+
+    def test_stacked_phases_cost_the_sum_of_one_plan_solves(self, tiny_model, plans):
+        # The full warm-start budget and a loose primal tolerance let lanes
+        # finish every phase at different passes (warm start 577/76/340/88,
+        # ADMM 4/8/15/9, refinement 2/15/15/2 lane-passes).
+        config = tiny_attack_config("l0", primal_tolerance=1e6, warmup_iterations=600)
+        stacked, results = phase_lane_passes(tiny_model, config, plans)
+        single = [phase_lane_passes(tiny_model, config, [plan])[0] for plan in plans]
+        for phase in PHASES:
+            per_plan = [counts[phase] for counts in single]
+            assert stacked[phase] == sum(per_plan), phase
+            # Lanes finish the phase at different passes, so a stack that kept
+            # paying for finished lanes would exceed the sum.
+            assert len(plans) * max(per_plan) > sum(per_plan), phase
+        for result, plan in zip(results, plans):
+            assert_results_bit_equal(result, reference_attack(tiny_model, config, plan))

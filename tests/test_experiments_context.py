@@ -125,12 +125,12 @@ def _fail_on_backward_call(number):
     calls = 0
     original = Dense.backward
 
-    def failing(self, grad_output):
+    def failing(self, grad_output, **kwargs):
         nonlocal calls
         calls += 1
         if calls == number:
             raise RuntimeError("injected failure")
-        return original(self, grad_output)
+        return original(self, grad_output, **kwargs)
 
     return mock.patch.object(Dense, "backward", failing)
 

@@ -1,9 +1,12 @@
 """Tests for repro.nn.model.Sequential."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dense, Flatten, Layer, ReLU, Softmax
+from repro.nn import layers as layers_module
+from repro.nn.layers import Conv2D, Dense, Flatten, Layer, ReLU, Softmax
 from repro.nn.model import Sequential
 from repro.utils.errors import ConfigurationError
 
@@ -20,6 +23,23 @@ def small_model(seed=0):
             Softmax(name="softmax"),
         ],
         name="small",
+    )
+
+
+def conv_model(seed=0):
+    """A conv → dense → dense stack with no pooling, so ``col2im`` only runs
+    in a convolution's input gradient, and no softmax, so
+    :meth:`Sequential.backward` is the full backward of the logits."""
+    return Sequential(
+        [
+            Conv2D(1, 2, 3, seed=seed, name="conv1"),
+            ReLU(name="relu1"),
+            Flatten(name="flatten"),
+            Dense(18, 8, seed=seed + 1, name="fc2"),
+            ReLU(name="relu2"),
+            Dense(8, 4, seed=seed + 2, name="fc_logits"),
+        ],
+        name="conv",
     )
 
 
@@ -191,10 +211,45 @@ class TestBackward:
     def test_backward_shapes(self):
         model = small_model()
         x = RNG.random((6, 4, 4, 1))
-        logits = model.forward_between(x, 0, model.logits_end)
-        grad_in = model.backward_between(np.ones_like(logits), 0, model.logits_end)
+        # Sequential.backward returns the input gradient; backward_between
+        # fills the parameter gradients and stops there.
+        grad_in = model.backward(np.ones_like(model.forward(x)))
         assert grad_in.shape == x.shape
+        logits = model.forward_between(x, 0, model.logits_end)
+        model.backward_between(np.ones_like(logits), 0, model.logits_end)
         assert model.get_layer("fc1").grads["W"].shape == (16, 12)
+
+    @pytest.mark.parametrize("bottom", ["fc_logits", "fc2", "conv1"])
+    def test_backward_between_matches_full_backward(self, bottom):
+        """``backward_between`` fills the same parameter gradients, bit for
+        bit, as a full backward: with a Dense bottom layer, through a
+        two-layer suffix whose inner input gradient is still needed, and from
+        ``start=0`` with a Conv2D bottom layer."""
+        model = conv_model()
+        x = RNG.random((3, 5, 5, 1))
+        grad_logits = RNG.standard_normal((3, 4))
+        start = model.layer_index(bottom)
+        with mock.patch.object(layers_module, "col2im", wraps=layers_module.col2im) as col2im:
+            model.forward(x)
+            model.backward(grad_logits)
+            assert col2im.called  # the conv input gradient of a full backward
+            expected = {
+                (layer.name, key): grad.copy()
+                for layer in model.layers[start:]
+                for key, grad in layer.grads.items()
+            }
+            for layer in model.layers:
+                layer.grads.clear()
+            col2im.reset_mock()
+            model.forward(x)
+            assert model.backward_between(grad_logits, start) is None
+            col2im.assert_not_called()
+        filled = {
+            (layer.name, key): grad for layer in model.layers for key, grad in layer.grads.items()
+        }
+        assert filled.keys() == expected.keys()
+        for name, grad in expected.items():
+            np.testing.assert_array_equal(filled[name], grad, err_msg=str(name))
 
     def test_zero_grads(self):
         model = small_model()
