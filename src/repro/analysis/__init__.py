@@ -6,7 +6,7 @@ from repro.analysis.evaluation import (
     evaluate_attack_result,
 )
 from repro.analysis.reporting import Table, format_float, render_markdown, render_text
-from repro.analysis.plotting import ascii_bar_chart, ascii_line_chart
+from repro.analysis.plotting import ascii_line_chart
 from repro.defenses.detectors import (
     DetectionReport,
     detection_report,
@@ -24,7 +24,6 @@ __all__ = [
     "render_markdown",
     "format_float",
     "ascii_line_chart",
-    "ascii_bar_chart",
     "DetectionReport",
     "detection_report",
     "probe_detection_probability",

@@ -3,8 +3,8 @@
 The paper's Figures 1–3 are line charts.  This environment has no plotting
 backend, so the figure drivers render their series as ASCII charts that can be
 read directly in benchmark output and in EXPERIMENTS.md code blocks.  The
-functions are deliberately small and dependency-free; they are rendering
-helpers, not a plotting library.
+function is deliberately small and dependency-free; it is a rendering helper,
+not a plotting library.
 """
 
 from __future__ import annotations
@@ -13,55 +13,13 @@ import numpy as np
 
 from repro.utils.errors import ShapeError
 
-__all__ = ["ascii_line_chart", "ascii_bar_chart"]
+__all__ = ["ascii_line_chart"]
 
 
 def _format_value(value: float) -> str:
     if abs(value - round(value)) < 1e-9 and abs(value) < 1e9:
         return str(int(round(value)))
     return f"{value:.3g}"
-
-
-def ascii_bar_chart(
-    labels,
-    values,
-    *,
-    title: str = "",
-    width: int = 50,
-    fill: str = "#",
-) -> str:
-    """Render one series as a horizontal bar chart.
-
-    Parameters
-    ----------
-    labels, values:
-        Bar labels and non-negative bar values (equal length).
-    title:
-        Optional heading line.
-    width:
-        Width in characters of the longest bar.
-    fill:
-        Character used to draw bars.
-    """
-    labels = [str(label) for label in labels]
-    values = np.asarray(list(values), dtype=np.float64)
-    if len(labels) != values.shape[0]:
-        raise ShapeError(
-            f"labels ({len(labels)}) and values ({values.shape[0]}) must have equal length"
-        )
-    if values.size == 0:
-        return title
-    if np.any(values < 0):
-        raise ValueError("bar chart values must be non-negative")
-    peak = float(values.max())
-    label_width = max(len(label) for label in labels)
-    lines = [title] if title else []
-    for label, value in zip(labels, values):
-        bar_length = 0 if peak == 0 else int(round(width * value / peak))
-        lines.append(
-            f"{label.rjust(label_width)} | {fill * bar_length} {_format_value(float(value))}"
-        )
-    return "\n".join(lines)
 
 
 def ascii_line_chart(

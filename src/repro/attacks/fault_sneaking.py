@@ -278,10 +278,6 @@ class FaultSneakingResult:
         return self.admm.converged
 
     # -- applying the modification -------------------------------------------------
-    def delta_as_dict(self) -> dict[str, np.ndarray]:
-        """Return the modification split per parameter tensor (``layer/param``)."""
-        return self.view.as_param_dict(self.delta)
-
     def modified_parameters(self) -> dict[str, np.ndarray]:
         """Return ``θ + δ`` split per parameter tensor."""
         return self.view.as_param_dict(self.view.baseline + self.delta)

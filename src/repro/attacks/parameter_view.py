@@ -169,13 +169,6 @@ class ParameterView:
         """
         return min(block.layer_index for block in self.blocks)
 
-    def block_for(self, layer_name: str, param_name: str) -> SelectedParameter:
-        """Return the block describing one selected parameter tensor."""
-        for block in self.blocks:
-            if block.layer_name == layer_name and block.param_name == param_name:
-                return block
-        raise KeyError(f"parameter {layer_name}/{param_name} is not part of this view")
-
     # -- gather / scatter ---------------------------------------------------------
     def gather(self) -> np.ndarray:
         """Read the current values of the selected parameters as a flat vector."""

@@ -13,20 +13,15 @@ same tensor shapes and the same easy-vs-hard relationship:
 Both are deterministic given a seed.
 """
 
-from repro.data.dataset import Dataset, DataSplit, train_test_split
+from repro.data.dataset import Dataset, DataSplit
 from repro.data.synthetic import SyntheticImageConfig, SyntheticImageGenerator
 from repro.data.benchmarks import cifar_like, mnist_like
-from repro.data.corruptions import add_gaussian_noise, add_label_noise, random_erase
 
 __all__ = [
     "Dataset",
     "DataSplit",
-    "train_test_split",
     "SyntheticImageConfig",
     "SyntheticImageGenerator",
     "mnist_like",
     "cifar_like",
-    "add_gaussian_noise",
-    "add_label_noise",
-    "random_erase",
 ]

@@ -10,7 +10,7 @@ import numpy as np
 from repro.utils.errors import ShapeError
 from repro.utils.rng import RandomState
 
-__all__ = ["Dataset", "DataSplit", "train_test_split"]
+__all__ = ["Dataset", "DataSplit"]
 
 
 @dataclass
@@ -80,10 +80,6 @@ class Dataset:
         order = rng.permutation(len(self))
         return self.subset(order)
 
-    def class_counts(self) -> np.ndarray:
-        """Return the number of samples per class."""
-        return np.bincount(self.labels, minlength=self.num_classes)
-
     def sample(self, n: int, *, seed: int | None = None, stratified: bool = True) -> "Dataset":
         """Return a random sample of ``n`` items, optionally class-balanced."""
         if n > len(self):
@@ -121,10 +117,6 @@ class Dataset:
             idx = order[start : start + batch_size]
             yield self.images[idx], self.labels[idx]
 
-    def flattened_images(self) -> np.ndarray:
-        """Return images reshaped to ``(N, H*W*C)`` for dense-only models."""
-        return self.images.reshape(len(self), -1)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Dataset(name={self.name!r}, n={len(self)}, "
@@ -146,26 +138,3 @@ class DataSplit:
     @property
     def name(self) -> str:
         return self.train.name
-
-
-def train_test_split(
-    dataset: Dataset, *, test_fraction: float = 0.2, seed: int | None = None
-) -> DataSplit:
-    """Split a dataset into train and test partitions.
-
-    The split is stratified per class so small datasets keep all classes in
-    both partitions.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = RandomState(seed)
-    train_idx: list[np.ndarray] = []
-    test_idx: list[np.ndarray] = []
-    for cls in range(dataset.num_classes):
-        cls_idx = rng.permutation(np.flatnonzero(dataset.labels == cls))
-        n_test = max(1, int(round(cls_idx.size * test_fraction))) if cls_idx.size else 0
-        test_idx.append(cls_idx[:n_test])
-        train_idx.append(cls_idx[n_test:])
-    train = dataset.subset(rng.permutation(np.concatenate(train_idx)))
-    test = dataset.subset(rng.permutation(np.concatenate(test_idx)))
-    return DataSplit(train=train, test=test)

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from repro.data.dataset import Dataset
-from repro.nn.model import Sequential
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_in_range, check_positive, check_probability
 
@@ -164,39 +162,34 @@ class DetectionReport:
 
 
 def detection_report(
-    clean_model: Sequential,
-    attacked_model: Sequential,
-    test_set: Dataset,
+    clean_accuracy: float,
+    attacked_accuracy: float,
     *,
     num_modified_parameters: int,
-    attacked_parameter_count: int | None = None,
+    attacked_parameter_count: int,
     tolerance: float = 0.02,
 ) -> DetectionReport:
     """Build a :class:`DetectionReport` for a clean/attacked model pair.
 
     Parameters
     ----------
-    clean_model, attacked_model:
-        The victim before and after the parameter modification.
-    test_set:
-        Held-out data used to estimate both accuracies.
+    clean_accuracy, attacked_accuracy:
+        Held-out accuracy of the victim before and after the parameter
+        modification.
     num_modified_parameters:
         ℓ0 norm of the modification (e.g. ``result.l0_norm``).
     attacked_parameter_count:
-        Size of the parameter population the defender audits; defaults to the
-        total parameter count of the model.
+        Size of the parameter population the defender audits.
     tolerance:
         Accuracy slack the defender grants before raising an alarm.
     """
     check_positive(num_modified_parameters, name="num_modified_parameters", strict=False)
-    clean_accuracy = clean_model.evaluate(test_set.images, test_set.labels)
-    attacked_accuracy = attacked_model.evaluate(test_set.images, test_set.labels)
-    total = attacked_parameter_count or clean_model.n_params
+    total = int(attacked_parameter_count)
     return DetectionReport(
         clean_accuracy=clean_accuracy,
         attacked_accuracy=attacked_accuracy,
         num_modified_parameters=int(num_modified_parameters),
-        num_total_parameters=int(total),
+        num_total_parameters=total,
         probe_detection_at_100=probe_detection_probability(
             clean_accuracy, attacked_accuracy, probe_size=100, tolerance=tolerance
         ),
@@ -207,9 +200,9 @@ def detection_report(
             clean_accuracy, attacked_accuracy, tolerance=tolerance
         ),
         audit_detection_at_1_percent=parameter_audit_detection_probability(
-            int(num_modified_parameters), int(total), audited=max(1, int(total * 0.01))
+            int(num_modified_parameters), total, audited=max(1, int(total * 0.01))
         ),
         audit_detection_at_10_percent=parameter_audit_detection_probability(
-            int(num_modified_parameters), int(total), audited=max(1, int(total * 0.10))
+            int(num_modified_parameters), total, audited=max(1, int(total * 0.10))
         ),
     )

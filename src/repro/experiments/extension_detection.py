@@ -67,17 +67,18 @@ def _detection_attack_job(
     layer_size = ParameterView(model, ParameterSelector(layers=("fc_logits",))).size
 
     result, _ = run_s1_attack(attack, model, plan, scale)
-    attacked_model, l0_norm = result.modified_model(), result.l0_norm
+    [attacked_accuracy] = context.evaluation.accuracies(
+        [result.modified_model()], result.view.first_layer_index
+    )
 
     report = detection_report(
-        model,
-        attacked_model,
-        context.eval_set,
-        num_modified_parameters=l0_norm,
+        context.evaluation.clean_accuracy,
+        attacked_accuracy,
+        num_modified_parameters=result.l0_norm,
         attacked_parameter_count=layer_size,
     )
     return {
-        "l0": l0_norm,
+        "l0": result.l0_norm,
         "attacked_accuracy": report.attacked_accuracy,
         "probe_detection_at_100": report.probe_detection_at_100,
         "probe_detection_at_1000": report.probe_detection_at_1000,

@@ -36,11 +36,6 @@ class BitFlip(NamedTuple):
     address: int
     row: int
 
-    @property
-    def byte_offset(self) -> int:
-        """Byte within the word containing the flipped bit."""
-        return self.bit // 8
-
 
 def _as_flip_arrays(flips: Iterable[BitFlip]) -> tuple[np.ndarray, ...]:
     columns = list(zip(*flips))

@@ -287,10 +287,6 @@ class DramGeometry:
         candidates = np.unique(np.concatenate([below, above]))
         return np.setdiff1d(candidates, victims, assume_unique=True)
 
-    def num_aggressor_rows(self, victim_row_ids) -> int:
-        """Number of distinct aggressor rows for a victim-row set."""
-        return int(self.aggressor_row_ids(victim_row_ids).size)
-
 
 # -- vendor address maps --------------------------------------------------------------
 #

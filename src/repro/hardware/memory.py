@@ -117,27 +117,6 @@ class ParameterMemoryMap:
             raise IndexError(f"parameter index {index} out of range [0, {self.num_words})")
         return self.layout.base_address + index * self.bytes_per_word
 
-    def index_of(self, address: int) -> int:
-        """Inverse of :meth:`address_of`."""
-        offset = address - self.layout.base_address
-        if offset < 0 or offset % self.bytes_per_word:
-            raise ValueError(f"address {address:#x} does not map to a parameter word")
-        index = offset // self.bytes_per_word
-        if index >= self.num_words:
-            raise ValueError(f"address {address:#x} is past the end of the parameter region")
-        return int(index)
-
-    def row_of_index(self, index: int) -> int:
-        """DRAM row containing the ``index``-th parameter word."""
-        return self.layout.row_of(self.address_of(index))
-
-    def parameter_at(self, index: int) -> tuple[str, str]:
-        """Return ``(layer_name, param_name)`` owning the ``index``-th word."""
-        for block in self.view.blocks:
-            if block.offset <= index < block.offset + block.size:
-                return block.layer_name, block.param_name
-        raise IndexError(f"parameter index {index} out of range")
-
     # -- raw word access ---------------------------------------------------------------
     def read_words(self) -> np.ndarray:
         """Return a copy of all raw parameter words."""
@@ -151,18 +130,6 @@ class ParameterMemoryMap:
                 f"expected {self._words.shape} words, got {words.shape}"
             )
         self._words = words.copy()
-
-    def read_word(self, index: int) -> int:
-        """Return one raw word."""
-        if not 0 <= index < self.num_words:
-            raise IndexError(f"parameter index {index} out of range")
-        return int(self._words[index])
-
-    def write_word(self, index: int, word: int) -> None:
-        """Overwrite one raw word."""
-        if not 0 <= index < self.num_words:
-            raise IndexError(f"parameter index {index} out of range")
-        self._words[index] = word
 
     def flip_bit(self, index: int, bit: int) -> None:
         """Flip a single bit of the ``index``-th word."""

@@ -1,10 +1,11 @@
-"""A self-contained numpy neural-network library.
+"""The victim's network engine.
 
-This package is the DNN substrate used by the fault-sneaking attack
-reproduction: it provides forward inference, backpropagation, training and
-(de)serialisation for feed-forward convolutional networks, with the layer
-parameter access hooks the attack needs (named parameters, per-parameter
-gradients, logits before the softmax layer).
+This package runs the C&W-style CNNs the fault-sneaking attack targets
+(:mod:`repro.zoo.architectures`): forward inference, backpropagation,
+training and (de)serialisation, with the parameter access hooks the attack
+needs (named parameters, per-parameter gradients, logits before the softmax
+layer, stacked solve lanes).  It holds only the layers, losses and metrics
+those networks and their training use.
 """
 
 from repro.nn.initializers import (
@@ -15,24 +16,19 @@ from repro.nn.initializers import (
     zeros_init,
 )
 from repro.nn.layers import (
-    AvgPool2D,
-    BatchNorm1D,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
     Layer,
-    LeakyReLU,
     MaxPool2D,
     ReLU,
-    Sigmoid,
     Softmax,
-    Tanh,
 )
-from repro.nn.losses import CrossEntropyLoss, HingeLogitLoss, Loss, MSELoss
+from repro.nn.losses import CrossEntropyLoss, Loss
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Adam, Optimizer, RMSProp
-from repro.nn.metrics import accuracy, confusion_matrix, per_class_accuracy, top_k_accuracy
+from repro.nn.metrics import accuracy
 from repro.nn.serialization import load_model, save_model, model_to_arrays, model_from_arrays
 from repro.nn.quantization import QuantizationSpec, dequantize, quantize
 
@@ -48,20 +44,13 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
     "Flatten",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
     "Softmax",
     "Dropout",
-    "BatchNorm1D",
     # losses
     "Loss",
     "CrossEntropyLoss",
-    "MSELoss",
-    "HingeLogitLoss",
     # model / optim
     "Sequential",
     "Optimizer",
@@ -70,9 +59,6 @@ __all__ = [
     "RMSProp",
     # metrics
     "accuracy",
-    "top_k_accuracy",
-    "confusion_matrix",
-    "per_class_accuracy",
     # serialization
     "save_model",
     "load_model",

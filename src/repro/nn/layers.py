@@ -1,4 +1,9 @@
-"""Neural network layers with explicit forward/backward passes.
+"""The victim's layers, with explicit forward/backward passes.
+
+These are the layer kinds the C&W-style ReLU CNNs of
+:mod:`repro.zoo.architectures` are built from: :class:`Conv2D`,
+:class:`Dense`, :class:`MaxPool2D`, :class:`Flatten`, :class:`ReLU`,
+:class:`Softmax` and, in training only, :class:`Dropout`.
 
 Conventions
 -----------
@@ -29,15 +34,10 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
     "Flatten",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
     "Softmax",
     "Dropout",
-    "BatchNorm1D",
     "layer_from_config",
 ]
 
@@ -68,7 +68,7 @@ class Layer:
 
     # Attributes in which a forward pass keeps what backward needs.  They are
     # per-pass scratch, so :meth:`repro.nn.model.Sequential.copy` omits them.
-    SCRATCH = ("_last_input", "_cache", "_mask", "_input", "_output")
+    SCRATCH = ("_last_input", "_cache", "_mask", "_output")
 
     def __init__(self, name: str | None = None):
         self.name = name or self.__class__.__name__.lower()
@@ -390,8 +390,9 @@ class Conv2D(Layer):
         }
 
 
-class _Pool2D(Layer):
-    """Shared plumbing for spatial pooling layers."""
+@_register
+class MaxPool2D(Layer):
+    """Max pooling over non-overlapping (or strided) square windows."""
 
     def __init__(self, pool_size: int = 2, *, stride: int | None = None, name: str | None = None):
         super().__init__(name=name)
@@ -420,19 +421,6 @@ class _Pool2D(Layer):
         cols = cols.reshape(n * out_h * out_w, self.pool_size * self.pool_size, c)
         cols = cols.transpose(0, 2, 1).reshape(n * out_h * out_w * c, -1)
         return cols, (out_h, out_w)
-
-    def get_config(self) -> dict:
-        return {
-            "kind": self.__class__.__name__,
-            "name": self.name,
-            "pool_size": self.pool_size,
-            "stride": self.stride,
-        }
-
-
-@_register
-class MaxPool2D(_Pool2D):
-    """Max pooling over non-overlapping (or strided) square windows."""
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         del training
@@ -465,36 +453,13 @@ class MaxPool2D(_Pool2D):
         grad_cols = grad_cols.transpose(0, 2, 1).reshape(n * out_h * out_w, -1)
         return col2im(grad_cols, input_shape, self.pool_size, self.stride, 0)
 
-
-@_register
-class AvgPool2D(_Pool2D):
-    """Average pooling over square windows."""
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
-        if x.ndim == 5:
-            return self._fold_lanes(x, self.forward)
-        if x.ndim != 4:
-            raise ShapeError(f"AvgPool2D expects NHWC input, got shape {x.shape}")
-        n, h, w, c = x.shape
-        cols, (out_h, out_w) = self._patches(x)
-        out = cols.mean(axis=1)
-        self._cache = (x.shape, (out_h, out_w))
-        return out.reshape(n, out_h, out_w, c)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        if grad_output.ndim == 5:
-            return self._fold_lanes(grad_output, self.backward)
-        input_shape, (out_h, out_w) = self._cache
-        n, h, w, c = input_shape
-        window = self.pool_size * self.pool_size
-        grad_flat = grad_output.reshape(-1) / window
-        grad_cols = np.repeat(grad_flat[:, None], window, axis=1)
-        grad_cols = grad_cols.reshape(n * out_h * out_w, c, window)
-        grad_cols = grad_cols.transpose(0, 2, 1).reshape(n * out_h * out_w, -1)
-        return col2im(grad_cols, input_shape, self.pool_size, self.stride, 0)
+    def get_config(self) -> dict:
+        return {
+            "kind": "MaxPool2D",
+            "name": self.name,
+            "pool_size": self.pool_size,
+            "stride": self.stride,
+        }
 
 
 @_register
@@ -536,74 +501,6 @@ class ReLU(Layer):
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         return grad_output * self._mask
-
-
-@_register
-class LeakyReLU(Layer):
-    """Leaky rectified linear unit with configurable negative slope."""
-
-    def __init__(self, alpha: float = 0.01, name: str | None = None):
-        super().__init__(name=name)
-        if alpha < 0:
-            raise ConfigurationError(f"alpha must be non-negative, got {alpha}")
-        self.alpha = float(alpha)
-        self._input: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
-        self._input = x
-        return np.where(x > 0, x, self.alpha * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * np.where(self._input > 0, 1.0, self.alpha)
-
-    def get_config(self) -> dict:
-        return {"kind": "LeakyReLU", "name": self.name, "alpha": self.alpha}
-
-
-@_register
-class Sigmoid(Layer):
-    """Logistic sigmoid activation."""
-
-    def __init__(self, name: str | None = None):
-        super().__init__(name=name)
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
-        out = np.empty_like(x, dtype=np.float64)
-        positive = x >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-        exp_x = np.exp(x[~positive])
-        out[~positive] = exp_x / (1.0 + exp_x)
-        self._output = out
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * self._output * (1.0 - self._output)
-
-
-@_register
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self, name: str | None = None):
-        super().__init__(name=name)
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
-        self._output = np.tanh(x)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * (1.0 - self._output**2)
 
 
 @_register
@@ -662,104 +559,3 @@ class Dropout(Layer):
 
     def get_config(self) -> dict:
         return {"kind": "Dropout", "name": self.name, "rate": self.rate, "seed": self.seed}
-
-
-@_register
-class BatchNorm1D(Layer):
-    """Batch normalisation over 2-D ``(batch, features)`` inputs."""
-
-    def __init__(
-        self,
-        num_features: int,
-        *,
-        momentum: float = 0.9,
-        eps: float = 1e-5,
-        name: str | None = None,
-    ):
-        super().__init__(name=name)
-        if num_features <= 0:
-            raise ConfigurationError(f"num_features must be positive, got {num_features}")
-        self.num_features = int(num_features)
-        self.momentum = float(momentum)
-        self.eps = float(eps)
-        self.params["gamma"] = np.ones(num_features, dtype=np.float64)
-        self.params["beta"] = np.zeros(num_features, dtype=np.float64)
-        self.running_mean = np.zeros(num_features, dtype=np.float64)
-        self.running_var = np.ones(num_features, dtype=np.float64)
-        self.zero_grads()
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim == 3 and x.shape[2] == self.num_features:
-            # Stacked inference: normalise each lane with the shared running
-            # statistics (stacked training is not supported — the attack
-            # only ever runs inference passes).
-            if training:
-                raise ShapeError("BatchNorm1D does not support training on stacked inputs")
-            x_hat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
-            self._cache = (x_hat, self.running_var)
-            gamma, beta = self.params["gamma"], self.params["beta"]
-            if gamma.ndim == 2:
-                return gamma[:, None, :] * x_hat + beta[:, None, :]
-            return gamma * x_hat + beta
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ShapeError(
-                f"BatchNorm1D expects input of shape (N, {self.num_features}), got {x.shape}"
-            )
-        if training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        else:
-            mean, var = self.running_mean, self.running_var
-        x_hat = (x - mean) / np.sqrt(var + self.eps)
-        self._cache = (x_hat, var)
-        return self.params["gamma"] * x_hat + self.params["beta"]
-
-    def backward(
-        self, grad_output: np.ndarray, *, need_input_grad: bool = True
-    ) -> np.ndarray | None:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x_hat, var = self._cache
-        gamma = self.params["gamma"]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        if grad_output.ndim == 3:
-            n = grad_output.shape[1]
-            per_lane = gamma.ndim == 2
-            axis = 1 if per_lane else (0, 1)
-            self.grads["gamma"] = np.sum(grad_output * x_hat, axis=axis)
-            self.grads["beta"] = grad_output.sum(axis=axis)
-            if not need_input_grad:
-                return None
-            dx_hat = grad_output * (gamma[:, None, :] if per_lane else gamma)
-            return (
-                inv_std
-                / n
-                * (
-                    n * dx_hat
-                    - dx_hat.sum(axis=1, keepdims=True)
-                    - x_hat * np.sum(dx_hat * x_hat, axis=1, keepdims=True)
-                )
-            )
-        n = grad_output.shape[0]
-        self.grads["gamma"] = np.sum(grad_output * x_hat, axis=0)
-        self.grads["beta"] = grad_output.sum(axis=0)
-        if not need_input_grad:
-            return None
-        dx_hat = grad_output * gamma
-        return (
-            inv_std
-            / n
-            * (n * dx_hat - dx_hat.sum(axis=0) - x_hat * np.sum(dx_hat * x_hat, axis=0))
-        )
-
-    def get_config(self) -> dict:
-        return {
-            "kind": "BatchNorm1D",
-            "name": self.name,
-            "num_features": self.num_features,
-            "momentum": self.momentum,
-            "eps": self.eps,
-        }

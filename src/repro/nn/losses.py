@@ -1,9 +1,9 @@
-"""Loss functions.
+"""The training loss.
 
-Each loss exposes ``value(outputs, targets)`` and
+A loss exposes ``value(outputs, targets)`` and
 ``gradient(outputs, targets)`` where ``outputs`` are whatever the model's
-final layer produced (logits for :class:`CrossEntropyLoss` and
-:class:`HingeLogitLoss`).
+final layer produced (logits for :class:`CrossEntropyLoss`).  The attack's
+hinge objective lives in :mod:`repro.attacks.objective`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.utils.errors import ShapeError
 
-__all__ = ["Loss", "CrossEntropyLoss", "MSELoss", "HingeLogitLoss", "softmax", "log_softmax"]
+__all__ = ["Loss", "CrossEntropyLoss", "softmax", "log_softmax"]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -72,80 +72,4 @@ class CrossEntropyLoss(Loss):
         grad = softmax(outputs)
         idx = targets[..., None]
         np.put_along_axis(grad, idx, np.take_along_axis(grad, idx, axis=-1) - 1.0, axis=-1)
-        return grad / targets.size
-
-
-class MSELoss(Loss):
-    """Mean squared error against one-hot targets (or raw regression targets)."""
-
-    def _expand(self, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        targets = np.asarray(targets)
-        if targets.ndim == outputs.ndim - 1:
-            one_hot = np.zeros_like(outputs)
-            labels = _check_labels(outputs, targets)
-            np.put_along_axis(one_hot, labels[..., None], 1.0, axis=-1)
-            return one_hot
-        if targets.shape != outputs.shape:
-            raise ShapeError(
-                f"MSE targets shape {targets.shape} does not match outputs {outputs.shape}"
-            )
-        return targets.astype(np.float64)
-
-    def value(self, outputs: np.ndarray, targets: np.ndarray) -> float:
-        expanded = self._expand(outputs, targets)
-        return float(np.mean((outputs - expanded) ** 2))
-
-    def gradient(self, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        expanded = self._expand(outputs, targets)
-        return 2.0 * (outputs - expanded) / outputs.size
-
-
-class HingeLogitLoss(Loss):
-    """Carlini–Wagner style margin loss on logits (paper eq. (3)).
-
-    ``value`` is the mean over the batch of
-    ``max(max_{j != t} Z_j - Z_t + kappa, 0)`` where ``t`` is the *desired*
-    label of each sample.  It reaches zero exactly when every sample is
-    classified as its desired label with margin at least ``kappa``.
-
-    This is the per-image objective used by the fault-sneaking attack; the
-    attack code in :mod:`repro.attacks.objective` builds on the same kernel
-    but with per-image weights and target/keep semantics.
-    """
-
-    def __init__(self, kappa: float = 0.0):
-        if kappa < 0:
-            raise ValueError(f"kappa must be non-negative, got {kappa}")
-        self.kappa = float(kappa)
-
-    def per_sample(self, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Return the un-reduced hinge value for every sample."""
-        targets = _check_labels(outputs, targets)
-        idx = targets[..., None]
-        target_logit = np.take_along_axis(outputs, idx, axis=-1)[..., 0]
-        masked = outputs.copy()
-        np.put_along_axis(masked, idx, -np.inf, axis=-1)
-        best_other = masked.max(axis=-1)
-        return np.maximum(best_other - target_logit + self.kappa, 0.0)
-
-    def value(self, outputs: np.ndarray, targets: np.ndarray) -> float:
-        return float(self.per_sample(outputs, targets).mean())
-
-    def gradient(self, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        targets = _check_labels(outputs, targets)
-        idx = targets[..., None]
-        target_logit = np.take_along_axis(outputs, idx, axis=-1)[..., 0]
-        masked = outputs.copy()
-        np.put_along_axis(masked, idx, -np.inf, axis=-1)
-        best_other_idx = masked.argmax(axis=-1)
-        best_other = np.take_along_axis(masked, best_other_idx[..., None], axis=-1)[..., 0]
-        active = (best_other - target_logit + self.kappa) > 0
-
-        # The masked argmax never lands on the target column, so writing the
-        # active indicator at best_other_idx and subtracting it at the target
-        # reproduces the classic +/-1 sparse gradient exactly.
-        grad = np.zeros_like(outputs)
-        indicator = active.astype(outputs.dtype)[..., None]
-        np.put_along_axis(grad, best_other_idx[..., None], indicator, axis=-1)
-        np.put_along_axis(grad, idx, np.take_along_axis(grad, idx, axis=-1) - indicator, axis=-1)
         return grad / targets.size

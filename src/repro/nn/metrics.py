@@ -1,4 +1,4 @@
-"""Classification metrics used throughout the evaluation harness."""
+"""The classification metric used throughout the evaluation harness."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.utils.errors import ShapeError
 
-__all__ = ["accuracy", "top_k_accuracy", "confusion_matrix", "per_class_accuracy"]
+__all__ = ["accuracy"]
 
 
 def _check_pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
@@ -26,41 +26,3 @@ def accuracy(y_true, y_pred) -> float:
     """Fraction of predictions equal to the true labels."""
     y_true, y_pred = _check_pair(y_true, y_pred)
     return float(np.mean(y_true == y_pred))
-
-
-def top_k_accuracy(y_true, scores, k: int = 5) -> float:
-    """Fraction of samples whose true label is among the top-``k`` scores."""
-    y_true = np.asarray(y_true).astype(np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[0] != y_true.shape[0]:
-        raise ShapeError(
-            f"scores must be (n_samples, n_classes) matching y_true, got {scores.shape}"
-        )
-    if not 1 <= k <= scores.shape[1]:
-        raise ValueError(f"k must be in [1, {scores.shape[1]}], got {k}")
-    top_k = np.argsort(-scores, axis=1)[:, :k]
-    hits = (top_k == y_true[:, None]).any(axis=1)
-    return float(hits.mean())
-
-
-def confusion_matrix(y_true, y_pred, num_classes: int | None = None) -> np.ndarray:
-    """Return the ``(num_classes, num_classes)`` confusion matrix.
-
-    Rows are true labels, columns are predictions.
-    """
-    y_true, y_pred = _check_pair(y_true, y_pred)
-    if num_classes is None:
-        num_classes = int(max(y_true.max(), y_pred.max())) + 1
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (y_true, y_pred), 1)
-    return matrix
-
-
-def per_class_accuracy(y_true, y_pred, num_classes: int | None = None) -> np.ndarray:
-    """Return per-class recall; classes absent from ``y_true`` get NaN."""
-    matrix = confusion_matrix(y_true, y_pred, num_classes)
-    totals = matrix.sum(axis=1).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        result = np.diag(matrix) / totals
-    result[totals == 0] = np.nan
-    return result

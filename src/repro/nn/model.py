@@ -125,13 +125,6 @@ class Sequential:
             outputs.append(self.logits(x[start : start + batch_size]))
         return np.concatenate(outputs, axis=0)
 
-    def predict_proba(self, x: np.ndarray, *, batch_size: int = 256) -> np.ndarray:
-        """Return softmax probabilities for a batch of inputs."""
-        logits = self.predict_logits(x, batch_size=batch_size)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
-
     def evaluate(self, x: np.ndarray, y: np.ndarray, *, batch_size: int = 256) -> float:
         """Return classification accuracy on ``(x, y)``."""
         return _accuracy(y, self.predict(x, batch_size=batch_size))
@@ -153,7 +146,7 @@ class Sequential:
         layer of the slice that holds parameters: that layer fills only its
         parameter gradients, and the parameter-free layers beneath it are
         skipped.  Every layer assigns (never accumulates) its gradients, so
-        no :meth:`zero_grads` is needed first.
+        nothing needs zeroing first.
         """
         stop = len(self.layers) if stop is None else stop
         layers = self.layers[start:stop]
@@ -165,11 +158,6 @@ class Sequential:
         for layer in reversed(layers[bottom + 1 :]):
             grad = layer.backward(grad)
         layers[bottom].backward(grad, need_input_grad=False)
-
-    def zero_grads(self) -> None:
-        """Reset parameter gradients on every layer."""
-        for layer in self.layers:
-            layer.zero_grads()
 
     # -- parameter access ---------------------------------------------------------
     @property
@@ -190,10 +178,6 @@ class Sequential:
             if layer.name == name:
                 return index
         raise KeyError(f"no layer named {name!r}")
-
-    def trainable_layers(self) -> list[Layer]:
-        """Return layers holding at least one trainable parameter."""
-        return [layer for layer in self.layers if layer.params]
 
     def named_parameters(self) -> Iterator[tuple[str, str, np.ndarray]]:
         """Yield ``(layer_name, param_name, array)`` for every parameter."""

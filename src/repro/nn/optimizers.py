@@ -53,11 +53,6 @@ class Optimizer:
                 state = self._state.setdefault((layer_index, name), {})
                 self._apply(param, grad, state)
 
-    def zero_grad(self) -> None:
-        """Reset gradients on every registered layer."""
-        for layer in self._layers:
-            layer.zero_grads()
-
 
 class SGD(Optimizer):
     """Stochastic gradient descent with optional classical momentum."""

@@ -1,9 +1,9 @@
 """Model persistence.
 
 A model is stored as a numpy ``.npz`` archive containing a JSON architecture
-description plus one array per parameter (and per BatchNorm running
-statistic).  The same array-dictionary form is used by the in-process model
-registry so that models can round-trip through :class:`repro.utils.DiskCache`.
+description plus one array per parameter.  The same array-dictionary form is
+used by the in-process model registry so that models can round-trip through
+:class:`repro.utils.DiskCache`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.nn.layers import BatchNorm1D
 from repro.nn.model import Sequential
 from repro.utils.errors import ConfigurationError
 
@@ -34,10 +33,6 @@ def model_to_arrays(model: Sequential) -> dict[str, np.ndarray]:
     }
     for layer_name, param_name, value in model.named_parameters():
         arrays[f"param/{layer_name}/{param_name}"] = value.copy()
-    for layer in model.layers:
-        if isinstance(layer, BatchNorm1D):
-            arrays[f"running/{layer.name}/mean"] = layer.running_mean.copy()
-            arrays[f"running/{layer.name}/var"] = layer.running_var.copy()
     return arrays
 
 
@@ -57,14 +52,6 @@ def model_from_arrays(arrays: dict[str, np.ndarray]) -> Sequential:
                 f"parameter {key} has shape {stored.shape}, expected {value.shape}"
             )
         value[...] = stored
-    for layer in model.layers:
-        if isinstance(layer, BatchNorm1D):
-            mean_key = f"running/{layer.name}/mean"
-            var_key = f"running/{layer.name}/var"
-            if mean_key in arrays:
-                layer.running_mean = np.asarray(arrays[mean_key], dtype=np.float64).copy()
-            if var_key in arrays:
-                layer.running_var = np.asarray(arrays[var_key], dtype=np.float64).copy()
     return model
 
 

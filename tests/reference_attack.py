@@ -88,7 +88,6 @@ class ScalarObjective:
             grad_logits[active_rows, best_other[active]] += self.weights[active]
             grad_logits[active_rows, self.desired_labels[active]] -= self.weights[active]
 
-            self.model.zero_grads()
             self.model.backward_between(grad_logits, self.lane.start_layer, self.model.logits_end)
             grad = self.view.gather_grads()
         return value, grad

@@ -105,13 +105,16 @@ class TestDetectionReport:
         result = FaultSneakingAttack(
             tiny_model, FaultSneakingConfig(norm="l0", **FAST)
         ).attack(plan)
+        test = tiny_split.test
+        clean = tiny_model.evaluate(test.images, test.labels)
+        attacked = result.modified_model().evaluate(test.images, test.labels)
         report = detection_report(
-            tiny_model,
-            result.modified_model(),
-            tiny_split.test,
+            clean,
+            attacked,
             num_modified_parameters=result.l0_norm,
             attacked_parameter_count=result.view.size,
         )
+        assert (report.clean_accuracy, report.attacked_accuracy) == (clean, attacked)
         assert report.num_modified_parameters == result.l0_norm
         assert 0.0 <= report.probe_detection_at_100 <= 1.0
         assert 0.0 <= report.audit_detection_at_10_percent <= 1.0
@@ -127,17 +130,17 @@ class TestDetectionReport:
         l2_result = FaultSneakingAttack(
             tiny_model, FaultSneakingConfig(norm="l2", kappa=0.0, **FAST)
         ).attack(plan)
+        test = tiny_split.test
+        clean = tiny_model.evaluate(test.images, test.labels)
         l0_report = detection_report(
-            tiny_model,
-            l0_result.modified_model(),
-            tiny_split.test,
+            clean,
+            l0_result.modified_model().evaluate(test.images, test.labels),
             num_modified_parameters=l0_result.l0_norm,
             attacked_parameter_count=l0_result.view.size,
         )
         l2_report = detection_report(
-            tiny_model,
-            l2_result.modified_model(),
-            tiny_split.test,
+            clean,
+            l2_result.modified_model().evaluate(test.images, test.labels),
             num_modified_parameters=l2_result.l0_norm,
             attacked_parameter_count=l2_result.view.size,
         )

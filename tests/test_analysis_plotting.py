@@ -2,44 +2,8 @@
 
 import pytest
 
-from repro.analysis.plotting import ascii_bar_chart, ascii_line_chart
+from repro.analysis.plotting import ascii_line_chart
 from repro.utils.errors import ShapeError
-
-
-class TestBarChart:
-    def test_basic_render(self):
-        chart = ascii_bar_chart(["a", "bb", "ccc"], [1, 2, 4], title="demo", width=8)
-        lines = chart.splitlines()
-        assert lines[0] == "demo"
-        assert len(lines) == 4
-        # the largest value gets the full width
-        assert lines[3].count("#") == 8
-        assert lines[1].count("#") == 2
-
-    def test_labels_aligned(self):
-        chart = ascii_bar_chart(["x", "long"], [1, 1])
-        lines = chart.splitlines()
-        assert lines[0].index("|") == lines[1].index("|")
-
-    def test_zero_values(self):
-        chart = ascii_bar_chart(["a", "b"], [0, 0])
-        assert "#" not in chart
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            ascii_bar_chart(["a"], [1, 2])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_bar_chart(["a"], [-1])
-
-    def test_custom_fill(self):
-        chart = ascii_bar_chart(["a"], [3], fill="*")
-        assert "*" in chart and "#" not in chart
-
-    def test_values_printed(self):
-        chart = ascii_bar_chart(["a"], [123])
-        assert "123" in chart
 
 
 class TestLineChart:

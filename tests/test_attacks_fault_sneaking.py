@@ -142,12 +142,6 @@ class TestAttack:
         keep_rate = np.mean(predictions == plan.keep_labels)
         assert keep_rate >= 0.9
 
-    def test_delta_as_dict_shapes(self, result):
-        split = result.delta_as_dict()
-        assert set(split) == {"fc_logits/W", "fc_logits/b"}
-        total = sum(v.size for v in split.values())
-        assert total == result.view.size
-
     def test_modified_parameters_equals_baseline_plus_delta(self, result):
         modified = result.modified_parameters()
         flat = np.concatenate([modified["fc_logits/W"].ravel(), modified["fc_logits/b"].ravel()])

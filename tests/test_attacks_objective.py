@@ -108,7 +108,6 @@ def full_model_value_and_gradient(objective, delta):
     grad_logits = np.zeros_like(logits)
     grad_logits[rows[active], masked.argmax(axis=1)[active]] = objective.weights[active]
     grad_logits[rows[active], objective.desired_labels[active]] -= objective.weights[active]
-    model.zero_grads()
     model.backward_between(grad_logits, 0, model.logits_end)
     return value, view.gather_grads()
 

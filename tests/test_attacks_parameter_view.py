@@ -74,13 +74,6 @@ class TestViewResolution:
         full = ParameterView(model, ParameterSelector(layers=None))
         assert full.first_layer_index == model.layer_index("fc1")
 
-    def test_block_for(self, model):
-        view = ParameterView(model, ParameterSelector(layers=("fc_logits",)))
-        block = view.block_for("fc_logits", "W")
-        assert block.shape == (8, 4)
-        with pytest.raises(KeyError):
-            view.block_for("fc1", "W")
-
 
 class TestGatherScatter:
     def test_gather_matches_params(self, model):
@@ -138,7 +131,6 @@ class TestGatherScatter:
         view = ParameterView(model, ParameterSelector(layers=("fc_logits",)))
         x = RNG.random((5, 6, 6, 1))
         logits = model.forward_between(x, 0, model.logits_end)
-        model.zero_grads()
         model.backward_between(np.ones_like(logits), 0, model.logits_end)
         grads = view.gather_grads()
         assert grads.shape == (view.size,)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.dataset import Dataset, train_test_split
+from repro.data.dataset import Dataset, DataSplit
 from repro.utils.errors import ShapeError
 
 
@@ -60,19 +60,12 @@ class TestSubsetting:
             j = int(np.flatnonzero((ds.images == shuffled.images[i]).all(axis=(1, 2, 3)))[0])
             assert ds.labels[j] == shuffled.labels[i]
 
-    def test_class_counts(self):
-        counts = make_dataset(n=40, num_classes=4).class_counts()
-        np.testing.assert_array_equal(counts, [10, 10, 10, 10])
-
-    def test_flattened_images(self):
-        assert make_dataset().flattened_images().shape == (60, 64)
-
 
 class TestSampling:
     def test_stratified_sample_balance(self):
         ds = make_dataset(n=100, num_classes=4)
         sample = ds.sample(20, seed=0)
-        counts = sample.class_counts()
+        counts = np.bincount(sample.labels, minlength=4)
         assert counts.min() >= 4 and counts.max() <= 6
 
     def test_unstratified_sample_size(self):
@@ -107,24 +100,9 @@ class TestBatches:
             list(make_dataset().batches(0))
 
 
-class TestTrainTestSplit:
-    def test_sizes(self):
-        ds = make_dataset(n=100)
-        split = train_test_split(ds, test_fraction=0.25, seed=0)
-        assert len(split.train) + len(split.test) == 100
-        assert len(split.test) == pytest.approx(25, abs=4)
-
-    def test_all_classes_in_both(self):
-        ds = make_dataset(n=40, num_classes=4)
-        split = train_test_split(ds, test_fraction=0.2, seed=0)
-        assert set(split.train.labels) == set(range(4))
-        assert set(split.test.labels) == set(range(4))
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            train_test_split(make_dataset(), test_fraction=1.5)
-
+class TestDataSplit:
     def test_split_properties(self):
-        split = train_test_split(make_dataset(), test_fraction=0.2, seed=0)
+        ds = make_dataset()
+        split = DataSplit(train=ds.take(40), test=ds.subset(np.arange(40, 60)))
         assert split.num_classes == 4
         assert split.name == "toy"

@@ -95,13 +95,6 @@ class TestPlanBitFlips:
         assert plan32.num_words_touched == plan16.num_words_touched == 10
         assert plan16.num_flips < plan32.num_flips
 
-    def test_byte_offset(self, memory):
-        target = memory.view.gather()
-        target[0] += 1.0
-        plan = plan_bit_flips(memory, target)
-        for flip in plan.flips:
-            assert flip.byte_offset == flip.bit // 8
-
     @pytest.mark.parametrize(
         "spec",
         [

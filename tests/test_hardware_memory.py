@@ -44,39 +44,31 @@ class TestParameterMemoryMap:
         memory = ParameterMemoryMap(view, spec=QuantizationSpec("float16"))
         assert memory.bytes_per_word == 2
 
-    def test_address_roundtrip(self, view):
+    def test_address_of(self, view):
         memory = ParameterMemoryMap(view)
         for index in (0, 5, memory.num_words - 1):
-            assert memory.index_of(memory.address_of(index)) == index
+            assert memory.address_of(index) == memory.layout.base_address + 4 * index
 
     def test_address_out_of_range(self, view):
         memory = ParameterMemoryMap(view)
         with pytest.raises(IndexError):
             memory.address_of(memory.num_words)
-        with pytest.raises(ValueError):
-            memory.index_of(memory.layout.base_address - 4)
-        with pytest.raises(ValueError):
-            memory.index_of(memory.layout.base_address + 2)  # misaligned
-
-    def test_parameter_at(self, view):
-        memory = ParameterMemoryMap(view)
-        layer, param = memory.parameter_at(0)
-        assert layer == "fc_logits" and param == "W"
-        layer, param = memory.parameter_at(memory.num_words - 1)
-        assert param == "b"
         with pytest.raises(IndexError):
-            memory.parameter_at(memory.num_words)
+            memory.address_of(-1)
 
     def test_decoded_values_match_model(self, view):
         memory = ParameterMemoryMap(view)
         np.testing.assert_allclose(memory.decoded_values(), view.gather(), atol=1e-6)
 
-    def test_read_write_word(self, view):
+    def test_read_write_words(self, view):
         memory = ParameterMemoryMap(view)
-        memory.write_word(3, 0xDEADBEEF)
-        assert memory.read_word(3) == 0xDEADBEEF
-        with pytest.raises(IndexError):
-            memory.read_word(10**6)
+        words = memory.read_words()
+        words[3] = 0xDEADBEEF
+        memory.write_words(words)
+        assert memory.read_words()[3] == 0xDEADBEEF
+        # read_words hands out a copy: editing it leaves the memory alone.
+        memory.read_words()[3] = 0
+        assert memory.read_words()[3] == 0xDEADBEEF
 
     def test_write_words_shape_check(self, view):
         memory = ParameterMemoryMap(view)
@@ -85,11 +77,11 @@ class TestParameterMemoryMap:
 
     def test_flip_bit_involution(self, view):
         memory = ParameterMemoryMap(view)
-        original = memory.read_word(7)
+        original = memory.read_words()[7]
         memory.flip_bit(7, 31)
-        assert memory.read_word(7) != original
+        assert memory.read_words()[7] == original ^ (1 << 31)
         memory.flip_bit(7, 31)
-        assert memory.read_word(7) == original
+        assert memory.read_words()[7] == original
 
     def test_flip_bit_out_of_range(self, view):
         memory = ParameterMemoryMap(view)

@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import (
-    AvgPool2D,
-    BatchNorm1D,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
-    LeakyReLU,
     MaxPool2D,
     ReLU,
-    Sigmoid,
     Softmax,
-    Tanh,
     layer_from_config,
 )
 from repro.utils.errors import ConfigurationError, ShapeError
@@ -172,20 +167,11 @@ class TestPooling:
         out = MaxPool2D(2).forward(x)
         np.testing.assert_allclose(out[0, :, :, 0], [[5, 7], [13, 15]])
 
-    def test_avgpool_values(self):
-        x = np.arange(16, dtype=float).reshape(1, 4, 4, 1)
-        out = AvgPool2D(2).forward(x)
-        np.testing.assert_allclose(out[0, :, :, 0], [[2.5, 4.5], [10.5, 12.5]])
-
     def test_maxpool_gradients(self):
         layer = MaxPool2D(2)
         # distinct values avoid ties in argmax, which would break the numeric check
         x = RNG.permutation(np.arange(2 * 6 * 6 * 2, dtype=float)).reshape(2, 6, 6, 2)
         check_gradients(layer, x, check_params=False)
-
-    def test_avgpool_gradients(self):
-        layer = AvgPool2D(2)
-        check_gradients(layer, RNG.random((2, 6, 6, 3)), check_params=False)
 
     def test_maxpool_channels_independent(self):
         x = np.zeros((1, 2, 2, 2))
@@ -205,7 +191,7 @@ class TestPooling:
 
 
 class TestActivations:
-    @pytest.mark.parametrize("layer_cls", [ReLU, Sigmoid, Tanh, Softmax])
+    @pytest.mark.parametrize("layer_cls", [ReLU, Softmax])
     def test_shape_preserved(self, layer_cls):
         x = RNG.standard_normal((3, 7))
         assert layer_cls().forward(x).shape == x.shape
@@ -213,20 +199,6 @@ class TestActivations:
     def test_relu_values(self):
         out = ReLU().forward(np.array([[-1.0, 0.0, 2.0]]))
         np.testing.assert_allclose(out, [[0.0, 0.0, 2.0]])
-
-    def test_leaky_relu_values(self):
-        out = LeakyReLU(0.1).forward(np.array([[-2.0, 3.0]]))
-        np.testing.assert_allclose(out, [[-0.2, 3.0]])
-
-    def test_leaky_relu_invalid_alpha(self):
-        with pytest.raises(ConfigurationError):
-            LeakyReLU(-0.5)
-
-    def test_sigmoid_range_and_symmetry(self):
-        x = np.linspace(-50, 50, 11).reshape(1, -1)
-        out = Sigmoid().forward(x)
-        assert np.all(out >= 0) and np.all(out <= 1)
-        np.testing.assert_allclose(out + out[:, ::-1], 1.0, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
         out = Softmax().forward(RNG.standard_normal((5, 9)) * 50)
@@ -239,9 +211,7 @@ class TestActivations:
         b = Softmax().forward(x + 100.0)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "layer", [ReLU(), LeakyReLU(0.2), Sigmoid(), Tanh(), Softmax()]
-    )
+    @pytest.mark.parametrize("layer", [ReLU(), Softmax()])
     def test_gradients(self, layer):
         # offset avoids the ReLU kink at exactly zero
         x = RNG.standard_normal((3, 5)) + 0.05
@@ -291,53 +261,6 @@ class TestDropout:
             Dropout(1.0)
 
 
-class TestBatchNorm:
-    def test_training_normalises(self):
-        layer = BatchNorm1D(4)
-        x = RNG.standard_normal((64, 4)) * 3 + 2
-        out = layer.forward(x, training=True)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-7)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-2)
-
-    def test_running_stats_updated(self):
-        layer = BatchNorm1D(3, momentum=0.0)
-        x = RNG.standard_normal((32, 3)) + 5.0
-        layer.forward(x, training=True)
-        np.testing.assert_allclose(layer.running_mean, x.mean(axis=0))
-
-    def test_inference_uses_running_stats(self):
-        layer = BatchNorm1D(3)
-        x = RNG.standard_normal((16, 3))
-        out = layer.forward(x, training=False)
-        np.testing.assert_allclose(out, x / np.sqrt(1 + layer.eps), atol=1e-6)
-
-    def test_gradients(self):
-        layer = BatchNorm1D(3)
-        x = RNG.standard_normal((8, 3))
-        # gradient check in training mode
-        out = layer.forward(x, training=True)
-        grad_output = np.random.default_rng(4).standard_normal(out.shape)
-        layer.forward(x, training=True)
-        analytic = layer.backward(grad_output)
-
-        eps = 1e-6
-        numeric = np.zeros_like(x)
-        for i in range(x.size):
-            flat = x.reshape(-1)
-            orig = flat[i]
-            flat[i] = orig + eps
-            plus = np.sum(layer.forward(x, training=True) * grad_output)
-            flat[i] = orig - eps
-            minus = np.sum(layer.forward(x, training=True) * grad_output)
-            flat[i] = orig
-            numeric.reshape(-1)[i] = (plus - minus) / (2 * eps)
-        np.testing.assert_allclose(analytic, numeric, atol=1e-5)
-
-    def test_wrong_features_raises(self):
-        with pytest.raises(ShapeError):
-            BatchNorm1D(4).forward(np.ones((2, 5)))
-
-
 class TestLayerRegistry:
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigurationError):
@@ -347,15 +270,10 @@ class TestLayerRegistry:
         "layer",
         [
             ReLU(name="r"),
-            LeakyReLU(0.3),
             Flatten(),
             MaxPool2D(3, stride=2),
-            AvgPool2D(2),
             Dropout(0.25, seed=9),
-            BatchNorm1D(6),
             Softmax(),
-            Sigmoid(),
-            Tanh(),
         ],
     )
     def test_roundtrip_preserves_type(self, layer):

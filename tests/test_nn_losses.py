@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import (
-    CrossEntropyLoss,
-    HingeLogitLoss,
-    MSELoss,
-    log_softmax,
-    softmax,
-)
+from repro.nn.losses import CrossEntropyLoss, log_softmax, softmax
 from repro.utils.errors import ShapeError
 
 RNG = np.random.default_rng(0)
@@ -79,67 +73,3 @@ class TestCrossEntropy:
     def test_callable(self):
         logits = np.zeros((1, 2))
         assert CrossEntropyLoss()(logits, np.array([0])) == pytest.approx(np.log(2))
-
-
-class TestMSE:
-    def test_one_hot_expansion(self):
-        outputs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert MSELoss().value(outputs, np.array([0, 1])) == pytest.approx(0.0)
-
-    def test_raw_targets(self):
-        outputs = np.array([[1.0, 2.0]])
-        targets = np.array([[0.0, 0.0]])
-        assert MSELoss().value(outputs, targets) == pytest.approx(2.5)
-
-    def test_gradient_matches_numeric(self):
-        loss = MSELoss()
-        outputs = RNG.standard_normal((4, 3))
-        targets = np.array([0, 1, 2, 1])
-        np.testing.assert_allclose(
-            loss.gradient(outputs, targets),
-            numerical_gradient(loss, outputs, targets),
-            atol=1e-7,
-        )
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            MSELoss().value(np.zeros((2, 3)), np.zeros((2, 4)))
-
-
-class TestHingeLogitLoss:
-    def test_zero_when_target_wins(self):
-        logits = np.array([[5.0, 0.0, 0.0]])
-        assert HingeLogitLoss().value(logits, np.array([0])) == 0.0
-
-    def test_positive_when_target_loses(self):
-        logits = np.array([[0.0, 3.0, 1.0]])
-        assert HingeLogitLoss().value(logits, np.array([0])) == pytest.approx(3.0)
-
-    def test_kappa_margin(self):
-        logits = np.array([[2.0, 1.0]])
-        # target wins by 1; kappa=2 still leaves a violation of 1
-        assert HingeLogitLoss(kappa=2.0).value(logits, np.array([0])) == pytest.approx(1.0)
-
-    def test_negative_kappa_raises(self):
-        with pytest.raises(ValueError):
-            HingeLogitLoss(kappa=-1.0)
-
-    def test_per_sample_shape(self):
-        logits = RNG.standard_normal((7, 4))
-        targets = np.array([0, 1, 2, 3, 0, 1, 2])
-        assert HingeLogitLoss().per_sample(logits, targets).shape == (7,)
-
-    def test_gradient_matches_numeric(self):
-        loss = HingeLogitLoss(kappa=0.5)
-        logits = RNG.standard_normal((6, 5))
-        targets = np.array([0, 1, 2, 3, 4, 0])
-        np.testing.assert_allclose(
-            loss.gradient(logits, targets),
-            numerical_gradient(loss, logits, targets),
-            atol=1e-6,
-        )
-
-    def test_gradient_zero_when_satisfied(self):
-        logits = np.array([[10.0, 0.0, 0.0]])
-        grad = HingeLogitLoss().gradient(logits, np.array([0]))
-        np.testing.assert_array_equal(grad, 0.0)

@@ -1,9 +1,8 @@
 """Tests for repro.nn.metrics."""
 
-import numpy as np
 import pytest
 
-from repro.nn.metrics import accuracy, confusion_matrix, per_class_accuracy, top_k_accuracy
+from repro.nn.metrics import accuracy
 from repro.utils.errors import ShapeError
 
 
@@ -21,52 +20,3 @@ class TestAccuracy:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             accuracy([0, 1], [0])
-
-
-class TestTopK:
-    def test_top1_equals_accuracy(self):
-        scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
-        y = np.array([0, 1, 1])
-        assert top_k_accuracy(y, scores, k=1) == accuracy(y, scores.argmax(axis=1))
-
-    def test_top_k_includes_lower_ranks(self):
-        scores = np.array([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]])
-        y = np.array([1, 0])
-        assert top_k_accuracy(y, scores, k=2) == 0.5
-        assert top_k_accuracy(y, scores, k=3) == 1.0
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.array([0]), np.array([[0.5, 0.5]]), k=3)
-
-    def test_bad_scores_shape(self):
-        with pytest.raises(ShapeError):
-            top_k_accuracy(np.array([0, 1]), np.array([0.5, 0.5]))
-
-
-class TestConfusionMatrix:
-    def test_values(self):
-        cm = confusion_matrix([0, 0, 1, 1, 2], [0, 1, 1, 1, 0], num_classes=3)
-        expected = np.array([[1, 1, 0], [0, 2, 0], [1, 0, 0]])
-        np.testing.assert_array_equal(cm, expected)
-
-    def test_total_preserved(self):
-        rng = np.random.default_rng(0)
-        y_true = rng.integers(0, 5, 100)
-        y_pred = rng.integers(0, 5, 100)
-        assert confusion_matrix(y_true, y_pred).sum() == 100
-
-    def test_num_classes_inferred(self):
-        cm = confusion_matrix([0, 3], [3, 0])
-        assert cm.shape == (4, 4)
-
-
-class TestPerClassAccuracy:
-    def test_values(self):
-        acc = per_class_accuracy([0, 0, 1, 1], [0, 1, 1, 1], num_classes=2)
-        np.testing.assert_allclose(acc, [0.5, 1.0])
-
-    def test_absent_class_is_nan(self):
-        acc = per_class_accuracy([0, 0], [0, 0], num_classes=3)
-        assert np.isnan(acc[1]) and np.isnan(acc[2])
-        assert acc[0] == 1.0

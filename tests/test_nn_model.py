@@ -117,11 +117,6 @@ class TestForward:
             model.predict(x, batch_size=5), model.predict(x, batch_size=100)
         )
 
-    def test_predict_proba_rows_sum_to_one(self):
-        model = small_model()
-        probs = model.predict_proba(RNG.random((6, 4, 4, 1)))
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0)
-
     def test_evaluate_range(self):
         model = small_model()
         x = RNG.random((20, 4, 4, 1))
@@ -148,9 +143,6 @@ class TestParameters:
         assert model.layer_index("fc_logits") == 3
         with pytest.raises(KeyError):
             model.layer_index("missing")
-
-    def test_trainable_layers(self):
-        assert [l.name for l in small_model().trainable_layers()] == ["fc1", "fc_logits"]
 
     def test_snapshot_restore(self):
         model = small_model()
@@ -250,14 +242,6 @@ class TestBackward:
         assert filled.keys() == expected.keys()
         for name, grad in expected.items():
             np.testing.assert_array_equal(filled[name], grad, err_msg=str(name))
-
-    def test_zero_grads(self):
-        model = small_model()
-        x = RNG.random((2, 4, 4, 1))
-        logits = model.forward_between(x, 0, model.logits_end)
-        model.backward_between(np.ones_like(logits), 0, model.logits_end)
-        model.zero_grads()
-        assert np.all(model.get_layer("fc_logits").grads["W"] == 0)
 
 
 class TestConfig:

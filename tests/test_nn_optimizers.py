@@ -35,7 +35,6 @@ def train_steps(optimizer, steps=60):
         logits = model.forward_between(x, 0, model.logits_end, training=True)
         loss = loss_fn.value(logits, y)
         grad = loss_fn.gradient(logits, y)
-        model.zero_grads()
         model.backward_between(grad, 0, model.logits_end)
         optimizer.step()
     return loss
@@ -133,14 +132,6 @@ class TestRMSProp:
 
 
 class TestOptimizerInfrastructure:
-    def test_zero_grad_resets(self):
-        model = tiny_model()
-        opt = SGD().register(model)
-        layer = model.layers[0]
-        layer.grads["W"][...] = 5.0
-        opt.zero_grad()
-        assert np.all(layer.grads["W"] == 0)
-
     def test_register_skips_parameterless_layers(self):
         model = tiny_model()
         opt = SGD().register(model)

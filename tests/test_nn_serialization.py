@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import BatchNorm1D, Conv2D, Dense, Flatten, MaxPool2D, ReLU, Softmax
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Softmax
 from repro.nn.model import Sequential
 from repro.nn.serialization import load_model, model_from_arrays, model_to_arrays, save_model
 from repro.utils.errors import ConfigurationError
@@ -50,18 +50,6 @@ class TestArraysRoundtrip:
         arrays["param/fc1/W"] = np.zeros((2, 2))
         with pytest.raises(ConfigurationError):
             model_from_arrays(arrays)
-
-    def test_batchnorm_running_stats_roundtrip(self):
-        model = Sequential(
-            [Flatten(), Dense(4, 4, seed=0, name="fc1"), BatchNorm1D(4, name="bn"),
-             Dense(4, 2, seed=1, name="fc_logits"), Softmax()]
-        )
-        bn = model.get_layer("bn")
-        bn.running_mean[...] = 3.0
-        bn.running_var[...] = 2.0
-        rebuilt = model_from_arrays(model_to_arrays(model))
-        np.testing.assert_allclose(rebuilt.get_layer("bn").running_mean, 3.0)
-        np.testing.assert_allclose(rebuilt.get_layer("bn").running_var, 2.0)
 
 
 class TestFileRoundtrip:

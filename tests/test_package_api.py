@@ -45,8 +45,8 @@ class TestExamples:
     def test_example_imports_resolve(self):
         """Every ``from repro... import name`` in ``examples/*.py`` resolves.
 
-        Nothing else runs the examples, so a removed or renamed public name
-        would otherwise break them silently.
+        Only the CI smoke job runs the examples, so without this check a
+        removed or renamed public name would break them unnoticed here.
         """
         scripts = sorted(EXAMPLES_DIR.glob("*.py"))
         assert scripts

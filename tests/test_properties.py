@@ -3,7 +3,7 @@
 These complement the per-module unit tests by checking algebraic properties on
 randomly generated inputs:
 
-* softmax / hinge-loss invariances,
+* softmax invariances and the attack objective's hinge,
 * quantisation round-trips,
 * im2col/col2im adjointness for random geometries,
 * parameter-view gather/scatter consistency,
@@ -17,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.attacks.objective import AttackObjective, StackedAttackObjective
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
 from repro.attacks.proximal import prox_l0, prox_l1, prox_l2
 from repro.hardware.bitflip import plan_bit_flips
 from repro.hardware.memory import ParameterMemoryMap
 from repro.nn.im2col import col2im, im2col
-from repro.nn.losses import HingeLogitLoss, softmax
-from repro.nn.metrics import accuracy, confusion_matrix
+from repro.nn.losses import softmax
+from repro.nn.metrics import accuracy
 from repro.nn.quantization import QuantizationSpec, dequantize, quantize
 from repro.zoo.architectures import mlp
 
@@ -66,28 +67,49 @@ class TestSoftmaxProperties:
         np.testing.assert_allclose(at_logit_argmax, probs.max(axis=-1), rtol=1e-9)
 
 
-class TestHingeProperties:
-    @given(logits=logit_arrays)
-    @settings(max_examples=50, deadline=None)
-    def test_nonnegative_and_zero_iff_satisfied(self, logits):
-        loss = HingeLogitLoss()
-        targets = np.argmax(logits, axis=-1)
-        per_sample = loss.per_sample(logits, targets)
-        assert np.all(per_sample >= 0)
-        # the argmax labels are satisfied by definition (ties give 0 margin)
-        assert np.all(per_sample <= 1e-12)
+def _desired_logit_margins(logits, labels):
+    """``max_{j≠d} Z_j − Z_d`` per row, for desired labels ``d``."""
+    rows = np.arange(logits.shape[0])
+    others = logits.copy()
+    others[rows, labels] = -np.inf
+    return others.max(axis=1) - logits[rows, labels]
 
-    @given(logits=logit_arrays)
+
+class TestHingeProperties:
+    """The attack's hinge ``Σ c_i·max(max_{j≠d_i} Z_j − Z_{d_i} + κ, 0)``, computed
+    by a one-lane :class:`StackedAttackObjective` at δ = 0."""
+
+    MODEL = mlp((4, 4, 1), 5, seed=3, hidden=(8, 6))
+    IMAGES = np.random.default_rng(7).random((6, 4, 4, 1))
+    LOGITS = MODEL.forward_between(IMAGES, 0, MODEL.logits_end)
+
+    def _value(self, labels, kappa, weights=1.0):
+        view = ParameterView(self.MODEL, ParameterSelector(layers=("fc_logits",)))
+        objective = AttackObjective(view, self.IMAGES, labels, weights=weights, kappa=kappa)
+        stack = StackedAttackObjective([objective])
+        values, _ = stack.value_and_gradient(np.zeros((1, view.size)))
+        return float(values[0])
+
+    @given(
+        labels=hnp.arrays(dtype=np.int64, shape=6, elements=st.integers(0, 4)),
+        kappa=st.floats(0, 10),
+        weights=hnp.arrays(dtype=np.float64, shape=6, elements=st.floats(0, 3)),
+    )
     @settings(max_examples=50, deadline=None)
-    def test_violated_when_target_not_argmax(self, logits):
-        loss = HingeLogitLoss()
-        argmax = np.argmax(logits, axis=-1)
-        targets = (argmax + 1) % logits.shape[1]
-        per_sample = loss.per_sample(logits, targets)
-        margins = logits[np.arange(len(logits)), argmax] - logits[
-            np.arange(len(logits)), targets
-        ]
-        np.testing.assert_allclose(per_sample, np.maximum(margins, 0.0), atol=1e-9)
+    def test_value_is_the_weighted_logit_hinge(self, labels, kappa, weights):
+        value = self._value(labels, kappa, weights)
+        margins = _desired_logit_margins(self.LOGITS, labels)
+        expected = float(np.sum(weights * np.maximum(margins + kappa, 0.0)))
+        assert value >= 0.0
+        np.testing.assert_allclose(value, expected, rtol=1e-12, atol=1e-12)
+
+    @given(fraction=st.floats(0, 1))
+    @settings(max_examples=50, deadline=None)
+    def test_zero_when_every_desired_label_wins_by_kappa(self, fraction):
+        labels = np.argmax(self.LOGITS, axis=1)
+        # Every argmax label wins by at least the smallest runner-up gap.
+        kappa = fraction * float(np.min(-_desired_logit_margins(self.LOGITS, labels)))
+        assert self._value(labels, kappa) == 0.0
 
 
 class TestQuantizationProperties:
@@ -164,14 +186,12 @@ class TestMetricsProperties:
         seed=st.integers(0, 100),
     )
     @settings(max_examples=40, deadline=None)
-    def test_accuracy_bounds_and_confusion_consistency(self, labels, seed):
+    def test_accuracy_bounds_and_hit_count(self, labels, seed):
         rng = np.random.default_rng(seed)
         predictions = rng.integers(0, 6, size=labels.shape[0])
         acc = accuracy(labels, predictions)
         assert 0.0 <= acc <= 1.0
-        matrix = confusion_matrix(labels, predictions, num_classes=6)
-        assert matrix.sum() == labels.shape[0]
-        assert np.trace(matrix) == pytest.approx(acc * labels.shape[0])
+        assert np.sum(labels == predictions) == pytest.approx(acc * labels.shape[0])
 
 
 class TestParameterViewProperties:

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
+from repro.nn.layers import _LAYER_REGISTRY
 from repro.utils.errors import ConfigurationError
-from repro.zoo.architectures import build_architecture, compact_cnn, mlp, paper_cnn
+from repro.zoo.architectures import (
+    _ARCHITECTURES,
+    build_architecture,
+    compact_cnn,
+    mlp,
+    paper_cnn,
+)
 
 RNG = np.random.default_rng(0)
 
@@ -85,3 +92,12 @@ class TestBuildArchitecture:
         np.testing.assert_array_equal(
             a.get_layer("fc1").params["W"], b.get_layer("fc1").params["W"]
         )
+
+
+def test_layer_registry_holds_only_the_kinds_the_architectures_build():
+    """The ``nn`` engine registers exactly the layer kinds some architecture
+    builds, so no layer type is carried that no victim uses."""
+    models = [factory((28, 28, 1), 10) for factory in _ARCHITECTURES.values()]
+    models.append(paper_cnn((28, 28, 1), 10, dropout=0.5))
+    built = {type(layer).__name__ for model in models for layer in model.layers}
+    assert set(_LAYER_REGISTRY) == built
