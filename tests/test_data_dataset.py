@@ -106,3 +106,44 @@ class TestDataSplit:
         split = DataSplit(train=ds.take(40), test=ds.subset(np.arange(40, 60)))
         assert split.num_classes == 4
         assert split.name == "toy"
+
+
+class TestDatasetDetails:
+    def test_arrays_are_coerced(self):
+        ds = Dataset(
+            images=np.zeros((2, 3, 3, 1), dtype=np.float32),
+            labels=np.array([0.0, 1.0]),
+            num_classes=2,
+        )
+        assert ds.images.dtype == np.float64
+        assert ds.labels.dtype == np.int64
+
+    def test_empty_dataset_is_allowed(self):
+        ds = Dataset(images=np.zeros((0, 4, 4, 1)), labels=np.zeros(0), num_classes=3)
+        assert len(ds) == 0
+        assert list(ds.batches(4)) == []
+
+    def test_subset_keeps_metadata(self):
+        sub = make_dataset().subset([1, 2])
+        assert sub.name == "toy"
+        assert sub.num_classes == 4
+        assert sub.image_shape == (8, 8, 1)
+
+    def test_stratified_sample_tops_up_short_classes(self):
+        labels = np.array([0] * 10 + [1] * 2)
+        ds = Dataset(images=np.zeros((12, 2, 2, 1)), labels=labels, num_classes=2)
+        sample = ds.sample(8, seed=0)
+        assert len(sample) == 8
+        assert np.sum(sample.labels == 1) == 2
+
+    def test_sample_has_no_repeats(self):
+        ds = make_dataset(n=40)
+        ds.images[:, 0, 0, 0] = np.arange(40)
+        sample = ds.sample(25, seed=2)
+        assert np.unique(sample.images[:, 0, 0, 0]).size == 25
+
+    def test_shuffled_batches_cover_every_sample_once(self):
+        ds = make_dataset(n=37)
+        ds.images[:, 0, 0, 0] = np.arange(37)
+        seen = np.concatenate([x[:, 0, 0, 0] for x, _ in ds.batches(8, shuffle=True, seed=4)])
+        np.testing.assert_array_equal(np.sort(seen), np.arange(37))

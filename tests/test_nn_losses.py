@@ -73,3 +73,49 @@ class TestCrossEntropy:
     def test_callable(self):
         logits = np.zeros((1, 2))
         assert CrossEntropyLoss()(logits, np.array([0])) == pytest.approx(np.log(2))
+
+    def test_negative_label_raises(self):
+        with pytest.raises(ValueError):
+            CrossEntropyLoss().value(np.zeros((2, 3)), np.array([0, -1]))
+
+    def test_value_is_nonnegative(self):
+        logits = RNG.standard_normal((8, 5)) * 10
+        assert CrossEntropyLoss().value(logits, np.arange(8) % 5) >= 0.0
+
+    def test_value_is_the_batch_mean(self):
+        loss = CrossEntropyLoss()
+        logits = RNG.standard_normal((4, 3))
+        targets = np.array([2, 0, 1, 1])
+        per_sample = [loss.value(logits[i : i + 1], targets[i : i + 1]) for i in range(4)]
+        assert loss.value(logits, targets) == pytest.approx(np.mean(per_sample))
+
+
+class TestCrossEntropyLeadingAxes:
+    """Outputs may carry extra leading axes; the labels then match them."""
+
+    def test_value_averages_every_leading_position(self):
+        loss = CrossEntropyLoss()
+        logits = RNG.standard_normal((2, 3, 4))
+        targets = np.array([[0, 1, 2], [3, 0, 1]])
+        flat = loss.value(logits.reshape(6, 4), targets.reshape(6))
+        assert loss.value(logits, targets) == pytest.approx(flat)
+
+    def test_gradient_matches_numeric(self):
+        loss = CrossEntropyLoss()
+        logits = RNG.standard_normal((2, 3, 4))
+        targets = np.array([[0, 1, 2], [3, 0, 1]])
+        np.testing.assert_allclose(
+            loss.gradient(logits, targets),
+            numerical_gradient(loss, logits, targets),
+            atol=1e-7,
+        )
+
+    def test_label_shape_must_match_leading_axes(self):
+        with pytest.raises(ShapeError):
+            CrossEntropyLoss().value(np.zeros((2, 3, 4)), np.zeros(6, dtype=int))
+
+    def test_softmax_helpers_use_the_last_axis(self):
+        logits = RNG.standard_normal((2, 3, 5))
+        np.testing.assert_allclose(softmax(logits).sum(axis=-1), 1.0)
+        np.testing.assert_allclose(softmax(logits)[1], softmax(logits[1]))
+        np.testing.assert_allclose(log_softmax(logits)[0], log_softmax(logits[0]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import layers as layers_module
-from repro.nn.layers import Conv2D, Dense, Flatten, Layer, ReLU, Softmax
+from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, Layer, ReLU, Softmax
 from repro.nn.model import Sequential
 from repro.utils.errors import ConfigurationError
 
@@ -250,3 +250,47 @@ class TestConfig:
         rebuilt = Sequential.from_config(model.get_config())
         assert [l.name for l in rebuilt.layers] == [l.name for l in model.layers]
         assert rebuilt.n_params == model.n_params
+
+    def test_config_roundtrip_is_exact(self):
+        model = conv_model()
+        assert Sequential.from_config(model.get_config()).get_config() == model.get_config()
+
+    def test_from_config_defaults_the_name(self):
+        config = small_model().get_config()
+        del config["name"]
+        assert Sequential.from_config(config).name == "sequential"
+
+
+class TestBackwardBetweenEdges:
+    def test_parameter_free_slice_fills_nothing(self):
+        model = small_model()
+        x = RNG.random((2, 4, 4, 1))
+        model.forward(x)
+        for layer in model.layers:
+            layer.grads.clear()
+        # The softmax alone holds no parameters: nothing to backpropagate to.
+        assert model.backward_between(np.ones((2, 4)), 4, 5) is None
+        assert all(not layer.grads for layer in model.layers)
+
+    def test_stop_bounds_the_filled_layers(self):
+        model = small_model()
+        x = RNG.random((2, 4, 4, 1))
+        hidden = model.forward_between(x, 0, 3)
+        for layer in model.layers:
+            layer.grads.clear()
+        model.backward_between(np.ones_like(hidden), 0, 3)
+        assert set(model.get_layer("fc1").grads) == {"W", "b"}
+        assert not model.get_layer("fc_logits").grads
+
+
+class TestTrainingFlag:
+    def test_training_reaches_dropout(self):
+        model = Sequential([Dropout(0.5, seed=0), Dense(6, 2, seed=0)])
+        x = np.ones((50, 6))
+        np.testing.assert_array_equal(model.forward(x), model.forward(x))
+        assert not np.array_equal(model.forward(x, training=True), model.forward(x))
+
+    def test_logits_ignore_training_dropout_when_inference(self):
+        model = Sequential([Dense(6, 4, seed=0), Dropout(0.5, seed=1), Dense(4, 3, seed=2)])
+        x = RNG.random((5, 6))
+        np.testing.assert_array_equal(model.logits(x), model.predict_logits(x))

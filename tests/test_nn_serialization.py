@@ -72,3 +72,30 @@ class TestFileRoundtrip:
         model = build_model()
         path = save_model(model, tmp_path / "deep" / "dir" / "model.npz")
         assert path.exists()
+
+
+class TestArchiveContents:
+    def test_identical_models_give_identical_archives(self):
+        a, b = model_to_arrays(build_model()), model_to_arrays(build_model())
+        assert a.keys() == b.keys()
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key])
+
+    def test_one_entry_per_parameter(self):
+        model = build_model()
+        arrays = model_to_arrays(model)
+        params = {f"param/{layer}/{name}" for layer, name, _ in model.named_parameters()}
+        assert params <= arrays.keys()
+        assert len(arrays) == len(params) + 1  # plus the architecture entry
+
+    def test_arrays_are_copies(self):
+        model = build_model()
+        arrays = model_to_arrays(model)
+        model.get_layer("fc1").params["W"][...] = 0.0
+        assert np.any(arrays["param/fc1/W"] != 0.0)
+
+    def test_roundtrip_preserves_architecture(self):
+        model = build_model()
+        rebuilt = model_from_arrays(model_to_arrays(model))
+        assert rebuilt.get_config() == model.get_config()
+        assert rebuilt.name == "serialization-test"
