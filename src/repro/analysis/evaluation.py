@@ -134,22 +134,24 @@ class EvaluationContext:
             )
         return self._prefixes[start]
 
-    def accuracies(self, models: Sequence[Sequential], start: int) -> list[float]:
-        """Test accuracy of each model, running only its layers from ``start``.
+    def logits(self, models: Sequence[Sequential], start: int) -> list[np.ndarray]:
+        """Test-set logits of each model, running only its layers from ``start``.
 
         Every model's layers below ``start`` must equal the clean model's.
-        Each accuracy is then bit-identical to ``model.evaluate`` on the test
-        set, which runs the same layers on the same mini-batches.
+        The logits are then bit-identical to ``model.predict_logits`` on the
+        test set, which runs the same layers on the same mini-batches.
         """
         chunks: list[list[np.ndarray]] = [[] for _ in models]
         for prefix in self.prefix_batches(start):
             for model, logits in zip(models, chunks):
                 logits.append(model.forward_between(prefix, start, model.logits_end))
+        return [np.concatenate(logits, axis=0) for logits in chunks]
+
+    def accuracies(self, models: Sequence[Sequential], start: int) -> list[float]:
+        """Test accuracy of each model, running only its layers from ``start``
+        (bit-identical to ``model.evaluate``, see :meth:`logits`)."""
         labels = self.test_set.labels
-        return [
-            _accuracy(labels, np.argmax(np.concatenate(logits, axis=0), axis=1))
-            for logits in chunks
-        ]
+        return [_accuracy(labels, np.argmax(out, axis=1)) for out in self.logits(models, start)]
 
 
 def evaluate_attack_result(

@@ -83,6 +83,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro.attacks.parameter_view import ParameterView
+from repro.data.dataset import Dataset
 from repro.hardware.bitflip import BitFlipPlan, plan_bit_flips
 from repro.hardware.device.ecc import EccScheme, EccSummary
 from repro.hardware.device.mitigations import (
@@ -1372,11 +1373,6 @@ class BitTrueMeasurement:
         return float(self.keep_mask.mean()) if self.keep_mask.size else 1.0
 
 
-# Sequential.predict_logits' default batch: the attack-plan prefix uses the
-# same mini-batches, so every suffix forward below is bit-identical to it.
-_PREDICT_BATCH = 256
-
-
 class BitTrueScorer:
     """Applies flip plans to one scratch copy of a victim and scores them.
 
@@ -1384,9 +1380,9 @@ class BitTrueScorer:
     decoder-corrected baseline, each Monte-Carlo trial, each remapped
     defense trial) goes through :meth:`measure`; the victim is never
     written.  Only layers from the first attacked one onward differ from
-    the victim, so the clean activations entering it are computed once: for
-    the attack-plan images here, for the eval set by ``context`` (the
-    victim's :class:`~repro.analysis.evaluation.EvaluationContext`).  Every
+    the victim, so the clean activations entering it are computed once, by
+    one :class:`~repro.analysis.evaluation.EvaluationContext` for the
+    attack-plan images and by ``context`` (the victim's) for the eval set.  Every
     rate, logit and accuracy is bit-identical to a full forward of a fresh
     victim copy carrying the same flips.
     """
@@ -1412,21 +1408,22 @@ class BitTrueScorer:
         self.context = context
 
     @cached_property
-    def _attack_prefix(self) -> tuple[np.ndarray, ...]:
-        images = self.attack_plan.images
-        return tuple(
-            self.victim.forward_between(images[i : i + _PREDICT_BATCH], 0, self.start)
-            for i in range(0, images.shape[0], _PREDICT_BATCH)
-        )
+    def _plan_context(self):
+        """The attack-plan images, labelled with their desired classes, as an
+        evaluation set: it holds their clean prefix activations."""
+        # Imported here: repro.analysis imports the defenses, which import this module.
+        from repro.analysis.evaluation import EvaluationContext
+
+        plan = self.attack_plan
+        images = Dataset(plan.images, plan.desired_labels, num_classes=self.victim.num_classes)
+        return EvaluationContext(self.victim, images)
 
     def rates(self, model: Sequential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Success/keep masks and target logits of ``model`` (the scratch
         model or the victim) on the attack plan."""
-        logits = np.concatenate(
-            [model.forward_between(x, self.start, model.logits_end) for x in self._attack_prefix]
-        )
+        logits = self._plan_context.logits([model], self.start)[0]
         num_targets = self.attack_plan.num_targets
-        hits = np.argmax(logits, axis=1) == self.attack_plan.desired_labels
+        hits = np.argmax(logits, axis=1) == self._plan_context.test_set.labels
         return hits[:num_targets], hits[num_targets:], logits[:num_targets]
 
     def measure(

@@ -70,16 +70,6 @@ class Dataset:
             name=self.name,
         )
 
-    def take(self, n: int) -> "Dataset":
-        """Return the first ``n`` samples."""
-        return self.subset(np.arange(min(n, len(self))))
-
-    def shuffled(self, seed: int | None = None) -> "Dataset":
-        """Return a shuffled copy of the dataset."""
-        rng = RandomState(seed)
-        order = rng.permutation(len(self))
-        return self.subset(order)
-
     def sample(self, n: int, *, seed: int | None = None, stratified: bool = True) -> "Dataset":
         """Return a random sample of ``n`` items, optionally class-balanced."""
         if n > len(self):

@@ -30,10 +30,11 @@ Progress is reported on one channel: the engine, every executor and the
 fleet dispatcher publish typed events to the process-wide telemetry bus
 (:func:`repro.experiments.telemetry.bus.global_bus`).
 
-Determinism: each job derives its own seed from its spec via
-:func:`repro.utils.rng.derive_seed` before executing, and every random
-decision of a cell (plan seed, model seed) is part of its spec, so serial
-and parallel runs produce identical tables cell for cell.
+Determinism: each job (and each fused group of sweep cells, see
+:mod:`repro.experiments.fusion`) runs under :func:`run_seeded` with a seed
+derived from its spec via :func:`repro.utils.rng.derive_seed`, and every
+random decision of a cell (plan seed, model seed) is part of its spec, so
+serial, parallel and fused runs produce identical tables cell for cell.
 
 The invariants this rests on are machine-checked by ``repro-lint``
 (``python -m repro.analysis``): no unseeded randomness outside
@@ -81,6 +82,7 @@ __all__ = [
     "register_job",
     "job_kinds",
     "execute_job",
+    "run_seeded",
     "ArtifactStore",
     "Campaign",
     "CampaignStats",
@@ -207,21 +209,31 @@ def execute_job(spec: JobSpec, *, registry: ModelRegistry | None = None) -> JobR
         ) from exc
     if registry is None:
         registry = _WORKER_REGISTRY
-    # Seed the global generators per job so any stray global-RNG use behaves
-    # identically under every executor — but restore the caller's state
-    # afterwards so serial in-process execution stays side-effect free.
+    metrics, elapsed = run_seeded(
+        derive_seed(spec.kind, spec.params), lambda: fn(registry=registry, **spec.param_dict())
+    )
+    clean = {name: float(value) for name, value in metrics.items()}
+    return JobResult(key=spec.key, kind=spec.kind, metrics=clean, elapsed=elapsed)
+
+
+def run_seeded(seed: int, work: Callable[[], Any]) -> tuple[Any, float]:
+    """Run ``work()`` with the global generators seeded; return its value and wall time.
+
+    Every job (and every fused group) seeds the global generators from its
+    own spec, so any stray global-RNG use behaves identically under every
+    executor.  The caller's state is restored afterwards, so in-process
+    execution stays side-effect free.
+    """
     stdlib_state = random.getstate()
     numpy_state = np.random.get_state()
     try:
-        seed_everything(derive_seed(spec.kind, spec.params))
+        seed_everything(seed)
         started = time.perf_counter()
-        metrics = fn(registry=registry, **spec.param_dict())
-        elapsed = time.perf_counter() - started
+        value = work()
+        return value, time.perf_counter() - started
     finally:
         random.setstate(stdlib_state)
         np.random.set_state(numpy_state)
-    clean = {name: float(value) for name, value in metrics.items()}
-    return JobResult(key=spec.key, kind=spec.kind, metrics=clean, elapsed=elapsed)
 
 
 # -- artifact store ------------------------------------------------------------------
@@ -713,11 +725,12 @@ def run_campaign(
         typed event published meanwhile (cache hits, job completions, fleet
         worker attach/detach).  Fleet events arrive from a background thread.
     fuse:
-        Group compatible pending cells (see :mod:`repro.experiments.fusion`)
-        into batched in-parent jobs — one stacked tensor solve per group —
-        before handing the remainder to the executor.  Purely an
-        execution-plan rewrite: per-cell artifact keys, metrics, manifests
-        and telemetry events are identical to an unfused run.
+        Group compatible pending sweep cells (see
+        :mod:`repro.experiments.fusion`) into batched in-parent jobs — one
+        stacked tensor solve per group — before handing the remainder to the
+        executor.  Purely an execution-plan rewrite: per-cell artifact keys,
+        metrics, manifests and telemetry events are identical to an unfused
+        run.
     """
     started = time.perf_counter()
     store = store if store is not None else ArtifactStore(enabled=False)

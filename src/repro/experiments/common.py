@@ -14,7 +14,10 @@ module centralises:
   once per process;
 * the ``sweep-cell`` campaign job shared by Table 4 and Figures 1–2 (one
   fault-sneaking attack at a single (S, R) grid point, evaluated against the
-  anchor/evaluation split).
+  anchor/evaluation split), and its fused form: :func:`sweep_group_key`
+  says which cells may share one stacked solve and :func:`sweep_cell_batch`
+  runs such a group (:mod:`repro.experiments.fusion` plans and runs the
+  groups).
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from repro.attacks.fault_sneaking import FaultSneakingAttack, FaultSneakingConfi
 from repro.attacks.targets import make_attack_plan
 from repro.data.dataset import Dataset
 from repro.experiments.campaign import JobSpec, register_job
-from repro.experiments.fusion import register_fusion
 from repro.utils.errors import ConfigurationError
 from repro.zoo.registry import ModelRegistry, ModelSpec, TrainedModel, default_registry
 
@@ -51,7 +53,10 @@ __all__ = [
     "victim_context",
     "anchor_pool_size",
     "usable_r_values",
+    "SWEEP_CELL",
     "sweep_cell_spec",
+    "sweep_group_key",
+    "sweep_cell_batch",
     "S1_BASELINE_ATTACKS",
     "s1_num_images",
     "run_s1_attack",
@@ -321,6 +326,10 @@ def usable_r_values(setting: ExperimentSetting) -> list[int]:
     return [int(r) for r in setting.r_values if r <= limit]
 
 
+# Job kind of one (S, R) grid point of the shared fault-sneaking sweep.
+SWEEP_CELL = "sweep-cell"
+
+
 def sweep_cell_spec(
     *,
     dataset: str,
@@ -340,7 +349,7 @@ def sweep_cell_spec(
     protocol of reusing one plan seed across the whole grid.
     """
     return JobSpec.make(
-        "sweep-cell",
+        SWEEP_CELL,
         dataset=dataset,
         scale=scale,
         seed=int(seed),
@@ -391,38 +400,50 @@ def run_s1_attack(attack: str, model, plan, scale: str):
     )
 
 
-@register_job("sweep-cell")
-def _sweep_cell_job(
-    *,
-    registry: ModelRegistry | None = None,
-    dataset: str,
-    scale: str,
-    seed: int,
-    s: int,
-    r: int,
-    norm: str = "l0",
-    target_strategy: str = "random",
-    plan_seed: int = 0,
-) -> dict:
-    """Attack one (S, R) grid point and return the full evaluation metrics."""
-    trained = get_trained_model(dataset, scale, registry=registry, seed=seed)
-    context = victim_context(trained)
-    config = attack_config_for(scale, norm=norm)
-    plan = make_attack_plan(
-        context.anchor_pool,
-        num_targets=s,
-        num_images=r,
-        target_strategy=target_strategy,
-        seed=plan_seed,
+def _sweep_params(params: dict) -> dict:
+    """A sweep cell's parameters, with defaults for the optional ones."""
+    return {"norm": "l0", "target_strategy": "random", "plan_seed": 0, **params}
+
+
+def _sweep_inputs(registry: ModelRegistry | None, cells: list[dict]):
+    """The victim model, its context, the attack configuration and one plan
+    per cell of a sweep group (or of one scalar cell).
+
+    The cells share :func:`sweep_group_key`, so the first one names the
+    victim and the configuration.
+    """
+    cells = [_sweep_params(cell) for cell in cells]
+    first = cells[0]
+    trained = get_trained_model(
+        first["dataset"], first["scale"], registry=registry, seed=int(first["seed"])
     )
-    result = FaultSneakingAttack(trained.model, config).attack(plan)
+    context = victim_context(trained)
+    config = attack_config_for(first["scale"], norm=first["norm"])
+    plans = [
+        make_attack_plan(
+            context.anchor_pool,
+            num_targets=int(cell["s"]),
+            num_images=int(cell["r"]),
+            target_strategy=cell["target_strategy"],
+            seed=int(cell["plan_seed"]),
+        )
+        for cell in cells
+    ]
+    return trained.model, context, config, plans
+
+
+@register_job(SWEEP_CELL)
+def _sweep_cell_job(*, registry: ModelRegistry | None = None, **params) -> dict:
+    """Attack one (S, R) grid point and return the full evaluation metrics."""
+    model, context, config, (plan,) = _sweep_inputs(registry, [params])
+    result = FaultSneakingAttack(model, config).attack(plan)
     evaluation = evaluate_attack_result(
         result, context=context.evaluation, zero_tolerance=config.zero_tolerance
     )
     return evaluation.as_dict()
 
 
-def _sweep_cell_group_key(params: dict) -> tuple:
+def sweep_group_key(params: dict) -> tuple:
     """Fusion compatibility key of one sweep cell.
 
     Everything that must be *shared* across the lanes of one stacked solve:
@@ -430,46 +451,23 @@ def _sweep_cell_group_key(params: dict) -> tuple:
     norm) and the anchor count R (the stacked objective needs one common
     image-batch shape).  S and the plan seed vary lane to lane.
     """
-    return (
-        params["dataset"],
-        params["scale"],
-        int(params["seed"]),
-        int(params["r"]),
-        params.get("norm", "l0"),
-        params.get("target_strategy", "random"),
-    )
+    p = _sweep_params(params)
+    return (p["dataset"], p["scale"], int(p["seed"]), int(p["r"]), p["norm"], p["target_strategy"])
 
 
-@register_fusion("sweep-cell", group_key=_sweep_cell_group_key)
-def _sweep_cell_batch(specs, *, registry: ModelRegistry | None = None) -> list[dict]:
+def sweep_cell_batch(specs: list[JobSpec], *, registry: ModelRegistry | None = None) -> list[dict]:
     """Attack a group of compatible (S, R) grid points in one stacked solve.
 
-    The group reads the victim's shared context and builds one attack
-    configuration; each cell contributes its own attack plan as one lane of
-    the batched solver.  Each lane's metrics are bit-identical to what
-    :func:`_sweep_cell_job` returns for that cell alone (the batched solver
+    Each cell contributes its own attack plan as one lane of the batched
+    solver.  Each lane's metrics are bit-identical to what the scalar
+    ``sweep-cell`` job returns for that cell alone (the batched solver
     mirrors the scalar arithmetic ULP for ULP), so fusing is invisible to
     manifests and tables.
     """
     from repro.attacks.batched import BatchedFaultSneakingAttack
 
-    first = specs[0].param_dict()
-    trained = get_trained_model(
-        first["dataset"], first["scale"], registry=registry, seed=int(first["seed"])
-    )
-    context = victim_context(trained)
-    config = attack_config_for(first["scale"], norm=first.get("norm", "l0"))
-    plans = [
-        make_attack_plan(
-            context.anchor_pool,
-            num_targets=int(params["s"]),
-            num_images=int(params["r"]),
-            target_strategy=params.get("target_strategy", "random"),
-            seed=int(params.get("plan_seed", 0)),
-        )
-        for params in (spec.param_dict() for spec in specs)
-    ]
-    results = BatchedFaultSneakingAttack(trained.model, config).attack_batch(plans)
+    model, context, config, plans = _sweep_inputs(registry, [spec.param_dict() for spec in specs])
+    results = BatchedFaultSneakingAttack(model, config).attack_batch(plans)
     evaluations = evaluate_attack_results(
         results, context=context.evaluation, zero_tolerance=config.zero_tolerance
     )

@@ -348,46 +348,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.experiment is None:
         parser.error("an experiment name is required (or use --list-profiles)")
-    if args.profile:
-        from repro.hardware.device import list_profiles
-
-        unknown = [name for name in args.profile if name not in list_profiles()]
-        if unknown:
-            parser.error(
-                f"unknown device profile(s) {unknown}; registered: "
-                f"{', '.join(list_profiles())}"
-            )
-    if args.hammer_pattern:
-        from repro.hardware.device import list_patterns
-
-        unknown = [name for name in args.hammer_pattern if name not in list_patterns()]
-        if unknown:
-            parser.error(
-                f"unknown hammer pattern(s) {unknown}; registered: "
-                f"{', '.join(list_patterns())}"
-            )
-    if args.trials is not None and args.trials < 0:
-        parser.error(f"--trials must be >= 0, got {args.trials}")
-    if args.env_drift is not None and not -1.0 < args.env_drift < 1.0:
-        parser.error(f"--env-drift must lie in (-1, 1), got {args.env_drift}")
-    if args.attacker:
-        from repro.experiments.defense_matrix import ATTACKER_PROFILES
-
-        unknown = [name for name in args.attacker if name not in ATTACKER_PROFILES]
-        if unknown:
-            parser.error(
-                f"unknown attacker(s) {unknown}; named attackers: "
-                f"{', '.join(sorted(ATTACKER_PROFILES))}"
-            )
-    if args.defense:
-        from repro.defenses import list_defenses
-
-        unknown = [name for name in args.defense if name not in list_defenses()]
-        if unknown:
-            parser.error(
-                f"unknown defense(s) {unknown}; registered: "
-                f"{', '.join(list_defenses())}"
-            )
     if args.workers is not None:
         if args.executor != "fleet":
             parser.error("--workers requires --executor fleet")

@@ -416,8 +416,7 @@ def flat_aggressor_rows(victim_rows) -> np.ndarray:
 
     The single source of the legacy flat adjacency rule — victims never
     serve as aggressors, row 0 has no row above it, and a row between two
-    victims is counted once.  Both the hammer planner and
-    :class:`~repro.hardware.injectors.RowHammerInjector` use it when no
+    victims is counted once.  The hammer planner uses it when no
     :class:`~repro.hardware.device.dram.DramGeometry` is attached.
     """
     victims = np.unique(np.asarray(list(victim_rows), dtype=np.int64))

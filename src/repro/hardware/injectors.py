@@ -195,19 +195,6 @@ class RowHammerInjector(Injector):
         self.row_cycle_s = float(row_cycle_s)
         self.min_activations = int(min_activations)
 
-    def aggressor_rows(self, victim_rows) -> np.ndarray:
-        """Distinct aggressor rows needed for a set of victim rows.
-
-        Victims themselves never serve as aggressors, and an aggressor
-        sitting between two victims is activated (and paid for) once.
-        """
-        from repro.hardware.device.mitigations import flat_aggressor_rows
-
-        victims = np.unique(np.asarray(list(victim_rows), dtype=np.int64))
-        if victims.size and self.geometry is not None:
-            return self.geometry.aggressor_row_ids(victims)
-        return flat_aggressor_rows(victims)
-
     def refresh_schedule(self, hammer) -> tuple[int, bool]:
         """Fit a hammer plan into tREFW windows: ``(windows, feasible)``.
 

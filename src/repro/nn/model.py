@@ -232,16 +232,6 @@ class Sequential:
         layers = [layer_from_config(layer_cfg) for layer_cfg in config["layers"]]
         return cls(layers, name=config.get("name", "sequential"))
 
-    def summary(self) -> str:
-        """Return a human-readable, layer-by-layer summary table."""
-        lines = [f"Model {self.name!r} — {self.n_params:,} parameters", "-" * 60]
-        for index, layer in enumerate(self.layers):
-            lines.append(
-                f"{index:>3}  {layer.__class__.__name__:<12} {layer.name:<24} "
-                f"{layer.n_params:>12,}"
-            )
-        return "\n".join(lines)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Sequential(name={self.name!r}, layers={len(self.layers)}, "

@@ -41,6 +41,15 @@ class TestEvaluationContext:
             tiny_split.test.images, tiny_split.test.labels, batch_size=64
         )
 
+    def test_suffix_logits_equal_a_full_forward_bitwise(self, tiny_model, tiny_split):
+        # 100 rows in 64-row batches: the last mini-batch is a partial one.
+        test = tiny_split.test.subset(np.arange(100))
+        context = EvaluationContext(tiny_model, test, batch_size=64)
+        full = tiny_model.predict_logits(test.images, batch_size=64)
+        for start in range(len(tiny_model.layers)):
+            (logits,) = context.logits([tiny_model], start)
+            np.testing.assert_array_equal(logits, full)
+
 
 class TestEvaluateAttackResult:
     @pytest.fixture(scope="class")

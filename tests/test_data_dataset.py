@@ -45,15 +45,9 @@ class TestSubsetting:
         assert len(sub) == 3
         np.testing.assert_array_equal(sub.labels, ds.labels[[0, 5, 10]])
 
-    def test_take(self):
-        assert len(make_dataset().take(7)) == 7
-
-    def test_take_more_than_available(self):
-        assert len(make_dataset(n=5).take(100)) == 5
-
-    def test_shuffled_preserves_pairs(self):
+    def test_subset_of_a_permutation_preserves_pairs(self):
         ds = make_dataset()
-        shuffled = ds.shuffled(seed=1)
+        shuffled = ds.subset(np.random.default_rng(1).permutation(len(ds)))
         assert len(shuffled) == len(ds)
         # the (image, label) association must be preserved
         for i in range(5):
@@ -103,7 +97,7 @@ class TestBatches:
 class TestDataSplit:
     def test_split_properties(self):
         ds = make_dataset()
-        split = DataSplit(train=ds.take(40), test=ds.subset(np.arange(40, 60)))
+        split = DataSplit(train=ds.subset(np.arange(40)), test=ds.subset(np.arange(40, 60)))
         assert split.num_classes == 4
         assert split.name == "toy"
 

@@ -24,6 +24,7 @@ from repro.experiments.campaign import (
     make_executor,
     register_job,
     run_campaign,
+    run_seeded,
 )
 from repro.utils.errors import ConfigurationError
 
@@ -89,6 +90,40 @@ class TestJobSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             execute_job(JobSpec.make("no-such-kind"))
+
+
+class TestRunSeeded:
+    def test_seeds_the_work_and_restores_the_caller_state(self):
+        import random
+
+        import numpy as np
+
+        def draw():
+            return random.random(), float(np.random.random())
+
+        np.random.seed(777)
+        random.seed(777)
+        expected = draw()
+        np.random.seed(777)
+        random.seed(777)
+        first, elapsed = run_seeded(5, draw)
+        assert run_seeded(5, draw)[0] == first
+        assert run_seeded(6, draw)[0] != first
+        assert elapsed >= 0.0
+        assert draw() == expected
+
+    def test_restores_the_caller_state_when_the_work_raises(self):
+        import numpy as np
+
+        def fail():
+            raise RuntimeError("boom")
+
+        np.random.seed(777)
+        expected = np.random.random(3)
+        np.random.seed(777)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_seeded(5, fail)
+        np.testing.assert_array_equal(np.random.random(3), expected)
 
 
 # -- executors -----------------------------------------------------------------------

@@ -171,26 +171,39 @@ class TestMain:
 
 
 class TestCampaignOptionErrors:
-    @pytest.mark.parametrize("experiment", ["defense_matrix", "all"])
+    # Each option value is checked once, by the campaign's build_campaign;
+    # the runner turns its ConfigurationError into a usage error.
+    @pytest.mark.parametrize(
+        "argv, rejecting, reason",
+        [
+            # defense_matrix needs at least one trial; "all" must reject that
+            # before it runs the experiments sorted ahead of defense_matrix.
+            (["defense_matrix", "--trials", "0"], "defense_matrix", "trials must be > 0"),
+            (["all", "--trials", "0"], "defense_matrix", "trials must be > 0"),
+            (["hardware_cost", "--hammer-pattern", "bogus"], "hardware_cost", "pattern 'bogus'"),
+            (["hardware_cost", "--env-drift", "1.5"], "hardware_cost", "lie in (-1, 1)"),
+            (["defense_matrix", "--attacker", "bogus"], "defense_matrix", "attacker 'bogus'"),
+            (["all", "--defense", "bogus"], "defense_matrix", "defense 'bogus'"),
+        ],
+        ids=["defense_matrix", "all", "hammer-pattern", "env-drift", "attacker", "all-defense"],
+    )
     def test_bad_campaign_option_fails_before_anything_runs(
-        self, experiment, capsys, tmp_path, monkeypatch
+        self, argv, rejecting, reason, capsys, tmp_path, monkeypatch
     ):
-        # defense_matrix needs at least one trial; "all" must reject that
-        # before it runs the experiments sorted ahead of defense_matrix.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         events = []
         sink = global_bus().attach(CallbackSink(events.append))
         try:
             with pytest.raises(SystemExit) as excinfo:
-                main([experiment, "--scale", "smoke", "--trials", "0"])
+                main(argv + ["--scale", "smoke"])
         finally:
             global_bus().detach(sink)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         message = err.splitlines()[-1]
-        assert message.startswith("repro-experiments: error: defense_matrix: ")
-        assert "trials must be > 0" in message
+        assert message.startswith(f"repro-experiments: error: {rejecting}: ")
+        assert reason in message
         assert [line for line in err.splitlines() if "error:" in line] == [message]
         assert not any(isinstance(event, RunStarted) for event in events)
 
@@ -306,7 +319,7 @@ class TestDeviceProfileFlags:
     def test_negative_trials_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["hardware_cost", "--trials", "-1"])
-        assert "--trials must be >= 0" in capsys.readouterr().err
+        assert "trials must be >= 0, got -1" in capsys.readouterr().err
 
     def test_profile_passthrough_serial_matches_jobs(self, tmp_path, monkeypatch):
         # Runner UX satellite: the same --profile grid must produce

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hardware.bitflip import BitFlip, BitFlipPlan
+from repro.hardware.device.mitigations import flat_aggressor_rows
 from repro.hardware.injectors import LaserBeamInjector, RowHammerInjector
 from repro.utils.errors import ConfigurationError
 
@@ -114,7 +115,7 @@ class TestRowHammer:
         edge = injector.cost(make_plan([(0, 0, 0)]))
         assert edge.operations == 1
         assert edge.time_seconds == pytest.approx(50.0)
-        assert injector.aggressor_rows([0]).tolist() == [1]
+        assert flat_aggressor_rows([0]).tolist() == [1]
 
     def test_geometry_clamps_aggressors_at_bank_edges(self):
         from repro.hardware.device import DramGeometry
@@ -131,7 +132,7 @@ class TestRowHammer:
         # (local rows 7 and 0), so they do NOT share an aggressor.
         split = injector.cost(make_plan([(0, 0, 7), (1, 0, 8)]))
         assert split.operations == 2
-        assert sorted(injector.aggressor_rows([7, 8]).tolist()) == [6, 9]
+        assert sorted(geometry.aggressor_row_ids([7, 8]).tolist()) == [6, 9]
 
     def test_per_row_limit(self):
         injector = RowHammerInjector(max_flips_per_row=2)
