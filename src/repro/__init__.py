@@ -4,8 +4,8 @@ Misleading Deep Neural Networks" (Zhao et al., DAC 2019).
 The package is organised as a stack of substrates with the paper's
 contribution on top:
 
-* :mod:`repro.nn` — a numpy neural-network library (layers, losses,
-  optimizers, training, serialisation, quantisation);
+* :mod:`repro.nn` — a numpy neural-network library (layers, losses, the
+  Adam optimizer, training, serialisation, quantisation);
 * :mod:`repro.data` — synthetic MNIST-like / CIFAR-like datasets;
 * :mod:`repro.zoo` — reference architectures, trainer and a train-once model
   registry;

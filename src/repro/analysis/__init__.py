@@ -1,6 +1,7 @@
 """Evaluation and reporting utilities for the attack experiments."""
 
 from repro.analysis.evaluation import (
+    ZERO_TOLERANCE,
     AttackEvaluation,
     count_modified_parameters,
     evaluate_attack_result,
@@ -19,6 +20,7 @@ __all__ = [
     "AttackEvaluation",
     "evaluate_attack_result",
     "count_modified_parameters",
+    "ZERO_TOLERANCE",
     "Table",
     "render_text",
     "render_markdown",

@@ -23,24 +23,20 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.attacks.fault_sneaking import ZERO_TOLERANCE, count_modified_parameters
+from repro.attacks.objective import mask_rate
 from repro.data.dataset import Dataset
 from repro.nn.metrics import accuracy as _accuracy
 from repro.nn.model import Sequential
 
 __all__ = [
+    "ZERO_TOLERANCE",
     "AttackEvaluation",
     "EvaluationContext",
     "count_modified_parameters",
     "evaluate_attack_result",
     "evaluate_attack_results",
 ]
-
-
-def count_modified_parameters(delta: np.ndarray, *, tolerance: float = 1e-8) -> int:
-    """Number of entries of ``δ`` whose magnitude exceeds ``tolerance``."""
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
-    return int(np.count_nonzero(np.abs(np.asarray(delta)) > tolerance))
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,6 @@ def evaluate_attack_result(
     context: EvaluationContext | None = None,
     clean_model: Sequential | None = None,
     clean_accuracy: float | None = None,
-    zero_tolerance: float = 1e-8,
     batch_size: int = 256,
 ) -> AttackEvaluation:
     """Evaluate one attack result against a held-out test set.
@@ -180,7 +175,6 @@ def evaluate_attack_result(
         context=context,
         clean_model=clean_model,
         clean_accuracy=clean_accuracy,
-        zero_tolerance=zero_tolerance,
         batch_size=batch_size,
     )[0]
 
@@ -192,7 +186,6 @@ def evaluate_attack_results(
     context: EvaluationContext | None = None,
     clean_model: Sequential | None = None,
     clean_accuracy: float | None = None,
-    zero_tolerance: float = 1e-8,
     batch_size: int = 256,
 ) -> list[AttackEvaluation]:
     """Evaluate attacks on one victim, sharing the clean prefix forward.
@@ -217,8 +210,10 @@ def evaluate_attack_results(
         The unmodified victim model.  Defaults to ``results[0].view.model``.
     clean_accuracy:
         A pre-computed clean accuracy; computed on the test set when omitted.
-    zero_tolerance:
-        Threshold below which a modification entry counts as zero.
+
+    The ℓ0 norm counts entries above
+    :data:`~repro.attacks.fault_sneaking.ZERO_TOLERANCE`
+    (:func:`count_modified_parameters`).
     """
     if (test_set is None) == (context is None):
         raise ValueError("pass exactly one of test_set and context")
@@ -246,7 +241,6 @@ def evaluate_attack_results(
             np.asarray(result.delta),
             context.clean_accuracy,
             attacked_accuracy,
-            zero_tolerance,
         )
         for result, attacked_accuracy in zip(results, attacked_accuracies)
     ]
@@ -257,19 +251,18 @@ def _build_evaluation(
     delta: np.ndarray,
     clean_accuracy: float,
     attacked_accuracy: float,
-    zero_tolerance: float,
 ) -> AttackEvaluation:
     success_mask = np.asarray(result.success_mask, dtype=bool)
     keep_mask = np.asarray(result.keep_mask, dtype=bool)
     return AttackEvaluation(
         num_targets=int(result.plan.num_targets),
         num_images=int(result.plan.num_images),
-        l0_norm=count_modified_parameters(delta, tolerance=zero_tolerance),
+        l0_norm=count_modified_parameters(delta),
         l2_norm=float(np.linalg.norm(delta)),
         linf_norm=float(np.max(np.abs(delta))) if delta.size else 0.0,
-        success_rate=float(success_mask.mean()) if success_mask.size else 1.0,
+        success_rate=mask_rate(success_mask),
         num_successful_faults=int(success_mask.sum()),
-        keep_rate=float(keep_mask.mean()) if keep_mask.size else 1.0,
+        keep_rate=mask_rate(keep_mask),
         clean_test_accuracy=float(clean_accuracy),
         attacked_test_accuracy=float(attacked_accuracy),
     )

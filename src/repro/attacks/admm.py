@@ -21,6 +21,11 @@ The solver additionally evaluates, at every iteration, how well the sparse
 iterate ``z`` already satisfies the misclassification requirements, records
 it in the run's history, and keeps the best feasible candidate seen so far;
 this is what is returned as the attack's parameter modification.
+
+Two step and stopping values are constants: the adaptive α bounds the
+gradient part of each δ-step by :data:`TRUST_RADIUS`, and a lane stops
+early once its constraints are met and ``‖z − δ‖₂ <=``
+:data:`PRIMAL_TOLERANCE`.
 """
 
 from __future__ import annotations
@@ -34,13 +39,28 @@ from repro.attacks.proximal import get_proximal_operator, row_norms
 from repro.utils.errors import ConfigurationError
 from repro.utils.logging import get_logger
 
-__all__ = ["ADMMConfig", "ADMMHistory", "ADMMResult", "ADMMSolver", "satisfaction"]
+__all__ = [
+    "PRIMAL_TOLERANCE",
+    "TRUST_RADIUS",
+    "ADMMConfig",
+    "ADMMHistory",
+    "ADMMResult",
+    "ADMMSolver",
+    "satisfaction",
+]
 
 _LOGGER = get_logger("attacks.admm")
 
 # Lower bound on the adaptive α: keeps the δ-step well-defined when the
 # misclassification objective is already satisfied and its gradient vanishes.
 _ALPHA_FLOOR = 1.0
+
+# Maximum Euclidean length of the gradient part of one δ-step when α is
+# adaptive; the attack's warm start and support refinement step by it too.
+TRUST_RADIUS = 0.05
+
+# Early stop once the constraints are met and ``‖z − δ‖₂`` is at most this.
+PRIMAL_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -60,26 +80,18 @@ class ADMMConfig:
         Linearisation constant α (``H = αI`` in eq. (21)).  Acts as an inverse
         step size for the δ update.  ``None`` (the default) chooses α
         adaptively at every iteration so that the gradient part of the δ-step
-        moves ``δ`` by at most ``trust_radius`` in Euclidean norm — the paper
+        moves ``δ`` by at most :data:`TRUST_RADIUS` in Euclidean norm — the paper
         leaves H "pre-defined", and the adaptive choice removes the need to
         hand-tune it per model (the hinge gradient magnitude varies by orders
         of magnitude across models and S/R settings).
-    trust_radius:
-        Maximum Euclidean length of the gradient part of one δ-step when
-        ``alpha`` is ``None``.
     iterations:
         Maximum number of ADMM iterations.
-    primal_tolerance:
-        Early stop when the constraints are met and ``‖z − δ‖₂`` falls below
-        this value.
     """
 
     norm: str = "l0"
     rho: float = 1.0
     alpha: float | None = None
-    trust_radius: float = 0.05
     iterations: int = 100
-    primal_tolerance: float = 1e-4
 
     def __post_init__(self):
         get_proximal_operator(self.norm)  # validates the norm name
@@ -87,12 +99,8 @@ class ADMMConfig:
             raise ConfigurationError(f"rho must be positive, got {self.rho}")
         if self.alpha is not None and self.alpha <= 0:
             raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-        if self.trust_radius <= 0:
-            raise ConfigurationError(f"trust_radius must be positive, got {self.trust_radius}")
         if self.iterations <= 0:
             raise ConfigurationError(f"iterations must be positive, got {self.iterations}")
-        if self.primal_tolerance < 0:
-            raise ConfigurationError("primal_tolerance must be non-negative")
 
 
 @dataclass
@@ -131,7 +139,13 @@ class ADMMResult:
 
     @property
     def l0_norm(self) -> int:
-        """Number of non-zero entries of the returned modification."""
+        """Number of non-zero entries of the returned modification.
+
+        Exact non-zeros, not
+        :func:`~repro.attacks.fault_sneaking.count_modified_parameters`: the
+        returned candidate is a proximal iterate ``z``, whose dropped entries
+        are exactly zero.
+        """
         return int(np.count_nonzero(self.delta))
 
     @property
@@ -141,6 +155,8 @@ class ADMMResult:
 
 
 def _measure(vector: np.ndarray, norm: str) -> float:
+    """``D(z)`` of a proximal iterate; its ℓ0 counts exact non-zeros, since
+    the z-step sets every dropped entry to exactly zero."""
     if norm == "l0":
         return float(np.count_nonzero(vector))
     if norm == "l1":
@@ -300,9 +316,7 @@ class ADMMSolver:
                 history.success_rate.append(success)
                 history.keep_rate.append(keep)
 
-            newly_converged = best_feasible[rows] & (
-                primal_residuals <= cfg.primal_tolerance
-            )
+            newly_converged = best_feasible[rows] & (primal_residuals <= PRIMAL_TOLERANCE)
             if newly_converged.any():
                 converged[rows[newly_converged]] = True
                 _LOGGER.debug(
@@ -336,14 +350,14 @@ class ADMMSolver:
 
         With ``alpha=None`` the value is chosen so that the gradient
         contribution to the δ update, ``‖∇G‖ / (αR + ρ)``, never exceeds
-        ``trust_radius``; this keeps the linearisation honest regardless of
+        :data:`TRUST_RADIUS`; this keeps the linearisation honest regardless of
         the (piecewise-constant, potentially huge) hinge gradient magnitude.
         """
         cfg = self.config
         if cfg.alpha is not None:
             return np.full(grads.shape[0], cfg.alpha)
         grad_norms = row_norms(grads)
-        needed_denominators = grad_norms / cfg.trust_radius
+        needed_denominators = grad_norms / TRUST_RADIUS
         alphas = (needed_denominators - rhos) / max(num_images, 1)
         return np.maximum(alphas, _ALPHA_FLOOR)
 

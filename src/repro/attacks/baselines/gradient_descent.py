@@ -13,8 +13,8 @@ post-processing passes described in [16]:
 
 Unlike the fault sneaking attack, GDA has no mechanism to keep the
 classification of other images unchanged — this is exactly the gap the paper
-quantifies in §5.4 — but for a fair comparison the loss can optionally
-include keep images with a configurable weight.
+quantifies in §5.4: it descends on the target images alone, and its keep
+rate is reported against the full plan.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.attacks.objective import AttackObjective, StackedAttackObjective
+from repro.attacks.objective import AttackObjective, StackedAttackObjective, mask_rate
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
 from repro.attacks.targets import AttackPlan
 from repro.nn.model import Sequential
@@ -52,9 +52,6 @@ class GradientDescentAttackConfig:
         Maximum number of gradient steps.
     kappa:
         Confidence margin of the hinge loss.
-    keep_weight:
-        Weight of the keep images in the loss; 0 reproduces the original GDA
-        which ignores collateral damage.
     compression_rounds:
         Maximum number of modification-compression rounds; each round zeroes
         the smallest ``compression_fraction`` of the surviving entries and
@@ -69,7 +66,6 @@ class GradientDescentAttackConfig:
     learning_rate: float = 0.05
     iterations: int = 200
     kappa: float = 0.2
-    keep_weight: float = 0.0
     compression_rounds: int = 40
     compression_fraction: float = 0.1
 
@@ -80,8 +76,6 @@ class GradientDescentAttackConfig:
             raise ConfigurationError("iterations must be positive")
         if self.kappa < 0:
             raise ConfigurationError("kappa must be non-negative")
-        if self.keep_weight < 0:
-            raise ConfigurationError("keep_weight must be non-negative")
         if self.compression_rounds < 0:
             raise ConfigurationError("compression_rounds must be non-negative")
         if not 0.0 < self.compression_fraction <= 1.0:
@@ -110,6 +104,8 @@ class GradientDescentResult:
 
     @property
     def l0_norm(self) -> int:
+        """Exact non-zeros of ``δ``: compression zeroes dropped entries
+        exactly, so no tolerance applies."""
         return int(np.count_nonzero(self.delta))
 
     @property
@@ -118,11 +114,11 @@ class GradientDescentResult:
 
     @property
     def success_rate(self) -> float:
-        return float(self.success_mask.mean()) if self.success_mask.size else 1.0
+        return mask_rate(self.success_mask)
 
     @property
     def keep_rate(self) -> float:
-        return float(self.keep_mask.mean()) if self.keep_mask.size else 1.0
+        return mask_rate(self.keep_mask)
 
     def modified_model(self) -> Sequential:
         """Return a copy of the victim model with the modification applied."""
@@ -140,32 +136,17 @@ class GradientDescentAttack:
         self.config = config or GradientDescentAttackConfig()
 
     def attack(self, plan: AttackPlan) -> GradientDescentResult:
-        """Run GDA for an attack plan (keep images only used if keep_weight > 0)."""
+        """Run GDA for an attack plan: descend on its target images alone."""
         cfg = self.config
         view = ParameterView(self.model, cfg.selector())
-        weights = np.concatenate(
-            [np.ones(plan.num_targets), np.full(plan.num_keep, cfg.keep_weight)]
-        )
         # Success / keep are always reported against the *full* plan so GDA
         # and the fault sneaking attack are measured identically.
         full = StackedAttackObjective(
-            [
-                AttackObjective(
-                    view,
-                    plan.images,
-                    plan.desired_labels,
-                    num_targets=plan.num_targets,
-                    weights=weights,
-                    kappa=cfg.kappa,
-                )
-            ]
+            [AttackObjective(view, plan.images, plan.desired_labels, num_targets=plan.num_targets)]
         )
-        if cfg.keep_weight > 0 and plan.num_keep:
-            objective = full
-        else:
-            objective = StackedAttackObjective(
-                [AttackObjective(view, plan.target_images, plan.target_labels, kappa=cfg.kappa)]
-            )
+        objective = StackedAttackObjective(
+            [AttackObjective(view, plan.target_images, plan.target_labels, kappa=cfg.kappa)]
+        )
 
         delta, iterations_run, loss_history = self._descend(objective)
         delta, compression_rounds_run = self._compress(objective, delta)

@@ -12,6 +12,13 @@ Every attack runs through :func:`run_attack_lanes`, which solves a list of
 plans as the lanes of one stacked solve: :meth:`FaultSneakingAttack.attack`
 is the one-lane case and :mod:`.batched` the many-lane one.
 
+The objective weights every anchor image with ``c_i = 1`` and puts the
+margin κ = 0 on the keep images.  The dense warm start and the support
+refinement step by the solver's :data:`~repro.attacks.admm.TRUST_RADIUS`,
+and the warm start uses momentum :data:`WARMUP_MOMENTUM`.  Entries with
+``|δ_i| <=`` :data:`ZERO_TOLERANCE` count as unmodified
+(:func:`count_modified_parameters`).
+
 Typical use::
 
     plan = make_attack_plan(test_set, num_targets=4, num_images=200, seed=0)
@@ -27,8 +34,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.attacks.admm import ADMMConfig, ADMMHistory, ADMMResult, ADMMSolver, satisfaction
-from repro.attacks.objective import AttackObjective, StackedAttackObjective
+from repro.attacks.admm import (
+    TRUST_RADIUS,
+    ADMMConfig,
+    ADMMHistory,
+    ADMMResult,
+    ADMMSolver,
+    satisfaction,
+)
+from repro.attacks.objective import AttackObjective, StackedAttackObjective, mask_rate
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
 from repro.attacks.proximal import row_norms
 from repro.attacks.targets import AttackPlan
@@ -37,10 +51,13 @@ from repro.utils.errors import ConfigurationError
 from repro.utils.logging import get_logger
 
 __all__ = [
+    "WARMUP_MOMENTUM",
+    "ZERO_TOLERANCE",
     "FaultSneakingConfig",
     "FaultSneakingResult",
     "FaultSneakingAttack",
     "build_objective",
+    "count_modified_parameters",
     "run_attack_lanes",
 ]
 
@@ -57,6 +74,17 @@ _DEFAULT_RHO = {"l0": 500.0, "l1": 200.0, "l2": 50.0}
 # when auto-calibrating ρ: entries below roughly this fraction of the dense
 # solution are dropped by the first z-step.
 _CALIBRATION_PERCENTILE = 65.0
+
+# Momentum coefficient of the dense warm-start phase.
+WARMUP_MOMENTUM = 0.9
+
+# Entries with ``|δ_i| <=`` this value count as unmodified.
+ZERO_TOLERANCE = 1e-8
+
+
+def count_modified_parameters(delta: np.ndarray) -> int:
+    """Number of entries of ``δ`` whose magnitude exceeds :data:`ZERO_TOLERANCE`."""
+    return int(np.count_nonzero(np.abs(np.asarray(delta)) > ZERO_TOLERANCE))
 
 
 @dataclass(frozen=True)
@@ -75,7 +103,7 @@ class FaultSneakingConfig:
         fully connected layer, ``("fc_logits",)``.
     include_weights, include_biases:
         Restrict the attack to weight or bias parameters (Table 2).
-    rho, alpha, trust_radius, iterations, primal_tolerance:
+    rho, alpha, iterations:
         ADMM hyper-parameters, see :class:`~repro.attacks.admm.ADMMConfig`.
         ``rho=None`` (default) calibrates ρ per attack: for the ℓ0/ℓ1 norms
         the hard/soft threshold ``sqrt(2/ρ)`` / ``1/ρ`` is set to a percentile
@@ -83,18 +111,13 @@ class FaultSneakingConfig:
         configuration works across layers whose parameter counts (and hence
         per-parameter modification magnitudes) differ by orders of magnitude.
         ``alpha=None`` (default) chooses the linearisation constant adaptively
-        from ``trust_radius``.
+        from :data:`~repro.attacks.admm.TRUST_RADIUS`.
     kappa:
         Confidence margin inside the hinge objective for the ``S`` target
         images; a positive value makes the found modification robust to the
-        final sparsification.
-    keep_kappa:
-        Confidence margin for the ``R − S`` keep images.  The default 0
-        matches the paper's formulation: a keep image only contributes to the
-        objective once its classification actually flips.
-    target_weight, keep_weight:
-        The ``c_i`` weights of eqs. (5)/(6) for the ``S`` target images and
-        the ``R − S`` keep images respectively.
+        final sparsification.  The keep images have margin 0, as in the
+        paper: a keep image only contributes to the objective once its
+        classification actually flips.
     warm_start:
         Run a dense warm-start phase before ADMM: normalised-gradient descent
         with momentum on ``G(θ + δ)`` alone until the misclassification
@@ -105,15 +128,10 @@ class FaultSneakingConfig:
         point ``δ = z = 0``.
     warmup_iterations:
         Iteration cap of the warm-start phase.
-    warmup_momentum:
-        Momentum coefficient of the warm-start phase.
     refine_support_steps:
         After ADMM finishes, run this many extra linearised δ-steps restricted
         to the support of the chosen sparse modification (no new parameters
         are touched).  This is an optional repair stage; 0 disables it.
-    zero_tolerance:
-        Entries with ``|δ_i| <=`` this value count as unmodified when
-        reporting the ℓ0 norm.
     """
 
     norm: str = "l0"
@@ -122,36 +140,23 @@ class FaultSneakingConfig:
     include_biases: bool = True
     rho: float | None = None
     alpha: float | None = None
-    trust_radius: float = 0.05
     iterations: int = 200
-    primal_tolerance: float = 1e-4
     kappa: float = 1.0
-    keep_kappa: float = 0.0
-    target_weight: float = 1.0
-    keep_weight: float = 1.0
     warm_start: bool = True
     warmup_iterations: int = 600
-    warmup_momentum: float = 0.9
     refine_support_steps: int = 100
-    zero_tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.norm not in _DEFAULT_RHO:
             raise ConfigurationError(
                 f"norm must be one of {sorted(_DEFAULT_RHO)}, got {self.norm!r}"
             )
-        if self.target_weight <= 0 or self.keep_weight < 0:
-            raise ConfigurationError("target_weight must be > 0 and keep_weight >= 0")
-        if self.kappa < 0 or self.keep_kappa < 0:
-            raise ConfigurationError("kappa and keep_kappa must be non-negative")
+        if self.kappa < 0:
+            raise ConfigurationError("kappa must be non-negative")
         if self.refine_support_steps < 0:
             raise ConfigurationError("refine_support_steps must be non-negative")
         if self.warmup_iterations < 0:
             raise ConfigurationError("warmup_iterations must be non-negative")
-        if not 0.0 <= self.warmup_momentum < 1.0:
-            raise ConfigurationError("warmup_momentum must be in [0, 1)")
-        if self.zero_tolerance < 0:
-            raise ConfigurationError("zero_tolerance must be non-negative")
         self.admm_config()  # validates the ADMM hyper-parameters
 
     @property
@@ -174,7 +179,7 @@ class FaultSneakingConfig:
         if self.norm == "l2" or warm_delta is None:
             return self.effective_rho
         magnitudes = np.abs(warm_delta)
-        magnitudes = magnitudes[magnitudes > self.zero_tolerance]
+        magnitudes = magnitudes[magnitudes > ZERO_TOLERANCE]
         if magnitudes.size == 0:
             return self.effective_rho
         threshold = float(np.percentile(magnitudes, _CALIBRATION_PERCENTILE))
@@ -202,9 +207,7 @@ class FaultSneakingConfig:
             norm=self.norm,
             rho=self.effective_rho,
             alpha=self.alpha,
-            trust_radius=self.trust_radius,
             iterations=self.iterations,
-            primal_tolerance=self.primal_tolerance,
         )
 
 
@@ -228,8 +231,8 @@ class FaultSneakingResult:
     # -- norms ----------------------------------------------------------------
     @property
     def l0_norm(self) -> int:
-        """Number of modified parameters (entries above ``zero_tolerance``)."""
-        return int(np.count_nonzero(np.abs(self.delta) > self.config.zero_tolerance))
+        """Number of modified parameters (:func:`count_modified_parameters`)."""
+        return count_modified_parameters(self.delta)
 
     @property
     def l2_norm(self) -> float:
@@ -255,7 +258,7 @@ class FaultSneakingResult:
     @property
     def success_rate(self) -> float:
         """Fraction of the ``S`` target images classified as their target."""
-        return float(self.success_mask.mean()) if self.success_mask.size else 1.0
+        return mask_rate(self.success_mask)
 
     @property
     def num_successful_faults(self) -> int:
@@ -265,7 +268,7 @@ class FaultSneakingResult:
     @property
     def keep_rate(self) -> float:
         """Fraction of keep images whose classification is unchanged."""
-        return float(self.keep_mask.mean()) if self.keep_mask.size else 1.0
+        return mask_rate(self.keep_mask)
 
     @property
     def history(self) -> ADMMHistory:
@@ -338,26 +341,11 @@ class FaultSneakingAttack:
 def build_objective(
     config: FaultSneakingConfig, view: ParameterView, plan: AttackPlan
 ) -> AttackObjective:
-    """Build the weighted hinge objective for one attack plan (one lane)."""
-    weights = np.concatenate(
-        [
-            np.full(plan.num_targets, config.target_weight),
-            np.full(plan.num_keep, config.keep_weight),
-        ]
-    )
-    kappa = np.concatenate(
-        [
-            np.full(plan.num_targets, config.kappa),
-            np.full(plan.num_keep, config.keep_kappa),
-        ]
-    )
+    """Build the hinge objective for one attack plan (one lane): margin
+    ``config.kappa`` on the target images and 0 on the keep images."""
+    kappa = np.concatenate([np.full(plan.num_targets, config.kappa), np.zeros(plan.num_keep)])
     return AttackObjective(
-        view,
-        plan.images,
-        plan.desired_labels,
-        num_targets=plan.num_targets,
-        weights=weights,
-        kappa=kappa,
+        view, plan.images, plan.desired_labels, num_targets=plan.num_targets, kappa=kappa
     )
 
 
@@ -421,9 +409,9 @@ def _dense_warm_start(config: FaultSneakingConfig, stacked: StackedAttackObjecti
     """Find, per lane, a dense ``δ`` meeting the misclassification requirements.
 
     Normalised-gradient descent with momentum on ``G(θ + δ)`` alone.  The
-    step length equals ``trust_radius`` so the path (and therefore the ℓ2
+    step length equals :data:`~repro.attacks.admm.TRUST_RADIUS` so the path (and therefore the ℓ2
     norm of the warm start) stays short.  A lane drops out of the stack as
-    soon as its weighted hinge reaches zero or its gradient vanishes; the
+    soon as its hinge reaches zero or its gradient vanishes; the
     lowest-valued iterate of each lane is returned.
     """
     lanes, size = stacked.lanes, stacked.size
@@ -446,8 +434,7 @@ def _dense_warm_start(config: FaultSneakingConfig, stacked: StackedAttackObjecti
         grads, grad_norms = grads[keep], grad_norms[keep]
         safe_norms = np.where(grad_norms > 0, grad_norms, 1.0)
         velocities[rows] = (
-            config.warmup_momentum * velocities[rows]
-            - config.trust_radius * grads / safe_norms[:, None]
+            WARMUP_MOMENTUM * velocities[rows] - TRUST_RADIUS * grads / safe_norms[:, None]
         )
         deltas[rows] = deltas[rows] + velocities[rows]
     return best
@@ -465,7 +452,7 @@ def _refine_on_support(
     the best constraint satisfaction (ties broken by smaller ℓ2 norm) is
     returned.
     """
-    supports = np.abs(deltas) > config.zero_tolerance
+    supports = np.abs(deltas) > ZERO_TOLERANCE
     best = deltas.copy()
     rows = np.flatnonzero(supports.any(axis=1))
     if not rows.size:
@@ -484,7 +471,7 @@ def _refine_on_support(
         sub = sub.subset(np.flatnonzero(keep))
         grads, grad_norms = grads[keep], grad_norms[keep]
         safe_norms = np.where(grad_norms > 0, grad_norms, 1.0)
-        stepped = current[rows] - config.trust_radius * grads / safe_norms[:, None]
+        stepped = current[rows] - TRUST_RADIUS * grads / safe_norms[:, None]
         current[rows] = np.where(supports[rows], stepped, 0.0)
         for lane, key in zip(rows, _candidate_keys(sub, current[rows])):
             if key > best_keys[lane]:

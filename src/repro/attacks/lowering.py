@@ -82,6 +82,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from repro.attacks.objective import mask_rate
 from repro.attacks.parameter_view import ParameterView
 from repro.data.dataset import Dataset
 from repro.hardware.bitflip import BitFlipPlan, plan_bit_flips
@@ -1366,11 +1367,11 @@ class BitTrueMeasurement:
 
     @property
     def success_rate(self) -> float:
-        return float(self.success_mask.mean()) if self.success_mask.size else 1.0
+        return mask_rate(self.success_mask)
 
     @property
     def keep_rate(self) -> float:
-        return float(self.keep_mask.mean()) if self.keep_mask.size else 1.0
+        return mask_rate(self.keep_mask)
 
 
 class BitTrueScorer:

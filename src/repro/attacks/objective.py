@@ -2,15 +2,16 @@
 
 For every anchor image ``x_i`` the objective contributes
 
-    g_i(θ + δ) = c_i · max( max_{j ≠ d_i} Z(θ+δ, x_i)_j − Z(θ+δ, x_i)_{d_i}, 0 )
+    g_i(θ + δ) = c_i · max( max_{j ≠ d_i} Z(θ+δ, x_i)_j − Z(θ+δ, x_i)_{d_i} + κ_i, 0 )
 
 where ``d_i`` is the image's *desired* label: the adversarial target ``t_i``
 for the first ``S`` images (eq. (5)) and the original label ``l_i`` for the
 remaining ``R − S`` "keep" images (eq. (6)).  ``G`` is the sum over all
-``R`` images.
+``R`` images.  Every weight is ``c_i = 1``; the attack sets the margin κ on
+the target images and κ = 0 on the keep images, as in the paper.
 
 :class:`AttackObjective` describes one lane of the problem: the anchor
-images, desired labels, weights ``c_i`` and margins κ.
+images, desired labels and margins κ.
 :class:`StackedAttackObjective` is the only evaluator: it computes ``G``, its
 gradient with respect to the flat attacked-parameter vector ``δ`` of a
 :class:`~repro.attacks.parameter_view.ParameterView`, and the success/keep
@@ -28,16 +29,15 @@ import numpy as np
 
 from repro.attacks.parameter_view import ParameterView, StackedParameterView
 from repro.utils.errors import ConfigurationError, ShapeError
-from repro.utils.validation import check_array
 
-__all__ = ["AttackObjective", "StackedAttackObjective"]
+__all__ = ["AttackObjective", "StackedAttackObjective", "mask_rate"]
 
 
 class AttackObjective:
     """One lane of the paper's misclassification objective.
 
     The lane holds what :class:`StackedAttackObjective` evaluates: the
-    validated images, desired labels, weights and margins, and the cached
+    validated images, desired labels and margins, and the cached
     activations entering the first attacked layer.
 
     Parameters
@@ -54,8 +54,6 @@ class AttackObjective:
         ``S`` — how many leading entries of ``desired_labels`` are adversarial
         targets.  Only used for bookkeeping (success/keep masks); the
         mathematical form of every ``g_i`` is identical.
-    weights:
-        Per-image weights ``c_i``; scalar or length-``R`` vector.  Defaults to 1.
     kappa:
         Confidence margin added inside the hinge (0 in the paper).  Either a
         scalar applied to every image or a length-``R`` vector; a positive
@@ -70,7 +68,6 @@ class AttackObjective:
         desired_labels: np.ndarray,
         *,
         num_targets: int | None = None,
-        weights: float | np.ndarray = 1.0,
         kappa: float | np.ndarray = 0.0,
     ):
         self.view = view
@@ -102,17 +99,6 @@ class AttackObjective:
             raise ConfigurationError("kappa must be non-negative")
         self.kappa = kappa
 
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim == 0:
-            weights = np.full(self.num_images, float(weights))
-        self.weights = check_array(weights, name="weights", ndim=1)
-        if self.weights.shape[0] != self.num_images:
-            raise ShapeError(
-                f"weights must have length {self.num_images}, got {self.weights.shape[0]}"
-            )
-        if np.any(self.weights < 0):
-            raise ConfigurationError("weights must be non-negative")
-
         self.start_layer = view.first_layer_index
         # The cache holds the activations entering the first attacked layer.
         # They depend only on parameters *below* that layer, which the attack
@@ -139,7 +125,7 @@ class StackedAttackObjective:
     This is the only code that computes the objective: values, gradients
     and success/keep masks.  The lanes must share one
     :class:`ParameterView` (same model, same selector) and one anchor count
-    ``R``; targets, weights, kappa and the anchor images themselves may
+    ``R``; targets, kappa and the anchor images themselves may
     differ per lane.  Every lane slice of the stacked kernels is the exact
     one-lane computation (see :mod:`repro.nn.layers`), so a lane's results
     do not depend on the lanes stacked beside it.
@@ -168,7 +154,6 @@ class StackedAttackObjective:
         self.num_classes = first.num_classes
         self.num_targets = np.array([obj.num_targets for obj in objectives], dtype=np.int64)
         self.desired_labels = np.stack([obj.desired_labels for obj in objectives])
-        self.weights = np.stack([obj.weights for obj in objectives])
         self.kappa = np.stack([obj.kappa for obj in objectives])
         self._start_layer = first.start_layer
         self._logits_end = self.model.logits_end
@@ -196,7 +181,7 @@ class StackedAttackObjective:
         sub.objectives = [self.objectives[lane] for lane in lanes]
         sub.lanes = len(sub.objectives)
         sub.stacked_view = StackedParameterView(self.view, sub.lanes)
-        for name in ("num_targets", "desired_labels", "weights", "kappa", "_stacked_features"):
+        for name in ("num_targets", "desired_labels", "kappa", "_stacked_features"):
             setattr(sub, name, getattr(self, name)[lanes])
         sub._lane_idx = np.arange(sub.lanes)[:, None]
         return sub
@@ -221,8 +206,8 @@ class StackedAttackObjective:
         """Return per-lane ``(G, ∇_δ G)`` sharing one stacked forward pass.
 
         The hinge is piecewise linear in the logits: for an image whose hinge
-        is active, the gradient w.r.t. the logits puts ``+c_i`` on the best
-        non-desired class and ``−c_i`` on the desired class; inactive images
+        is active, the gradient w.r.t. the logits puts ``+1`` on the best
+        non-desired class and ``−1`` on the desired class; inactive images
         contribute nothing.  That logit gradient is backpropagated through
         the attacked network suffix and the selected parameter gradients are
         gathered.
@@ -233,18 +218,18 @@ class StackedAttackObjective:
             )
             masked, margins = self._masked_and_margins(logits)
             hinge = np.maximum(margins + self.kappa, 0.0)
-            values = (self.weights * hinge).sum(axis=1)
+            values = hinge.sum(axis=1)
 
             best_other = masked.argmax(axis=-1)
             active = (margins + self.kappa) > 0
 
             # The masked argmax never coincides with the desired column, so
-            # writing the active weight at best_other and subtracting it at
-            # the desired column gives each active image its ±c_i.
+            # writing 1 at best_other and subtracting it at the desired
+            # column gives each active image its ±1.
             grad_logits = np.zeros_like(logits)
-            active_weight = np.where(active, self.weights, 0.0)
-            grad_logits[self._lane_idx, self._row_idx, best_other] = active_weight
-            grad_logits[self._lane_idx, self._row_idx, self.desired_labels] -= active_weight
+            active_unit = active.astype(np.float64)
+            grad_logits[self._lane_idx, self._row_idx, best_other] = active_unit
+            grad_logits[self._lane_idx, self._row_idx, self.desired_labels] -= active_unit
 
             self.model.backward_between(grad_logits, self._start_layer, self._logits_end)
             grads = self.stacked_view.gather_grads()
@@ -274,13 +259,13 @@ class StackedAttackObjective:
         """
         logits = self.logits(deltas)
         margins = self._masked_and_margins(logits)[1]
-        values = (self.weights * np.maximum(margins + self.kappa, 0.0)).sum(axis=1)
+        values = np.maximum(margins + self.kappa, 0.0).sum(axis=1)
         masks = self._split_masks(logits)
-        success = np.array([_mask_rate(success) for success, _ in masks])
-        keep = np.array([_mask_rate(keep) for _, keep in masks])
+        success = np.array([mask_rate(success) for success, _ in masks])
+        keep = np.array([mask_rate(keep) for _, keep in masks])
         return values, success, keep
 
 
-def _mask_rate(mask: np.ndarray) -> float:
+def mask_rate(mask: np.ndarray) -> float:
     """Fraction of ``True`` entries; an empty mask is fully satisfied."""
     return float(mask.mean()) if mask.size else 1.0

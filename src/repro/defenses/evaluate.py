@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.attacks.lowering import LoweringReport, TrialStatistics
+from repro.attacks.objective import mask_rate
 from repro.defenses.base import (
     Defense,
     DefenseContext,
@@ -136,9 +137,7 @@ def evaluate_defense(
     identity_placement = occupant is word_index and bool(np.all(effective))
 
     clean_success_mask, _, _ = scorer.rates(scorer.victim)
-    restored_success = (
-        float(clean_success_mask.mean()) if clean_success_mask.size else 1.0
-    )
+    restored_success = mask_rate(clean_success_mask)
 
     evaded = np.empty(len(stats.outcomes), dtype=bool)
     detected = np.empty(len(stats.outcomes), dtype=bool)

@@ -437,10 +437,7 @@ def _sweep_cell_job(*, registry: ModelRegistry | None = None, **params) -> dict:
     """Attack one (S, R) grid point and return the full evaluation metrics."""
     model, context, config, (plan,) = _sweep_inputs(registry, [params])
     result = FaultSneakingAttack(model, config).attack(plan)
-    evaluation = evaluate_attack_result(
-        result, context=context.evaluation, zero_tolerance=config.zero_tolerance
-    )
-    return evaluation.as_dict()
+    return evaluate_attack_result(result, context=context.evaluation).as_dict()
 
 
 def sweep_group_key(params: dict) -> tuple:
@@ -468,7 +465,5 @@ def sweep_cell_batch(specs: list[JobSpec], *, registry: ModelRegistry | None = N
 
     model, context, config, plans = _sweep_inputs(registry, [spec.param_dict() for spec in specs])
     results = BatchedFaultSneakingAttack(model, config).attack_batch(plans)
-    evaluations = evaluate_attack_results(
-        results, context=context.evaluation, zero_tolerance=config.zero_tolerance
-    )
+    evaluations = evaluate_attack_results(results, context=context.evaluation)
     return [evaluation.as_dict() for evaluation in evaluations]

@@ -48,13 +48,14 @@ from repro.analysis.reporting import (
     hammer_cost_cells,
     stochastic_cost_cells,
 )
-from repro.attacks.fault_sneaking import FaultSneakingAttack
+from repro.attacks.fault_sneaking import FaultSneakingAttack, count_modified_parameters
 from repro.attacks.lowering import (
     HardwareBudget,
     LoweringReport,
     check_trial_options,
     lower_attack,
 )
+from repro.attacks.objective import mask_rate
 from repro.attacks.parameter_view import ParameterView
 from repro.attacks.targets import AttackPlan, make_attack_plan
 from repro.experiments.campaign import (
@@ -159,11 +160,11 @@ class _SolvedAttack:
 
     @property
     def success_rate(self) -> float:
-        return float(self.success_mask.mean()) if self.success_mask.size else 1.0
+        return mask_rate(self.success_mask)
 
     @property
     def keep_rate(self) -> float:
-        return float(self.keep_mask.mean()) if self.keep_mask.size else 1.0
+        return mask_rate(self.keep_mask)
 
 
 def _solve_attack(
@@ -315,7 +316,7 @@ def lowered_cell(
     return LoweredCell(
         solved=solved,
         report=report,
-        l0=int(np.count_nonzero(np.abs(solved.delta) > config.zero_tolerance)),
+        l0=count_modified_parameters(solved.delta),
     )
 
 

@@ -5,7 +5,8 @@ This package runs the C&W-style CNNs the fault-sneaking attack targets
 training and (de)serialisation, with the parameter access hooks the attack
 needs (named parameters, per-parameter gradients, logits before the softmax
 layer, stacked solve lanes).  It holds only the layers, losses and metrics
-those networks and their training use.
+those networks and their training use, and the one optimizer they train
+with, Adam.
 """
 
 from repro.nn.initializers import (
@@ -27,7 +28,7 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import CrossEntropyLoss, Loss
 from repro.nn.model import Sequential
-from repro.nn.optimizers import SGD, Adam, Optimizer, RMSProp
+from repro.nn.optimizers import Adam
 from repro.nn.metrics import accuracy
 from repro.nn.serialization import load_model, save_model, model_to_arrays, model_from_arrays
 from repro.nn.quantization import QuantizationSpec, dequantize, quantize
@@ -53,10 +54,7 @@ __all__ = [
     "CrossEntropyLoss",
     # model / optim
     "Sequential",
-    "Optimizer",
-    "SGD",
     "Adam",
-    "RMSProp",
     # metrics
     "accuracy",
     # serialization

@@ -1,6 +1,6 @@
-"""First-order optimizers used to train the substrate networks.
+"""The Adam optimizer that trains the substrate networks.
 
-An optimizer is bound to a model via :meth:`Optimizer.register` and then
+:class:`Adam` is bound to a model via :meth:`Adam.register` and then
 updates every trainable parameter in place from the gradients the layers
 accumulated during backpropagation.
 """
@@ -11,32 +11,39 @@ import numpy as np
 
 from repro.utils.errors import ConfigurationError
 
-__all__ = ["Optimizer", "SGD", "Adam", "RMSProp"]
+__all__ = ["Adam"]
 
 
-class Optimizer:
-    """Base optimizer maintaining per-parameter state keyed by (layer, name)."""
+class Adam:
+    """Adam optimizer (Kingma & Ba, 2015) with per-parameter state keyed by
+    (layer, name)."""
 
-    def __init__(self, learning_rate: float = 0.01, *, weight_decay: float = 0.0):
+    def __init__(
+        self,
+        learning_rate: float = 0.001,
+        *,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        eps: float = 1e-8,
+    ):
         if learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
-        if weight_decay < 0:
-            raise ConfigurationError(f"weight_decay must be non-negative, got {weight_decay}")
+        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
+            raise ConfigurationError("beta1 and beta2 must be in [0, 1)")
         self.learning_rate = float(learning_rate)
-        self.weight_decay = float(weight_decay)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
         self._layers: list = []
         self._state: dict[tuple[int, str], dict[str, np.ndarray]] = {}
         self.iterations = 0
 
-    def register(self, model) -> "Optimizer":
+    def register(self, model) -> "Adam":
         """Bind the optimizer to a model's trainable layers."""
         self._layers = [layer for layer in model.layers if layer.params]
         self._state.clear()
         self.iterations = 0
         return self
-
-    def _apply(self, param: np.ndarray, grad: np.ndarray, state: dict) -> None:
-        raise NotImplementedError
 
     def step(self) -> None:
         """Apply one update using the gradients currently stored on the layers."""
@@ -48,55 +55,8 @@ class Optimizer:
                 grad = layer.grads.get(name)
                 if grad is None:
                     continue
-                if self.weight_decay and name != "b":
-                    grad = grad + self.weight_decay * param
                 state = self._state.setdefault((layer_index, name), {})
                 self._apply(param, grad, state)
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        *,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(learning_rate, weight_decay=weight_decay)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
-
-    def _apply(self, param: np.ndarray, grad: np.ndarray, state: dict) -> None:
-        if self.momentum:
-            velocity = state.setdefault("velocity", np.zeros_like(param))
-            velocity *= self.momentum
-            velocity -= self.learning_rate * grad
-            param += velocity
-        else:
-            param -= self.learning_rate * grad
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015)."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        *,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(learning_rate, weight_decay=weight_decay)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigurationError("beta1 and beta2 must be in [0, 1)")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
 
     def _apply(self, param: np.ndarray, grad: np.ndarray, state: dict) -> None:
         m = state.setdefault("m", np.zeros_like(param))
@@ -108,27 +68,3 @@ class Adam(Optimizer):
         m_hat = m / (1 - self.beta1**self.iterations)
         v_hat = v / (1 - self.beta2**self.iterations)
         param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class RMSProp(Optimizer):
-    """RMSProp optimizer with exponentially decayed squared-gradient average."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        *,
-        decay: float = 0.9,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(learning_rate, weight_decay=weight_decay)
-        if not 0.0 <= decay < 1.0:
-            raise ConfigurationError(f"decay must be in [0, 1), got {decay}")
-        self.decay = float(decay)
-        self.eps = float(eps)
-
-    def _apply(self, param: np.ndarray, grad: np.ndarray, state: dict) -> None:
-        avg = state.setdefault("avg", np.zeros_like(param))
-        avg *= self.decay
-        avg += (1 - self.decay) * grad**2
-        param -= self.learning_rate * grad / (np.sqrt(avg) + self.eps)

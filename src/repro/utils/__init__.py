@@ -3,7 +3,6 @@
 from repro.utils.rng import RandomState, fork_rng, seed_everything
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.validation import (
-    check_array,
     check_in_range,
     check_positive,
     check_probability,
@@ -22,7 +21,6 @@ __all__ = [
     "seed_everything",
     "get_logger",
     "set_verbosity",
-    "check_array",
     "check_in_range",
     "check_positive",
     "check_probability",

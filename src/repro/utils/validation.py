@@ -9,49 +9,7 @@ from __future__ import annotations
 import numbers
 from typing import Any
 
-import numpy as np
-
-from repro.utils.errors import ShapeError
-
-__all__ = ["check_array", "check_positive", "check_probability", "check_in_range"]
-
-
-def check_array(
-    value: Any,
-    *,
-    name: str,
-    ndim: int | tuple[int, ...] | None = None,
-    dtype: Any = np.float64,
-    allow_empty: bool = False,
-) -> np.ndarray:
-    """Coerce ``value`` to an ndarray and validate its dimensionality.
-
-    Parameters
-    ----------
-    value:
-        Array-like input.
-    name:
-        Argument name used in error messages.
-    ndim:
-        Required number of dimensions (or tuple of allowed values).
-    dtype:
-        Target dtype; ``None`` keeps the input dtype.
-    allow_empty:
-        Whether a zero-sized array is acceptable.
-    """
-    arr = np.asarray(value, dtype=dtype)
-    if ndim is not None:
-        allowed = (ndim,) if isinstance(ndim, int) else tuple(ndim)
-        if arr.ndim not in allowed:
-            raise ShapeError(
-                f"{name} must have ndim in {allowed}, got ndim={arr.ndim} "
-                f"with shape {arr.shape}"
-            )
-    if not allow_empty and arr.size == 0:
-        raise ShapeError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains NaN or infinite values")
-    return arr
+__all__ = ["check_positive", "check_probability", "check_in_range"]
 
 
 def check_positive(value: Any, *, name: str, strict: bool = True) -> float:

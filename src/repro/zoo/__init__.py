@@ -1,4 +1,4 @@
-"""Model zoo: reference architectures, a trainer and a train-once registry."""
+"""Model zoo: reference architectures, an Adam trainer and a train-once registry."""
 
 from repro.zoo.architectures import (
     build_architecture,

@@ -4,11 +4,13 @@ The library runs every attack as lanes of one stacked solve
 (:func:`repro.attacks.fault_sneaking.run_attack_lanes`) and evaluates every
 objective through :class:`~repro.attacks.objective.StackedAttackObjective`.
 This module keeps the earlier per-plan implementation — a scalar objective
-(its own forward, hinge and ±c_i backward), the plain ADMM loop of §4, the
-dense warm start and the support refinement — unchanged, so the
+(its own forward, unit-weight hinge and ±1 backward), the plain ADMM loop
+of §4, the dense warm start and the support refinement — unchanged, so the
 bit-identity tests can pin the stacked path to an independent computation
 instead of to itself.  Every entry point takes the library's
-:class:`~repro.attacks.objective.AttackObjective` lane description.
+:class:`~repro.attacks.objective.AttackObjective` lane description.  The
+solver's constants are written out here rather than read from the library;
+a test that changes one patches both copies.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from repro.nn.model import Sequential
 from repro.utils.errors import ConfigurationError
 
 ALPHA_FLOOR = 1.0
+TRUST_RADIUS = 0.05
+PRIMAL_TOLERANCE = 1e-4
+WARMUP_MOMENTUM = 0.9
+ZERO_TOLERANCE = 1e-8
 
 
 class ScalarObjective:
@@ -43,7 +49,6 @@ class ScalarObjective:
         self.num_images = lane.num_images
         self.num_targets = lane.num_targets
         self.desired_labels = lane.desired_labels
-        self.weights = lane.weights
         self.kappa = lane.kappa
         self.target_slice = slice(0, lane.num_targets)
         self.keep_slice = slice(lane.num_targets, lane.num_images)
@@ -63,7 +68,7 @@ class ScalarObjective:
 
     def value(self, delta: np.ndarray) -> float:
         margins = self.margins_from_logits(self.logits(delta))
-        return float((self.weights * np.maximum(margins + self.kappa, 0.0)).sum())
+        return float(np.maximum(margins + self.kappa, 0.0).sum())
 
     def gradient(self, delta: np.ndarray) -> np.ndarray:
         return self.value_and_gradient(delta)[1]
@@ -75,7 +80,7 @@ class ScalarObjective:
             )
             margins = self.margins_from_logits(logits)
             hinge = np.maximum(margins + self.kappa, 0.0)
-            value = float((self.weights * hinge).sum())
+            value = float(hinge.sum())
 
             rows = np.arange(self.num_images)
             masked = logits.copy()
@@ -85,8 +90,8 @@ class ScalarObjective:
 
             grad_logits = np.zeros_like(logits)
             active_rows = rows[active]
-            grad_logits[active_rows, best_other[active]] += self.weights[active]
-            grad_logits[active_rows, self.desired_labels[active]] -= self.weights[active]
+            grad_logits[active_rows, best_other[active]] += 1.0
+            grad_logits[active_rows, self.desired_labels[active]] -= 1.0
 
             self.model.backward_between(grad_logits, self.lane.start_layer, self.model.logits_end)
             grad = self.view.gather_grads()
@@ -117,7 +122,7 @@ def evaluate_candidate(lane: AttackObjective, delta: np.ndarray) -> tuple[float,
     objective = ScalarObjective(lane)
     logits = objective.logits(delta)
     margins = objective.margins_from_logits(logits)
-    value = float((objective.weights * np.maximum(margins + objective.kappa, 0.0)).sum())
+    value = float(np.maximum(margins + objective.kappa, 0.0).sum())
     preds = np.argmax(logits, axis=1)
     success = preds[objective.target_slice] == objective.desired_labels[objective.target_slice]
     keep = preds[objective.keep_slice] == objective.desired_labels[objective.keep_slice]
@@ -138,7 +143,7 @@ def _effective_alpha(cfg: ADMMConfig, grad: np.ndarray, num_images: int) -> floa
     if cfg.alpha is not None:
         return cfg.alpha
     grad_norm = float(np.linalg.norm(grad))
-    needed_denominator = grad_norm / cfg.trust_radius
+    needed_denominator = grad_norm / TRUST_RADIUS
     alpha = (needed_denominator - cfg.rho) / max(num_images, 1)
     return max(alpha, ALPHA_FLOOR)
 
@@ -216,7 +221,7 @@ def reference_solve(
         history.success_rate.append(success)
         history.keep_rate.append(keep)
 
-        if best_feasible and primal_residual <= cfg.primal_tolerance:
+        if best_feasible and primal_residual <= PRIMAL_TOLERANCE:
             converged = True
             break
 
@@ -249,7 +254,7 @@ def dense_warm_start(config: FaultSneakingConfig, lane: AttackObjective) -> np.n
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= 0.0:
             break
-        velocity = config.warmup_momentum * velocity - config.trust_radius * grad / grad_norm
+        velocity = WARMUP_MOMENTUM * velocity - TRUST_RADIUS * grad / grad_norm
         delta = delta + velocity
     return best
 
@@ -265,7 +270,7 @@ def refine_on_support(
 ) -> np.ndarray:
     """Extra normalised δ-steps restricted to the existing support of ``δ``."""
     objective = ScalarObjective(lane)
-    support = np.abs(delta) > config.zero_tolerance
+    support = np.abs(delta) > ZERO_TOLERANCE
     if not support.any():
         return delta
     best = delta.copy()
@@ -279,7 +284,7 @@ def refine_on_support(
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= 0.0:
             break
-        current = current - config.trust_radius * grad / grad_norm
+        current = current - TRUST_RADIUS * grad / grad_norm
         current[~support] = 0.0
         key = _candidate_key(objective, current)
         if key > best_key:

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.analysis import evaluation
 from repro.analysis.evaluation import (
+    ZERO_TOLERANCE,
     EvaluationContext,
     count_modified_parameters,
     evaluate_attack_result,
     evaluate_attack_results,
 )
+from repro.attacks import fault_sneaking
 from repro.attacks.fault_sneaking import FaultSneakingAttack, FaultSneakingConfig
 from repro.attacks.targets import make_attack_plan
 
@@ -19,14 +22,13 @@ class TestCountModified:
     def test_exact_zeros_ignored(self):
         assert count_modified_parameters(np.array([0.0, 1.0, -2.0, 0.0])) == 2
 
-    def test_tolerance(self):
-        delta = np.array([1e-12, 1e-3, 0.5])
-        assert count_modified_parameters(delta, tolerance=1e-6) == 2
-        assert count_modified_parameters(delta, tolerance=0.1) == 1
+    def test_entries_up_to_the_zero_tolerance_ignored(self):
+        delta = np.array([1e-12, -ZERO_TOLERANCE, ZERO_TOLERANCE, 1e-3, -0.5])
+        assert count_modified_parameters(delta) == 2
 
-    def test_negative_tolerance_raises(self):
-        with pytest.raises(ValueError):
-            count_modified_parameters(np.ones(3), tolerance=-1.0)
+    def test_analysis_re_exports_the_attack_count(self):
+        assert evaluation.count_modified_parameters is fault_sneaking.count_modified_parameters
+        assert evaluation.ZERO_TOLERANCE == fault_sneaking.ZERO_TOLERANCE == 1e-8
 
 
 class TestEvaluationContext:

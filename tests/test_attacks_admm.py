@@ -46,9 +46,7 @@ class TestConfig:
             {"norm": "l7"},
             {"rho": 0.0},
             {"alpha": -1.0},
-            {"trust_radius": 0.0},
             {"iterations": 0},
-            {"primal_tolerance": -1.0},
         ],
     )
     def test_invalid(self, kwargs):
@@ -102,10 +100,10 @@ class TestSolver:
 
     def test_adaptive_alpha_bounds_step(self, objective):
         """With alpha=None the delta update per iteration stays bounded."""
-        config = ADMMConfig(norm="l2", rho=50.0, iterations=40, trust_radius=0.05)
+        config = ADMMConfig(norm="l2", rho=50.0, iterations=40)
         solver = ADMMSolver(config)
         result = solver.solve(objective)
-        # total movement cannot exceed iterations * (trust_radius + coupling slack)
+        # total movement cannot exceed iterations * (TRUST_RADIUS + coupling slack)
         assert np.linalg.norm(result.raw_delta) < 40 * 0.2
 
     def test_fixed_alpha_respected(self, objective):

@@ -29,7 +29,7 @@ from reference_attack import (
     reference_solve,
 )
 
-from repro.attacks import fault_sneaking
+from repro.attacks import admm, fault_sneaking
 from repro.attacks.admm import ADMMConfig, ADMMSolver
 from repro.attacks.batched import BatchedFaultSneakingAttack
 from repro.attacks.fault_sneaking import (
@@ -57,6 +57,14 @@ HISTORY_FIELDS = (
     "success_rate",
     "keep_rate",
 )
+
+
+@pytest.fixture
+def loose_primal_tolerance(monkeypatch):
+    """A huge primal tolerance, in the library and the reference alike: every
+    lane converges at its first feasible candidate."""
+    monkeypatch.setattr(admm, "PRIMAL_TOLERANCE", 1e6)
+    monkeypatch.setattr("reference_attack.PRIMAL_TOLERANCE", 1e6)
 
 
 def tiny_attack_config(norm: str, **overrides) -> FaultSneakingConfig:
@@ -193,7 +201,9 @@ class TestSolveBatch:
         yield StackedAttackObjective(objectives)
         view.restore()
 
-    def test_early_stop_freezes_converged_lanes(self, tiny_model, plans, stacked):
+    def test_early_stop_freezes_converged_lanes(
+        self, tiny_model, plans, stacked, loose_primal_tolerance
+    ):
         """A lane converging early keeps its frozen state bit-equal to scalar.
 
         A huge primal tolerance makes every lane converge at its first
@@ -205,7 +215,7 @@ class TestSolveBatch:
         starts = np.stack(
             [dense_warm_start(attack_config, objective) for objective in stacked.objectives]
         )
-        config = ADMMConfig(norm="l0", rho=500.0, iterations=40, primal_tolerance=1e6)
+        config = ADMMConfig(norm="l0", rho=500.0, iterations=40)
         batched = ADMMSolver(config).solve_batch(stacked, initial_deltas=starts)
         scalar = [
             reference_solve(config, stacked.objectives[lane], initial_delta=starts[lane])
@@ -319,11 +329,13 @@ def phase_lane_passes(model, config, plans):
 class TestLaneCompaction:
     """Work-count gate: every phase evaluates only the lanes still active."""
 
-    def test_stacked_phases_cost_the_sum_of_one_plan_solves(self, tiny_model, plans):
+    def test_stacked_phases_cost_the_sum_of_one_plan_solves(
+        self, tiny_model, plans, loose_primal_tolerance
+    ):
         # The full warm-start budget and a loose primal tolerance let lanes
         # finish every phase at different passes (warm start 577/76/340/88,
         # ADMM 4/8/15/9, refinement 2/15/15/2 lane-passes).
-        config = tiny_attack_config("l0", primal_tolerance=1e6, warmup_iterations=600)
+        config = tiny_attack_config("l0", warmup_iterations=600)
         stacked, results = phase_lane_passes(tiny_model, config, plans)
         single = [phase_lane_passes(tiny_model, config, [plan])[0] for plan in plans]
         for phase in PHASES:

@@ -38,19 +38,12 @@ class TestConfig:
         "kwargs",
         [
             {"norm": "linf"},
-            {"target_weight": 0.0},
-            {"keep_weight": -1.0},
             {"kappa": -0.1},
-            {"keep_kappa": -0.1},
             {"refine_support_steps": -1},
             {"warmup_iterations": -1},
-            {"warmup_momentum": 1.0},
-            {"zero_tolerance": -1e-9},
             {"iterations": 0},
             {"rho": -1.0},
-            {"trust_radius": 0.0},
             {"alpha": -1.0},
-            {"primal_tolerance": -1.0},
         ],
     )
     def test_invalid(self, kwargs):

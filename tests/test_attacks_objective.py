@@ -71,13 +71,6 @@ class TestConstruction:
                 view, tiny_split.test.images[:3], np.zeros(3, dtype=int), num_targets=5
             )
 
-    def test_negative_weights_rejected(self, tiny_model, tiny_split):
-        view = ParameterView(tiny_model, ParameterSelector(layers=("fc_logits",)))
-        with pytest.raises(ConfigurationError, match="weights"):
-            AttackObjective(
-                view, tiny_split.test.images[:3], np.zeros(3, dtype=int), weights=-1.0
-            )
-
     def test_kappa_vector_wrong_length(self, tiny_model, tiny_split):
         view = ParameterView(tiny_model, ParameterSelector(layers=("fc_logits",)))
         with pytest.raises(ShapeError):
@@ -103,11 +96,11 @@ def full_model_value_and_gradient(objective, delta):
     masked = logits.copy()
     masked[rows, objective.desired_labels] = -np.inf
     margins = masked.max(axis=1) - logits[rows, objective.desired_labels] + objective.kappa
-    value = float((objective.weights * np.maximum(margins, 0.0)).sum())
+    value = float(np.maximum(margins, 0.0).sum())
     active = margins > 0
     grad_logits = np.zeros_like(logits)
-    grad_logits[rows[active], masked.argmax(axis=1)[active]] = objective.weights[active]
-    grad_logits[rows[active], objective.desired_labels[active]] -= objective.weights[active]
+    grad_logits[rows[active], masked.argmax(axis=1)[active]] = 1.0
+    grad_logits[rows[active], objective.desired_labels[active]] -= 1.0
     model.backward_between(grad_logits, 0, model.logits_end)
     return value, view.gather_grads()
 
@@ -144,22 +137,6 @@ class TestValueSemantics:
             view, plan.images, plan.desired_labels, num_targets=0, kappa=0.0
         )
         assert value(objective, np.zeros(view.size)) == pytest.approx(0.0)
-
-    def test_weights_scale_value(self, setup):
-        model, view, _, plan = setup
-        base = AttackObjective(
-            view, plan.images, plan.desired_labels, num_targets=plan.num_targets, kappa=0.5
-        )
-        doubled = AttackObjective(
-            view,
-            plan.images,
-            plan.desired_labels,
-            num_targets=plan.num_targets,
-            weights=2.0,
-            kappa=0.5,
-        )
-        zero = np.zeros(view.size)
-        assert value(doubled, zero) == pytest.approx(2.0 * value(base, zero))
 
     @pytest.mark.parametrize("layer", ["fc_logits", "conv1"])
     def test_feature_cache_matches_full_forward(self, layer, tiny_model, tiny_split):

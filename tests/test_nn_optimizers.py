@@ -6,7 +6,7 @@ import pytest
 from repro.nn.layers import Dense, ReLU, Softmax
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Sequential
-from repro.nn.optimizers import SGD, Adam, RMSProp
+from repro.nn.optimizers import Adam
 from repro.utils.errors import ConfigurationError
 
 RNG = np.random.default_rng(0)
@@ -40,67 +40,6 @@ def train_steps(optimizer, steps=60):
     return loss
 
 
-class TestSGD:
-    def test_plain_sgd_matches_manual_update(self):
-        model = Sequential([Dense(2, 2, seed=0)])
-        opt = SGD(learning_rate=0.1).register(model)
-        layer = model.layers[0]
-        w_before = layer.params["W"].copy()
-        layer.grads["W"] = np.ones_like(w_before)
-        layer.grads["b"] = np.ones(2)
-        opt.step()
-        np.testing.assert_allclose(layer.params["W"], w_before - 0.1)
-
-    def test_momentum_accumulates(self):
-        model = Sequential([Dense(2, 2, seed=0)])
-        opt = SGD(learning_rate=0.1, momentum=0.9).register(model)
-        layer = model.layers[0]
-        w0 = layer.params["W"].copy()
-        layer.grads["W"] = np.ones_like(w0)
-        layer.grads["b"] = np.zeros(2)
-        opt.step()
-        first_change = w0 - layer.params["W"]
-        layer.grads["W"] = np.ones_like(w0)
-        opt.step()
-        second_change = (w0 - first_change) - layer.params["W"]
-        assert np.all(second_change > first_change)
-
-    def test_weight_decay_shrinks_weights(self):
-        model = Sequential([Dense(2, 2, seed=0)])
-        opt = SGD(learning_rate=0.1, weight_decay=0.5).register(model)
-        layer = model.layers[0]
-        layer.params["W"][...] = 1.0
-        layer.grads["W"] = np.zeros_like(layer.params["W"])
-        layer.grads["b"] = np.zeros(2)
-        opt.step()
-        np.testing.assert_allclose(layer.params["W"], 0.95)
-
-    def test_weight_decay_not_applied_to_bias(self):
-        model = Sequential([Dense(2, 2, seed=0)])
-        opt = SGD(learning_rate=0.1, weight_decay=0.5).register(model)
-        layer = model.layers[0]
-        layer.params["b"][...] = 1.0
-        layer.grads["W"] = np.zeros_like(layer.params["W"])
-        layer.grads["b"] = np.zeros(2)
-        opt.step()
-        np.testing.assert_allclose(layer.params["b"], 1.0)
-
-    def test_reduces_loss(self):
-        assert train_steps(SGD(learning_rate=0.5)) < 0.8
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ConfigurationError):
-            SGD(momentum=1.0)
-
-    def test_invalid_learning_rate(self):
-        with pytest.raises(ConfigurationError):
-            SGD(learning_rate=0.0)
-
-    def test_step_before_register_raises(self):
-        with pytest.raises(RuntimeError):
-            SGD().step()
-
-
 class TestAdam:
     def test_reduces_loss(self):
         assert train_steps(Adam(learning_rate=0.05)) < 0.5
@@ -121,18 +60,15 @@ class TestAdam:
         with pytest.raises(ConfigurationError):
             Adam(beta2=-0.1)
 
-
-class TestRMSProp:
-    def test_reduces_loss(self):
-        assert train_steps(RMSProp(learning_rate=0.01)) < 0.8
-
-    def test_invalid_decay(self):
+    def test_invalid_learning_rate(self):
         with pytest.raises(ConfigurationError):
-            RMSProp(decay=1.5)
+            Adam(learning_rate=0.0)
 
+    def test_step_before_register_raises(self):
+        with pytest.raises(RuntimeError):
+            Adam().step()
 
-class TestOptimizerInfrastructure:
     def test_register_skips_parameterless_layers(self):
         model = tiny_model()
-        opt = SGD().register(model)
+        opt = Adam().register(model)
         assert len(opt._layers) == 2

@@ -76,16 +76,16 @@ def _desired_logit_margins(logits, labels):
 
 
 class TestHingeProperties:
-    """The attack's hinge ``Σ c_i·max(max_{j≠d_i} Z_j − Z_{d_i} + κ, 0)``, computed
+    """The attack's hinge ``Σ max(max_{j≠d_i} Z_j − Z_{d_i} + κ, 0)``, computed
     by a one-lane :class:`StackedAttackObjective` at δ = 0."""
 
     MODEL = mlp((4, 4, 1), 5, seed=3, hidden=(8, 6))
     IMAGES = np.random.default_rng(7).random((6, 4, 4, 1))
     LOGITS = MODEL.forward_between(IMAGES, 0, MODEL.logits_end)
 
-    def _value(self, labels, kappa, weights=1.0):
+    def _value(self, labels, kappa):
         view = ParameterView(self.MODEL, ParameterSelector(layers=("fc_logits",)))
-        objective = AttackObjective(view, self.IMAGES, labels, weights=weights, kappa=kappa)
+        objective = AttackObjective(view, self.IMAGES, labels, kappa=kappa)
         stack = StackedAttackObjective([objective])
         values, _ = stack.value_and_gradient(np.zeros((1, view.size)))
         return float(values[0])
@@ -93,13 +93,12 @@ class TestHingeProperties:
     @given(
         labels=hnp.arrays(dtype=np.int64, shape=6, elements=st.integers(0, 4)),
         kappa=st.floats(0, 10),
-        weights=hnp.arrays(dtype=np.float64, shape=6, elements=st.floats(0, 3)),
     )
     @settings(max_examples=50, deadline=None)
-    def test_value_is_the_weighted_logit_hinge(self, labels, kappa, weights):
-        value = self._value(labels, kappa, weights)
+    def test_value_is_the_logit_hinge(self, labels, kappa):
+        value = self._value(labels, kappa)
         margins = _desired_logit_margins(self.LOGITS, labels)
-        expected = float(np.sum(weights * np.maximum(margins + kappa, 0.0)))
+        expected = float(np.sum(np.maximum(margins + kappa, 0.0)))
         assert value >= 0.0
         np.testing.assert_allclose(value, expected, rtol=1e-12, atol=1e-12)
 

@@ -1,49 +1,12 @@
 """Tests for repro.utils.validation."""
 
-import numpy as np
 import pytest
 
-from repro.utils.errors import ShapeError
 from repro.utils.validation import (
-    check_array,
     check_in_range,
     check_positive,
     check_probability,
 )
-
-
-class TestCheckArray:
-    def test_returns_ndarray(self):
-        out = check_array([1.0, 2.0], name="x")
-        assert isinstance(out, np.ndarray)
-        assert out.dtype == np.float64
-
-    def test_ndim_enforced(self):
-        with pytest.raises(ShapeError, match="ndim"):
-            check_array([[1.0]], name="x", ndim=1)
-
-    def test_ndim_tuple_allows_multiple(self):
-        check_array([[1.0]], name="x", ndim=(1, 2))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError, match="empty"):
-            check_array([], name="x")
-
-    def test_empty_allowed_when_requested(self):
-        out = check_array([], name="x", allow_empty=True)
-        assert out.size == 0
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
-            check_array([1.0, np.nan], name="x")
-
-    def test_inf_rejected(self):
-        with pytest.raises(ValueError):
-            check_array([np.inf], name="x")
-
-    def test_keeps_dtype_when_none(self):
-        out = check_array(np.array([1, 2], dtype=np.int32), name="x", dtype=None)
-        assert out.dtype == np.int32
 
 
 class TestCheckPositive:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.experiments.common import get_trained_model
 from repro.utils.cache import DiskCache
 from repro.utils.errors import ConfigurationError
 from repro.zoo.registry import ModelRegistry, ModelSpec
@@ -34,6 +35,27 @@ class TestModelSpec:
 
     def test_to_dict_stable(self):
         assert TINY_SPEC.to_dict() == TINY_SPEC.to_dict()
+
+    @pytest.mark.parametrize(
+        ("dataset", "scale", "key"),
+        [
+            ("mnist_like", "smoke", "abf098a71f4d2bfa191d9034"),
+            ("mnist_like", "ci", "913739b08636df773ce3381d"),
+            ("cifar_like", "smoke", "da9cded87a860a9ced0788c1"),
+            ("cifar_like", "ci", "4ac191efc9b1d9e80aea1268"),
+        ],
+    )
+    def test_victim_cache_keys_are_pinned(self, dataset, scale, key, tmp_path):
+        """The experiment victims keep their disk-cache keys, so every cached
+        victim stays valid; the key still hashes the optimizer name."""
+
+        class KeyProbe(DiskCache):
+            def load(self, key):
+                raise LookupError(key)
+
+        with pytest.raises(LookupError) as probe:
+            get_trained_model(dataset, scale, registry=ModelRegistry(KeyProbe(tmp_path)))
+        assert probe.value.args == (key,)
 
     def test_load_data_shapes(self):
         split = TINY_SPEC.load_data()
@@ -67,7 +89,8 @@ class TestModelRegistry:
     def test_different_specs_different_entries(self, tmp_path):
         registry = ModelRegistry(DiskCache(tmp_path))
         a = registry.get(TINY_SPEC)
-        other = ModelSpec(**{**TINY_SPEC.to_dict(), "seed": 1, "hidden": tuple(TINY_SPEC.hidden)})
+        fields = {key: value for key, value in TINY_SPEC.to_dict().items() if key != "optimizer"}
+        other = ModelSpec(**{**fields, "seed": 1, "hidden": tuple(TINY_SPEC.hidden)})
         b = registry.get(other)
         assert a is not b
 
