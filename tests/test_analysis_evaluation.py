@@ -26,6 +26,22 @@ class TestCountModified:
         delta = np.array([1e-12, -ZERO_TOLERANCE, ZERO_TOLERANCE, 1e-3, -0.5])
         assert count_modified_parameters(delta) == 2
 
+    @pytest.mark.parametrize(
+        ("delta", "count"),
+        [
+            (np.array([ZERO_TOLERANCE]), 0),
+            (np.array([-ZERO_TOLERANCE]), 0),
+            (np.array([np.nextafter(ZERO_TOLERANCE, 1.0)]), 1),
+            (np.array([-np.nextafter(ZERO_TOLERANCE, 1.0)]), 1),
+            (np.zeros(0), 0),
+            (np.array([[0.0, 1.0], [1e-3, 1e-9]]), 2),
+            ([0.0, 0.5, -0.25], 2),
+        ],
+        ids=["at-tol", "at-minus-tol", "above-tol", "below-minus-tol", "empty", "2d", "list"],
+    )
+    def test_boundary_and_input_forms(self, delta, count):
+        assert count_modified_parameters(delta) == count
+
     def test_analysis_re_exports_the_attack_count(self):
         assert evaluation.count_modified_parameters is fault_sneaking.count_modified_parameters
         assert evaluation.ZERO_TOLERANCE == fault_sneaking.ZERO_TOLERANCE == 1e-8

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.attacks.admm import ADMMConfig, ADMMSolver
+from repro.attacks import admm
+from repro.attacks.admm import TRUST_RADIUS, ADMMConfig, ADMMSolver
 from repro.attacks.objective import AttackObjective, StackedAttackObjective
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
 from repro.attacks.targets import make_attack_plan
@@ -52,6 +53,32 @@ class TestConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
             ADMMConfig(**kwargs)
+
+
+class TestConstants:
+    @pytest.mark.parametrize("grad_norm", [1e-3, 1.0, 1e3, 1e6])
+    def test_adaptive_alpha_keeps_the_step_inside_the_trust_radius(self, grad_norm):
+        # The gradient part of the δ-step, ‖∇G‖ / (αR + ρ), never exceeds
+        # TRUST_RADIUS; α sits on its floor only when the step is already short.
+        rho, num_images = 50.0, 10
+        grads = np.zeros((1, 4))
+        grads[0, 0] = grad_norm
+        (alpha,) = ADMMSolver(ADMMConfig())._effective_alphas(grads, num_images, np.array([rho]))
+        step = grad_norm / (alpha * num_images + rho)
+        assert alpha >= 1.0
+        assert step <= TRUST_RADIUS * (1 + 1e-12)
+        if alpha > 1.0:
+            assert step == pytest.approx(TRUST_RADIUS, rel=1e-12)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, 1e6])
+    def test_primal_tolerance_decides_convergence(self, tolerance, objective, monkeypatch):
+        # A negative tolerance can never be met; a huge one is met by the
+        # first feasible iterate.
+        monkeypatch.setattr(admm, "PRIMAL_TOLERANCE", tolerance)
+        solver = ADMMSolver(ADMMConfig(norm="l0", rho=500.0, iterations=40))
+        result = solver.solve(objective, initial_delta=dense_start(objective))
+        assert result.converged == (tolerance > 0)
+        assert (result.iterations_run < 40) == (tolerance > 0)
 
 
 class TestSolver:

@@ -9,7 +9,7 @@ from repro.attacks.baselines import (
     SingleBiasAttack,
     SingleBiasAttackConfig,
 )
-from repro.attacks.targets import make_attack_plan
+from repro.attacks.targets import AttackPlan, make_attack_plan
 from repro.utils.errors import ConfigurationError
 
 
@@ -133,6 +133,32 @@ class TestGradientDescentAttack:
         correct = result.modified_model().predict(plan.images) == plan.desired_labels
         np.testing.assert_array_equal(result.success_mask, correct[: plan.num_targets])
         np.testing.assert_array_equal(result.keep_mask, correct[plan.num_targets :])
+
+    def test_descent_ignores_the_keep_images(self, tiny_model, tiny_split):
+        """GDA descends on the target images alone: swapping the keep images
+        changes the reported keep mask but not δ or the loss curve."""
+        plan = make_attack_plan(tiny_split.test, num_targets=2, num_images=10, seed=4)
+        other = make_attack_plan(tiny_split.test, num_targets=2, num_images=10, seed=6)
+        swapped = AttackPlan(
+            images=np.concatenate([plan.target_images, other.keep_images]),
+            true_labels=np.concatenate([plan.true_labels[:2], other.keep_labels]),
+            target_labels=plan.target_labels,
+            num_targets=2,
+        )
+        config = GradientDescentAttackConfig(iterations=150, learning_rate=0.1)
+        first = GradientDescentAttack(tiny_model, config).attack(plan)
+        second = GradientDescentAttack(tiny_model, config).attack(swapped)
+        np.testing.assert_array_equal(first.delta, second.delta)
+        assert first.loss_history == second.loss_history
+        correct = second.modified_model().predict(other.keep_images) == other.keep_labels
+        np.testing.assert_array_equal(second.keep_mask, correct)
+
+    def test_plan_without_keep_images_has_full_keep_rate(self, tiny_model, tiny_split):
+        plan = make_attack_plan(tiny_split.test, num_targets=3, num_images=3, seed=2)
+        config = GradientDescentAttackConfig(iterations=150, learning_rate=0.1)
+        result = GradientDescentAttack(tiny_model, config).attack(plan)
+        assert result.keep_mask.shape == (0,)
+        assert result.keep_rate == 1.0
 
     def test_victim_unchanged(self, gda_result):
         result, _, model = gda_result

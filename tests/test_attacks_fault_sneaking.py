@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+import reference_attack
 
+from repro.attacks import admm, fault_sneaking
 from repro.attacks.fault_sneaking import (
     FaultSneakingAttack,
     FaultSneakingConfig,
+    build_objective,
 )
+from repro.attacks.parameter_view import ParameterView
 from repro.attacks.targets import AttackPlan, make_attack_plan
 from repro.utils.errors import ConfigurationError
 
@@ -87,6 +91,37 @@ class TestConfig:
         assert (admm.norm, admm.rho, admm.alpha, admm.iterations) == ("l1", 42.0, 2.0, 7)
         default = FaultSneakingConfig(norm="l0")
         assert default.admm_config().rho == default.effective_rho == 500.0
+
+
+class TestSolverConstants:
+    @pytest.mark.parametrize(
+        ("module", "name", "value"),
+        [
+            (admm, "_ALPHA_FLOOR", 1.0),
+            (admm, "TRUST_RADIUS", 0.05),
+            (admm, "PRIMAL_TOLERANCE", 1e-4),
+            (fault_sneaking, "WARMUP_MOMENTUM", 0.9),
+            (fault_sneaking, "ZERO_TOLERANCE", 1e-8),
+        ],
+        ids=["alpha-floor", "trust-radius", "primal-tolerance", "warmup-momentum", "zero-tol"],
+    )
+    def test_library_and_reference_agree(self, module, name, value):
+        # The one-plan reference writes each constant out on its own; the
+        # bit-identity tests only mean something while both copies agree.
+        reference = getattr(reference_attack, name.lstrip("_"))
+        assert getattr(module, name) == reference == value
+
+
+class TestBuildObjective:
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 1.5])
+    def test_kappa_on_targets_zero_on_keep_images(self, kappa, victim, plan):
+        # κ on the S target images, 0 on the R − S keep images.
+        config = FaultSneakingConfig(kappa=kappa)
+        objective = build_objective(config, ParameterView(victim, config.selector()), plan)
+        expected = [kappa] * plan.num_targets + [0.0] * plan.num_keep
+        np.testing.assert_array_equal(objective.kappa, expected)
+        np.testing.assert_array_equal(objective.desired_labels, plan.desired_labels)
+        assert objective.num_targets == plan.num_targets
 
 
 class TestAttack:

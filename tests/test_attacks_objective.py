@@ -8,7 +8,7 @@ stack.
 import numpy as np
 import pytest
 
-from repro.attacks.objective import AttackObjective, StackedAttackObjective
+from repro.attacks.objective import AttackObjective, StackedAttackObjective, mask_rate
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
 from repro.attacks.targets import make_attack_plan
 from repro.utils.errors import ConfigurationError, ShapeError
@@ -197,6 +197,55 @@ class TestGradient:
             view, plan.images, plan.desired_labels, num_targets=0, kappa=0.0
         )
         np.testing.assert_array_equal(gradient(objective, np.zeros(view.size)), 0.0)
+
+
+class TestUnitWeightHinge:
+    """Every image's hinge enters ``G`` with weight 1."""
+
+    @pytest.mark.parametrize("image", [0, 1, 2])
+    def test_logit_gradient_is_plus_one_minus_one(self, image, tiny_model, tiny_split):
+        # With only the logit layer's biases attacked, ∇_b G is the logit
+        # gradient itself: +1 on the best other class, −1 on the target.
+        plan = make_attack_plan(tiny_split.test, num_targets=3, num_images=3, seed=5)
+        view = ParameterView(
+            tiny_model, ParameterSelector(layers=("fc_logits",), include_weights=False)
+        )
+        desired = plan.desired_labels[image : image + 1]
+        objective = AttackObjective(view, plan.images[image : image + 1], desired)
+        values, grads = one_lane(objective).value_and_gradient(np.zeros((1, view.size)))
+        logits = tiny_model.logits(plan.images[image : image + 1])[0]
+        others = logits.copy()
+        others[desired[0]] = -np.inf
+        assert values[0] == logits.max() - logits[desired[0]] > 0.0
+        expected = np.zeros(view.size)
+        expected[np.argmax(others)] = 1.0
+        expected[desired[0]] = -1.0
+        np.testing.assert_array_equal(grads[0], expected)
+
+
+class TestMaskRate:
+    @pytest.mark.parametrize(
+        ("mask", "rate"),
+        [
+            (np.zeros(0, dtype=bool), 1.0),
+            (np.zeros((0, 4), dtype=bool), 1.0),
+            (np.array([True]), 1.0),
+            (np.array([False, False]), 0.0),
+            (np.array([True, False, False, True]), 0.5),
+            (np.array([True, True, False]), 2.0 / 3.0),
+        ],
+        ids=["empty", "empty-2d", "all-true", "all-false", "half", "two-thirds"],
+    )
+    def test_rate(self, mask, rate):
+        assert mask_rate(mask) == rate
+
+    def test_returns_a_python_float(self):
+        assert type(mask_rate(np.array([True, False]))) is float
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_the_mean_of_a_non_empty_mask(self, seed):
+        mask = np.random.default_rng(seed).random(37) < 0.4
+        assert mask_rate(mask) == float(np.mean(mask))
 
 
 class TestBookkeeping:

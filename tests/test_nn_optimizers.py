@@ -72,3 +72,62 @@ class TestAdam:
         model = tiny_model()
         opt = Adam().register(model)
         assert len(opt._layers) == 2
+
+    def test_zero_gradient_leaves_parameters_unchanged(self):
+        model = tiny_model()
+        opt = Adam(learning_rate=0.1).register(model)
+        before = {
+            (index, name): param.copy()
+            for index, layer in enumerate(model.layers)
+            for name, param in layer.params.items()
+        }
+        for layer in model.layers:
+            for name, param in layer.params.items():
+                layer.grads[name] = np.zeros_like(param)
+        opt.step()
+        for (i, name), value in before.items():
+            np.testing.assert_array_equal(model.layers[i].params[name], value)
+
+    def test_parameter_without_gradient_skipped(self):
+        model = Sequential([Dense(2, 2, seed=0, name="fc")])
+        layer = model.layers[0]
+        opt = Adam(learning_rate=0.1).register(model)
+        w0 = layer.params["W"].copy()
+        b0 = layer.params["b"].copy()
+        layer.grads.clear()
+        layer.grads["W"] = np.ones_like(w0)
+        opt.step()
+        np.testing.assert_array_equal(layer.params["b"], b0)
+        np.testing.assert_allclose(layer.params["W"], w0 - 0.1, rtol=1e-6)
+
+    @pytest.mark.parametrize("learning_rate", [1e-3, 0.05])
+    def test_matches_the_textbook_update(self, learning_rate):
+        # Three steps of Kingma & Ba's Algorithm 1 with bias correction.
+        model = Sequential([Dense(3, 2, seed=0, use_bias=False)])
+        layer = model.layers[0]
+        opt = Adam(learning_rate=learning_rate).register(model)
+        rng = np.random.default_rng(1)
+        theta = layer.params["W"].copy()
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
+        for t in range(1, 4):
+            grad = rng.standard_normal(theta.shape)
+            layer.grads["W"] = grad.copy()
+            opt.step()
+            m = 0.9 * m + 0.1 * grad
+            v = 0.999 * v + 0.001 * grad**2
+            m_hat = m / (1 - 0.9**t)
+            v_hat = v / (1 - 0.999**t)
+            theta = theta - learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            np.testing.assert_allclose(layer.params["W"], theta, rtol=1e-12, atol=1e-15)
+
+    def test_register_resets_the_state(self):
+        model = tiny_model()
+        opt = Adam().register(model)
+        for layer in model.layers:
+            for name, param in layer.params.items():
+                layer.grads[name] = np.ones_like(param)
+        opt.step()
+        assert opt.iterations == 1 and opt._state
+        opt.register(model)
+        assert opt.iterations == 0 and not opt._state
