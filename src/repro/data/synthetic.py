@@ -11,6 +11,12 @@ jitter range and the noise level, which lets the two benchmark datasets
 (:func:`repro.data.benchmarks.mnist_like` and
 :func:`repro.data.benchmarks.cifar_like`) mimic the accuracy gap between
 MNIST and CIFAR-10 that the paper's evaluation relies on.
+
+Prototypes are smoothed by :func:`_gaussian_blur`, a separable Gaussian
+filter in plain NumPy: a kernel ``exp(-x**2 / (2 sigma**2))`` over
+``|x| <= int(4 sigma + 0.5)``, normalised by its sum, with the image mirrored
+at its border (edge pixel repeated).  It sums in the same order as
+``scipy.ndimage.gaussian_filter``, so its output is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import Dataset
 from repro.utils.errors import ConfigurationError
@@ -93,6 +98,32 @@ class SyntheticImageConfig:
             raise ConfigurationError("jitter must be non-negative")
 
 
+def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian-smooth a 2-D ``image``, one axis at a time.
+
+    Each output pixel is the centre term times the centre weight, plus the
+    mirrored pairs ``(left + right) * weight`` added from the outermost pair
+    inward: the summation order of ``scipy.ndimage.correlate1d`` for a
+    symmetric kernel, which makes the result bit-identical to
+    ``scipy.ndimage.gaussian_filter(image, sigma)`` (``mode="reflect"``,
+    ``truncate=4``).
+    """
+    radius = int(4.0 * sigma + 0.5)
+    weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    weights = weights / weights.sum()
+    for _ in range(2):
+        # Blur along axis 0, then transpose so the next pass takes the other axis.
+        padded = np.pad(image, ((radius, radius), (0, 0)), mode="symmetric")
+        rows = image.shape[0]
+        blurred = image * weights[radius]
+        for offset in range(radius, 0, -1):
+            left = padded[radius - offset : radius - offset + rows]
+            right = padded[radius + offset : radius + offset + rows]
+            blurred = blurred + (left + right) * weights[radius - offset]
+        image = blurred.T
+    return image
+
+
 class SyntheticImageGenerator:
     """Draws datasets from a fixed synthetic image distribution.
 
@@ -125,7 +156,7 @@ class SyntheticImageGenerator:
         canvas = np.zeros((cfg.image_size, cfg.image_size))
         for _ in range(cfg.strokes_per_prototype):
             canvas += self._draw_stroke(rng)
-        canvas = ndimage.gaussian_filter(canvas, cfg.blur_sigma)
+        canvas = _gaussian_blur(canvas, cfg.blur_sigma)
         peak = canvas.max()
         if peak > 0:
             canvas = canvas / peak

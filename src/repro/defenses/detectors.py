@@ -20,14 +20,25 @@ attacker?" questions to the closed forms below.
   exactly where the ℓ0 objective helps the attacker.  The same
   hypergeometric form prices one tick of a partial-coverage page scrub —
   pages standing in for parameters.
+
+Both tails are computed with :mod:`math` alone:
+
+* the binomial CDF ``P[X <= k]`` sums pmf terms outward from ``k``, starting
+  from ``C(n, k) p^k (1-p)^(n-k)`` (via ``lgamma``) and stepping by the pmf
+  ratio; below the mode it sums the lower tail, above it returns one minus
+  the upper tail from ``k + 1``, and it stops once a term falls below 1e-18
+  of the running sum (:func:`_binomial_cdf`);
+* the audit miss probability is the product ``prod_{i<n} (1 - K/(N-i))``,
+  summed in log space with ``log1p`` and ``fsum`` and mapped back with
+  ``expm1`` (:func:`_log_audit_miss`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_in_range, check_positive, check_probability
@@ -39,6 +50,53 @@ __all__ = [
     "parameter_audit_detection_probability",
     "detection_report",
 ]
+
+# Relative size below which a pmf term no longer changes a tail sum.
+_TAIL_CUTOFF = 1e-18
+
+
+def _binomial_cdf(k: int, n: int, p: float) -> float:
+    """``P[X <= k]`` for ``X ~ Binomial(n, p)``."""
+    if k < 0:
+        return 0.0
+    if k >= n or p == 0.0:
+        return 1.0
+    if p == 1.0:
+        return 0.0
+    odds = p / (1.0 - p)
+    lower = k < math.floor((n + 1) * p)
+    i = k if lower else k + 1
+    term = math.exp(
+        math.lgamma(n + 1)
+        - math.lgamma(i + 1)
+        - math.lgamma(n - i + 1)
+        + i * math.log(p)
+        + (n - i) * math.log1p(-p)
+    )
+    total = term
+    # Walk away from the mode, where the terms only shrink.
+    while 0 < i < n and term > _TAIL_CUTOFF * total:
+        if lower:
+            term *= i / ((n - i + 1) * odds)
+            i -= 1
+        else:
+            term *= (n - i) * odds / (i + 1)
+            i += 1
+        total += term
+    return total if lower else 1.0 - total
+
+
+def _log_audit_miss(marked: int, total: int, drawn: int) -> float:
+    """``log P[no marked item among drawn]``, drawing without replacement.
+
+    The probability is ``C(total - marked, drawn) / C(total, drawn)``, which
+    is symmetric in ``marked`` and ``drawn``, so the product runs over the
+    smaller of the two.
+    """
+    if marked + drawn > total:
+        return -math.inf
+    many, few = max(marked, drawn), min(marked, drawn)
+    return math.fsum(math.log1p(-many / (total - i)) for i in range(few))
 
 
 def probe_detection_probability(
@@ -66,7 +124,7 @@ def probe_detection_probability(
         return 0.0
     # alarm iff (#correct / n) < threshold  <=>  #correct <= ceil(n*threshold) - 1
     max_correct_without_alarm = int(np.ceil(probe_size * threshold)) - 1
-    return float(stats.binom.cdf(max_correct_without_alarm, probe_size, attacked_accuracy))
+    return _binomial_cdf(max_correct_without_alarm, probe_size, attacked_accuracy)
 
 
 def probes_needed_for_detection(
@@ -130,7 +188,7 @@ def parameter_audit_detection_probability(
     if num_modified == 0 or audited == 0:
         return 0.0
     # 1 - P[no modified parameter in the audited sample]
-    return float(1.0 - stats.hypergeom.pmf(0, num_total, num_modified, audited))
+    return -math.expm1(_log_audit_miss(num_modified, num_total, audited))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from repro.utils.cache import DiskCache
 from repro.utils.errors import ConfigurationError
 from repro.utils.logging import get_logger
 from repro.zoo.architectures import build_architecture
-from repro.zoo.trainer import Trainer, TrainingConfig, TrainingHistory
+from repro.zoo.trainer import Trainer, TrainingConfig
 
 __all__ = ["ModelSpec", "TrainedModel", "ModelRegistry", "default_registry"]
 
@@ -102,7 +102,6 @@ class TrainedModel:
     model: Sequential
     data: DataSplit
     test_accuracy: float
-    history: TrainingHistory | None = None
     from_cache: bool = False
     context: object | None = field(default=None, repr=False, compare=False)
 
@@ -158,8 +157,7 @@ class ModelRegistry:
         model = build_architecture(
             spec.architecture, image_shape, data.num_classes, seed=spec.seed, **kwargs
         )
-        trainer = Trainer(spec.training_config())
-        history = trainer.fit(model, data.train)
+        Trainer(spec.training_config()).fit(model, data.train)
         test_accuracy = model.evaluate(data.test.images, data.test.labels)
         _LOGGER.info("trained %s: test accuracy %.3f", spec.architecture, test_accuracy)
         return TrainedModel(
@@ -167,7 +165,6 @@ class ModelRegistry:
             model=model,
             data=data,
             test_accuracy=test_accuracy,
-            history=history,
             from_cache=False,
         )
 

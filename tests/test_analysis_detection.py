@@ -1,10 +1,15 @@
 """Tests for the detection probability models (stealth / detectability extension)."""
 
+import math
+import sys
+from fractions import Fraction
+
 import pytest
 
 from repro.attacks.fault_sneaking import FaultSneakingAttack, FaultSneakingConfig
 from repro.attacks.targets import make_attack_plan
 from repro.defenses.detectors import (
+    _binomial_cdf,
     detection_report,
     parameter_audit_detection_probability,
     probe_detection_probability,
@@ -44,6 +49,35 @@ class TestProbeDetection:
 
     def test_zero_threshold_never_detects(self):
         assert probe_detection_probability(0.01, 0.0, probe_size=100, tolerance=0.5) == 0.0
+
+
+def _exact_binomial_cdf(n, p):
+    """``k -> P[X <= k]`` for ``X ~ Binomial(n, p)``, exact in the float ``p``."""
+    top, bottom = Fraction(p).as_integer_ratio()
+    masses = [0]
+    for i in range(n + 1):
+        masses.append(masses[-1] + math.comb(n, i) * top**i * (bottom - top) ** (n - i))
+    return lambda k: Fraction(masses[min(max(k + 1, 0), n + 1)], bottom**n)
+
+
+def _assert_close(got, exact):
+    """Within 1e-11 relative, or within the smallest normal float of an underflow."""
+    error = abs(Fraction(got) - exact)
+    assert error <= Fraction(1e-11) * exact + Fraction(sys.float_info.min), (got, float(exact))
+
+
+class TestBinomialTail:
+    @pytest.mark.parametrize("n", [1, 2, 10, 57, 300, 1000])
+    @pytest.mark.parametrize("p", [0.0, 1 / 512, 0.125, 0.3, 0.5, 0.75, 0.9, 31 / 32, 1.0])
+    def test_matches_exact_fractions(self, n, p):
+        exact = _exact_binomial_cdf(n, p)
+        for k in sorted({-3, -1, 0, 1, n // 3, n // 2, int(n * p), n - 1, n, n + 5}):
+            _assert_close(_binomial_cdf(k, n, p), exact(k))
+
+    def test_probe_probability_is_the_tail(self):
+        # alarm iff fewer than ceil(100 * 0.97) = 97 of 100 probes are right
+        p = probe_detection_probability(0.99, 0.9, probe_size=100, tolerance=0.02)
+        assert p == _binomial_cdf(96, 100, 0.9)
 
 
 class TestProbesNeeded:
@@ -89,6 +123,17 @@ class TestParameterAudit:
     def test_single_modified_single_audit(self):
         p = parameter_audit_detection_probability(1, 100, audited=1)
         assert p == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("total", [1, 2, 50, 999, 5000])
+    def test_matches_exact_fractions(self, total):
+        counts = sorted({0, 1, total // 10, total // 7, total // 2, total - 1, total})
+        for modified in counts:
+            for audited in counts:
+                got = parameter_audit_detection_probability(modified, total, audited=audited)
+                exact = 1 - Fraction(
+                    math.comb(total - modified, audited), math.comb(total, audited)
+                )
+                _assert_close(got, exact)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 """Tests for repro.data.benchmarks (the MNIST-like / CIFAR-like stand-ins)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,27 @@ class TestCifarLike:
     def test_custom_image_size(self):
         split = cifar_like(30, 10, seed=0, image_size=16)
         assert split.train.images.shape[1:3] == (16, 16)
+
+
+def _split_digest(split):
+    digest = hashlib.sha256()
+    for part in (split.train, split.test):
+        digest.update(part.images.tobytes() + part.labels.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    ("generator", "expected"),
+    [
+        (mnist_like, "7c505eadf7746fa224939d25f3f3be22d6c9a381762006af4d77f49f3ffe4b88"),
+        (cifar_like, "f8d35cd36946fa967809f144d8aace1ab39fbf35dffe105f9d98a00a0407279c"),
+    ],
+)
+def test_pinned_split_digest(generator, expected):
+    """The splits every victim trains on, pinned byte for byte.
+
+    A change to the generator or its blur that moves one pixel's low bit
+    changes every trained victim; like the golden tables, the digests hold
+    for one NumPy build and platform.
+    """
+    assert _split_digest(generator(200, 100, seed=3)) == expected

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.synthetic import SyntheticImageConfig, SyntheticImageGenerator
+from repro.data.synthetic import SyntheticImageConfig, SyntheticImageGenerator, _gaussian_blur
 from repro.utils.errors import ConfigurationError
 
 
@@ -109,3 +109,64 @@ class TestGenerator:
         predictions = distances.argmin(axis=1)
         accuracy = (predictions == ds.labels).mean()
         assert accuracy > 0.8
+
+
+def _reference_blur(image, sigma):
+    """Pixel-by-pixel Gaussian filter: mirror at the edge, rows then columns.
+
+    Each output is the centre term times the centre weight, then
+    ``(left + right) * weight`` for the offsets from the radius down to 1.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    weights = (weights / weights.sum()).tolist()
+
+    def mirror(index, length):
+        if index < 0:
+            return -index - 1
+        if index >= length:
+            return 2 * length - index - 1
+        return index
+
+    rows, cols = image.shape
+    values = image.tolist()
+    by_rows = [[0.0] * cols for _ in range(rows)]
+    for r in range(rows):
+        for c in range(cols):
+            total = values[r][c] * weights[radius]
+            for offset in range(radius, 0, -1):
+                left = values[mirror(r - offset, rows)][c]
+                right = values[mirror(r + offset, rows)][c]
+                total += (left + right) * weights[radius - offset]
+            by_rows[r][c] = total
+    out = np.empty((rows, cols))
+    for r in range(rows):
+        for c in range(cols):
+            total = by_rows[r][c] * weights[radius]
+            for offset in range(radius, 0, -1):
+                left = by_rows[r][mirror(c - offset, cols)]
+                right = by_rows[r][mirror(c + offset, cols)]
+                total += (left + right) * weights[radius - offset]
+            out[r, c] = total
+    return out
+
+
+class TestGaussianBlur:
+    @pytest.mark.parametrize("size", [28, 32])
+    @pytest.mark.parametrize("sigma", [0.6, 1.2, 1.6, 2.0])
+    def test_bit_equal_to_loop_reference(self, size, sigma):
+        rng = np.random.default_rng(size * 10 + int(sigma * 10))
+        dense = rng.random((size, size))
+        strokes = (rng.random((size, size)) < 0.1) * rng.integers(1, 4, (size, size))
+        for image in (dense, strokes.astype(float)):
+            np.testing.assert_array_equal(
+                _gaussian_blur(image, sigma), _reference_blur(image, sigma)
+            )
+
+    def test_mass_preserved_and_smoothed(self):
+        image = np.zeros((28, 28))
+        image[14, 14] = 1.0
+        blurred = _gaussian_blur(image, 1.2)
+        assert blurred.sum() == pytest.approx(1.0)
+        assert blurred[14, 14] == blurred.max() < 1.0
+        np.testing.assert_allclose(blurred, blurred.T, rtol=0, atol=1e-17)

@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,21 @@ class TestPublicSurface:
         assert repro.FaultSneakingAttack is not None
         assert repro.FaultSneakingConfig is not None
         assert repro.make_attack_plan is not None
+
+
+class TestRuntimeDependencies:
+    def test_import_loads_no_scipy(self):
+        """numpy is the only runtime dependency: importing the CLI's modules
+        in a fresh interpreter must not pull in scipy."""
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        probe = (
+            "import sys; import repro, repro.experiments; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestQuickstart:

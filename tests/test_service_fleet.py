@@ -79,6 +79,13 @@ class TestFleetExecutor:
             )
 
 
+def _busy_worker(events):
+    """Worker of the last ``job-started`` event whose job has not finished."""
+    finished = {e.key for e in events if e.EVENT == "job-done"}
+    in_flight = [e for e in events if e.EVENT == "job-started" and e.key not in finished]
+    return in_flight[-1].worker if in_flight else None
+
+
 class TestWorkerLossMidRun:
     def test_killed_worker_jobs_requeue_and_finish(self):
         """Kill one of two workers mid-run; the survivor finishes everything."""
@@ -95,8 +102,8 @@ class TestWorkerLossMidRun:
             ]
             for spec in specs:
                 dispatcher.submit(spec)
-            workers = [
-                spawn_worker_process(
+            workers = {
+                f"victim-{index}": spawn_worker_process(
                     dispatcher.host,
                     dispatcher.port,
                     worker_id=f"victim-{index}",
@@ -104,7 +111,7 @@ class TestWorkerLossMidRun:
                     heartbeat_seconds=0.1,
                 )
                 for index in range(2)
-            ]
+            }
             results = {}
             killed = False
             try:
@@ -115,11 +122,15 @@ class TestWorkerLossMidRun:
                     assert kind == "result", payload
                     results[payload.key] = payload
                     if not killed:
-                        workers[0].send_signal(signal.SIGKILL)
-                        killed = True
+                        # Kill the worker holding the most recently leased
+                        # job, so the kill always strands a job in flight.
+                        busy = _busy_worker(events)
+                        if busy is not None:
+                            workers[busy].send_signal(signal.SIGKILL)
+                            killed = True
             finally:
                 await dispatcher.close()
-                for proc in workers:
+                for proc in workers.values():
                     proc.terminate()
                     proc.wait(timeout=10.0)
             return specs, results, events
