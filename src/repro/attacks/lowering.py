@@ -100,7 +100,7 @@ from repro.hardware.memory import MemoryLayout, ParameterMemoryMap
 from repro.nn.model import Sequential
 from repro.nn.quantization import QuantizationSpec, dequantize, storage_spec
 from repro.utils.errors import ConfigurationError
-from repro.utils.rng import RandomState, derive_seed, fork_rng
+from repro.utils.rng import RandomState, fork_rng
 
 if TYPE_CHECKING:  # repro.analysis imports repro.defenses, which imports this module
     from repro.analysis.evaluation import EvaluationContext
@@ -110,41 +110,19 @@ __all__ = [
     "PlanRepair",
     "TrialOutcome",
     "TrialStatistics",
+    "trial_mean",
+    "trial_ci",
     "LoweringReport",
     "BitTrueMeasurement",
     "BitTrueScorer",
-    "VARIANCE_REDUCTION_SCHEMES",
-    "check_trial_options",
+    "check_env_drift",
     "repair_plan",
     "shared_repairs",
     "lower_attack",
 ]
 
-# Monte-Carlo sampling schemes of lower_attack(..., trials=N):
-#
-# * "independent" — each trial forks its own generator from the master rng
-#   (the historical default; golden tables pin this stream).
-# * "crn" — common random numbers: trial t's generator derives from
-#   (crn_seed, t) alone, ignoring the master rng, so *different* cells run
-#   their trials on identical uniform streams.  Differences between cells
-#   (storage formats, budgets, patterns) are then estimated with positively
-#   correlated noise, shrinking the CI of cross-cell comparisons.
-# * "antithetic" — trials come in negatively correlated pairs: the pair
-#   draws one uniform array ``u`` and uses ``u`` for the first trial and
-#   ``1 − u`` for the second, so over-sampled landings in one trial are
-#   under-sampled in its partner and the pair mean has lower variance than
-#   two independent trials.  (Tracker re-rolls stay independent per trial;
-#   only the landing draws are antithetic.)
-VARIANCE_REDUCTION_SCHEMES = ("independent", "crn", "antithetic")
-
-
-def check_trial_options(variance_reduction: str, env_drift: float) -> None:
-    """Reject a Monte-Carlo scheme or environmental drift lower_attack cannot run."""
-    if variance_reduction not in VARIANCE_REDUCTION_SCHEMES:
-        raise ConfigurationError(
-            f"variance_reduction must be one of {VARIANCE_REDUCTION_SCHEMES}, "
-            f"got {variance_reduction!r}"
-        )
+def check_env_drift(env_drift: float) -> None:
+    """Reject an environmental drift lower_attack cannot run."""
     if not -1.0 < env_drift < 1.0:
         raise ConfigurationError(f"env_drift must lie in (-1, 1), got {env_drift}")
 
@@ -1013,74 +991,101 @@ class TrialOutcome:
         return int(np.count_nonzero(self.landed))
 
 
+def trial_mean(values: np.ndarray) -> float:
+    """Mean of the finite entries of per-trial ``values`` (NaN when none)."""
+    values = values[np.isfinite(values)]
+    return float(values.mean()) if values.size else float("nan")
+
+
+def trial_ci(values: np.ndarray) -> float:
+    """95 % normal-approximation half-width of :func:`trial_mean`.
+
+    0.0 with a single finite entry (a single trial has no spread to
+    estimate) or identical entries, NaN with none.
+    """
+    values = values[np.isfinite(values)]
+    if values.size < 2:
+        return 0.0 if values.size else float("nan")
+    if np.all(values == values[0]):
+        # Identical outcomes have no spread; np.std would return ~1e-16
+        # of rounding noise, which golden tables must never pin.
+        return 0.0
+    return float(1.96 * values.std(ddof=1) / math.sqrt(values.size))
+
+
 @dataclass(frozen=True)
 class TrialStatistics:
     """Aggregate outcome of seeded Monte-Carlo lowering trials.
 
-    One entry per trial: the bit-true success/keep rate of the sampled
-    outcome, the attacked accuracy (NaN without an eval set) and how many of
-    the repaired plan's flips actually landed.  The summary properties report
-    the mean and a 95 % normal-approximation confidence half-width (0.0 with
-    fewer than two trials — a single trial has no spread to estimate).
-    ``outcomes`` carries the per-trial record behind the aggregates (None
-    for the no-trials placeholder).
+    ``outcomes`` holds one :class:`TrialOutcome` per trial, in trial order;
+    the per-trial arrays (bit-true success/keep rate, attacked accuracy —
+    NaN without an eval set — and how many of the repaired plan's flips
+    landed) are read off them.  The summary properties report the mean and
+    a 95 % normal-approximation confidence half-width (:func:`trial_mean`,
+    :func:`trial_ci`).
     """
 
-    trials: int
-    success_rates: np.ndarray
-    keep_rates: np.ndarray
-    accuracies: np.ndarray
-    flips_landed: np.ndarray
-    outcomes: "tuple[TrialOutcome, ...] | None" = None
+    outcomes: tuple[TrialOutcome, ...]
 
-    @staticmethod
-    def _mean(values: np.ndarray) -> float:
-        values = values[np.isfinite(values)]
-        return float(values.mean()) if values.size else float("nan")
+    @property
+    def trials(self) -> int:
+        return len(self.outcomes)
 
-    @staticmethod
-    def _ci(values: np.ndarray) -> float:
-        values = values[np.isfinite(values)]
-        if values.size < 2:
-            return 0.0 if values.size else float("nan")
-        if np.all(values == values[0]):
-            # Identical outcomes have no spread; np.std would return ~1e-16
-            # of rounding noise, which golden tables must never pin.
-            return 0.0
-        return float(1.96 * values.std(ddof=1) / math.sqrt(values.size))
+    def _column(self, field: str, dtype: type) -> np.ndarray:
+        return np.fromiter(
+            (getattr(outcome, field) for outcome in self.outcomes),
+            dtype=dtype,
+            count=len(self.outcomes),
+        )
+
+    @property
+    def success_rates(self) -> np.ndarray:
+        return self._column("success_rate", np.float64)
+
+    @property
+    def keep_rates(self) -> np.ndarray:
+        return self._column("keep_rate", np.float64)
+
+    @property
+    def accuracies(self) -> np.ndarray:
+        return self._column("accuracy", np.float64)
+
+    @property
+    def flips_landed(self) -> np.ndarray:
+        return self._column("flips_landed", np.int64)
 
     @property
     def success_rate(self) -> float:
-        return self._mean(self.success_rates)
+        return trial_mean(self.success_rates)
 
     @property
     def success_ci(self) -> float:
-        return self._ci(self.success_rates)
+        return trial_ci(self.success_rates)
 
     @property
     def keep_rate(self) -> float:
-        return self._mean(self.keep_rates)
+        return trial_mean(self.keep_rates)
 
     @property
     def keep_ci(self) -> float:
-        return self._ci(self.keep_rates)
+        return trial_ci(self.keep_rates)
 
     @property
     def accuracy(self) -> float:
-        return self._mean(self.accuracies)
+        return trial_mean(self.accuracies)
 
     @property
     def accuracy_ci(self) -> float:
-        return self._ci(self.accuracies)
+        return trial_ci(self.accuracies)
 
     @property
     def expected_flips_landed(self) -> float:
         """Expected kept bits: mean landed-flip count across trials."""
-        return self._mean(self.flips_landed.astype(np.float64))
+        return trial_mean(self.flips_landed.astype(np.float64))
 
     @property
     def flips_landed_ci(self) -> float:
-        return self._ci(self.flips_landed.astype(np.float64))
+        return trial_ci(self.flips_landed.astype(np.float64))
 
     def as_dict(self) -> dict:
         return {
@@ -1100,47 +1105,7 @@ class TrialStatistics:
 # ran, so the metric schema (and the campaign CSV schema built on it) is
 # stable.  Derived from an empty TrialStatistics rather than hand-written so
 # the trials/no-trials record schemas can never drift apart.
-_NO_TRIALS = TrialStatistics(
-    trials=0,
-    success_rates=np.empty(0),
-    keep_rates=np.empty(0),
-    accuracies=np.empty(0),
-    flips_landed=np.empty(0, dtype=np.int64),
-).as_dict()
-
-
-def _trial_streams(
-    trials: int,
-    rng,
-    variance_reduction: str,
-    crn_seed: int,
-    draw_shape,
-) -> list[tuple["np.ndarray | None", np.random.Generator]]:
-    """Per-trial ``(landing uniforms, generator)`` pairs for one scheme.
-
-    ``landing uniforms`` is ``None`` when the trial draws its landing
-    uniforms from the generator itself (independent/CRN — the generator's
-    draw order then matches the historical stream exactly); antithetic
-    trials receive pre-drawn paired arrays instead.  ``draw_shape`` is the
-    shape :meth:`FlipTemplate.cell_flip_probabilities` draws against, or
-    ``None`` when the cell has no template (no landing draws happen).
-    """
-    if variance_reduction == "independent":
-        return [(None, child) for child in fork_rng(RandomState(rng), trials)]
-    if variance_reduction == "crn":
-        # The master rng is deliberately ignored: two cells with the same
-        # crn_seed must consume identical streams trial for trial.
-        return [
-            (None, RandomState(derive_seed("crn-trial", int(crn_seed), t)))
-            for t in range(trials)
-        ]
-    streams: list[tuple[np.ndarray | None, np.random.Generator]] = []
-    for pair_rng in fork_rng(RandomState(rng), (trials + 1) // 2):
-        uniforms = pair_rng.random(draw_shape) if draw_shape is not None else None
-        first_rng, second_rng = fork_rng(pair_rng, 2)
-        streams.append((uniforms, first_rng))
-        streams.append((None if uniforms is None else 1.0 - uniforms, second_rng))
-    return streams[:trials]
+_NO_TRIALS = TrialStatistics(outcomes=()).as_dict()
 
 
 def _run_trials(
@@ -1152,8 +1117,6 @@ def _run_trials(
     pattern: HammerPattern | None,
     trials: int,
     rng,
-    variance_reduction: str = "independent",
-    crn_seed: int = 0,
     env_scale: float = 1.0,
 ) -> TrialStatistics:
     """Seeded Monte-Carlo execution of a repaired plan.
@@ -1167,7 +1130,7 @@ def _run_trials(
     deterministic, so equal seeds give equal statistics in any process or
     executor.  ``env_scale`` multiplies the landing probabilities on top of
     the pattern's ``flip_yield`` (the temperature/voltage drift axis); 1.0 is
-    the nominal environment and leaves the historical streams byte-identical.
+    the nominal environment.
     """
     plan = repair.plan
     _, bit, address, row = plan.as_arrays()
@@ -1184,22 +1147,10 @@ def _run_trials(
         probabilities = template.cell_flip_probabilities(
             address, bit, frames, scale=yield_scale
         )
-    success = np.empty(trials)
-    keep = np.empty(trials)
-    accuracy = np.empty(trials)
-    landed = np.empty(trials, dtype=np.int64)
     outcomes: list[TrialOutcome] = []
-    streams = _trial_streams(
-        trials,
-        rng,
-        variance_reduction,
-        crn_seed,
-        probabilities.shape if probabilities is not None else None,
-    )
-    for t, (uniforms, trial_rng) in enumerate(streams):
+    for trial_rng in fork_rng(RandomState(rng), trials):
         if feasible is not None:
-            draws = trial_rng.random(probabilities.shape) if uniforms is None else uniforms
-            mask = feasible & (draws < probabilities)
+            mask = feasible & (trial_rng.random(probabilities.shape) < probabilities)
         else:
             mask = np.ones(plan.num_flips, dtype=bool)
         if isinstance(trr, ProbabilisticTrr) and pattern is not None and plan.num_flips:
@@ -1218,29 +1169,17 @@ def _run_trials(
                 rng=trial_rng,
             )
             mask &= np.isin(row, hammer.feasible_victims)
-        trial_plan = plan.select(mask)
-        landed[t] = trial_plan.num_flips
-        measured = scorer.measure(trial_plan, ecc, accuracy=True)
-        success[t] = measured.success_rate
-        keep[t] = measured.keep_rate
-        accuracy[t] = measured.accuracy
+        measured = scorer.measure(plan.select(mask), ecc, accuracy=True)
         outcomes.append(
             TrialOutcome(
-                landed=mask.copy(),
-                success_rate=float(success[t]),
-                keep_rate=float(keep[t]),
-                accuracy=float(accuracy[t]),
+                landed=mask,
+                success_rate=float(measured.success_rate),
+                keep_rate=float(measured.keep_rate),
+                accuracy=float(measured.accuracy),
                 ecc_alarms=int(measured.ecc_summary.alarms) if ecc is not None else 0,
             )
         )
-    return TrialStatistics(
-        trials=trials,
-        success_rates=success,
-        keep_rates=keep,
-        accuracies=accuracy,
-        flips_landed=landed,
-        outcomes=tuple(outcomes),
-    )
+    return TrialStatistics(outcomes=tuple(outcomes))
 
 
 @dataclass
@@ -1495,8 +1434,6 @@ def lower_attack(
     hammer_pattern: "str | HammerPattern | None" = None,
     trials: int = 0,
     rng: "int | np.random.Generator | None" = None,
-    variance_reduction: str = "independent",
-    crn_seed: int = 0,
     expected_repair: bool = False,
     env_drift: float = 0.0,
     context: "EvaluationContext | None" = None,
@@ -1551,21 +1488,11 @@ def lower_attack(
         accuracy rates with 95 % confidence intervals and the expected
         landed-flip count.
     rng:
-        Seed (or Generator) of the trials; equal seeds reproduce identical
-        statistics in any process.  ``None`` draws fresh entropy — fine
-        interactively, never for campaign cells.
-    variance_reduction:
-        Monte-Carlo sampling scheme, one of
-        :data:`VARIANCE_REDUCTION_SCHEMES`.  ``"independent"`` (default) is
-        the historical per-trial fork; ``"crn"`` derives every trial stream
-        from ``(crn_seed, trial index)`` alone so different cells share
-        common random numbers (tighter cross-cell comparisons); and
-        ``"antithetic"`` pairs trials on complementary landing draws
-        (``u`` / ``1 − u``) so a pair's mean has lower variance — the same
-        CI width at fewer trials.
-    crn_seed:
-        Stream seed of the ``"crn"`` scheme (ignored otherwise).  Cells
-        sharing a ``crn_seed`` consume identical trial streams.
+        Seed (or Generator) of the trials.  Each trial forks its own
+        independent generator from it (:func:`~repro.utils.rng.fork_rng`),
+        so equal seeds reproduce identical statistics in any process.
+        ``None`` draws fresh entropy — fine interactively, never for
+        campaign cells.
     expected_repair:
         Make the massaging stage maximise *expected* success under the
         per-cell landing probabilities (no-op on probability-1.0 templates).
@@ -1587,7 +1514,7 @@ def lower_attack(
     """
     if trials < 0:
         raise ConfigurationError(f"trials must be >= 0, got {trials}")
-    check_trial_options(variance_reduction, env_drift)
+    check_env_drift(env_drift)
     env_scale = 1.0 - env_drift
     spec = storage_spec(storage)
     device = get_profile(profile) if profile is not None else None
@@ -1673,8 +1600,6 @@ def lower_attack(
             trial_pattern,
             trials,
             rng,
-            variance_reduction=variance_reduction,
-            crn_seed=crn_seed,
             env_scale=env_scale,
         )
     ecc_raw_summary = None

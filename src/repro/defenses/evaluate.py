@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attacks.lowering import LoweringReport, TrialStatistics
+from repro.attacks.lowering import LoweringReport, trial_ci, trial_mean
 from repro.attacks.objective import mask_rate
 from repro.defenses.base import (
     Defense,
@@ -194,9 +194,9 @@ def evaluate_defense(
         detection_rate=float(detected.mean()),
         evasion_rate=float(evaded.mean()),
         evasion_ci=_binomial_ci(evaded),
-        time_to_detection=TrialStatistics._mean(ttd),
-        time_to_detection_ci=TrialStatistics._ci(ttd),
-        surviving_success=TrialStatistics._mean(surviving),
-        surviving_success_ci=TrialStatistics._ci(surviving),
+        time_to_detection=trial_mean(ttd),
+        time_to_detection_ci=trial_ci(ttd),
+        surviving_success=trial_mean(surviving),
+        surviving_success_ci=trial_ci(surviving),
         restored_success=restored_success,
     )

@@ -252,8 +252,7 @@ class ArtifactStore:
     The directory is sharded two levels deep by hash prefix
     (``ab/cd/abcd....json``), so a store holding millions of memoized cells
     keeps O(1) per-entry lookups instead of degrading with one giant flat
-    directory; entries written by pre-sharding versions are still found at
-    their flat paths.
+    directory.
     """
 
     def __init__(self, directory: str | Path | None = None, *, enabled: bool = True):

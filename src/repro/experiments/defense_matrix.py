@@ -41,7 +41,7 @@ from repro.analysis.reporting import (
     defense_cells,
     stochastic_cost_cells,
 )
-from repro.attacks.lowering import check_trial_options
+from repro.attacks.lowering import check_env_drift
 from repro.defenses import evaluate_defense, get_defense
 from repro.experiments.campaign import (
     Campaign,
@@ -53,8 +53,9 @@ from repro.experiments.campaign import (
 from repro.experiments.common import get_setting
 from repro.experiments.hardware_cost import (
     BUDGET_LEVELS,
+    DEFAULT_TRIALS,
+    _drift_params,
     _num_images,
-    _scheme_params,
     lowered_cell,
 )
 from repro.hardware.device import get_pattern, get_profile
@@ -105,10 +106,6 @@ DEFAULT_DEFENSES = (
 # landed flips either way).
 DEFAULT_BUDGETS = ("derived", "expected")
 
-# Monte-Carlo executions judged per cell.  Matches hardware_cost's default
-# so the `none` rows line up with the default hardware_cost tables.
-DEFAULT_TRIALS = 3
-
 # The matrix runs on one storage format; the storage axis belongs to
 # hardware_cost.  float32 is the deployment format the paper evaluates.
 _STORAGE = "float32"
@@ -151,10 +148,13 @@ def build_campaign(
     budgets: tuple[str, ...] = DEFAULT_BUDGETS,
     trials: int = DEFAULT_TRIALS,
     flip_seed: int = 0,
-    variance_reduction: str = "independent",
     env_drift: float = 0.0,
 ) -> Campaign:
-    """Declare one job per (attacker, defense, budget, S) matrix point."""
+    """Declare one job per (attacker, defense, budget, S) matrix point.
+
+    ``trials`` defaults to hardware_cost's :data:`DEFAULT_TRIALS`, so the
+    ``none`` rows line up with the default hardware_cost tables.
+    """
     for name in attackers:
         if name not in ATTACKER_PROFILES:
             known = ", ".join(sorted(ATTACKER_PROFILES))
@@ -174,7 +174,7 @@ def build_campaign(
         raise ConfigurationError(
             f"the defense race is judged per trial; trials must be > 0, got {trials}"
         )
-    check_trial_options(variance_reduction, env_drift)
+    check_env_drift(env_drift)
     setting = get_setting(scale)
     r = _num_images(setting)
     jobs = [
@@ -191,7 +191,7 @@ def build_campaign(
             plan_seed=int(seed),
             trials=int(trials),
             flip_seed=int(flip_seed),
-            **_scheme_params(variance_reduction, env_drift),
+            **_drift_params(env_drift),
         )
         for attacker in attackers
         for defense in defenses

@@ -52,7 +52,7 @@ from repro.attacks.fault_sneaking import FaultSneakingAttack, count_modified_par
 from repro.attacks.lowering import (
     HardwareBudget,
     LoweringReport,
-    check_trial_options,
+    check_env_drift,
     lower_attack,
 )
 from repro.attacks.objective import mask_rate
@@ -128,19 +128,13 @@ def _num_images(setting) -> int:
     return min(_R, anchor_pool_size(setting))
 
 
-def _scheme_params(variance_reduction: str, env_drift: float) -> dict:
-    """Cell parameters for a non-default trial scheme and drift.
+def _drift_params(env_drift: float) -> dict:
+    """Cell parameters for a non-zero environmental drift.
 
-    The scheme and the drift enter a cell's spec only when they differ from
-    the historical defaults, so every pre-existing artifact key (and golden
-    manifest) stays byte-identical for nominal "independent" campaigns.
+    The drift enters a cell's spec only when it is non-zero, so every
+    nominal cell key (and golden manifest) stays byte-identical.
     """
-    params: dict = {}
-    if variance_reduction != "independent":
-        params["variance_reduction"] = variance_reduction
-    if env_drift != 0.0:
-        params["env_drift"] = float(env_drift)
-    return params
+    return {"env_drift": float(env_drift)} if env_drift != 0.0 else {}
 
 
 @dataclass
@@ -247,7 +241,6 @@ def lowered_cell(
     plan_seed: int,
     trials: int = 0,
     flip_seed: int = 0,
-    variance_reduction: str = "independent",
     env_drift: float = 0.0,
 ) -> LoweredCell:
     """Solve one attack and lower it onto a device — the shared cell core.
@@ -305,11 +298,6 @@ def lowered_cell(
             budget,
             pattern,
         ),
-        variance_reduction=variance_reduction,
-        # CRN streams are keyed by the campaign-wide flip seed alone, so
-        # every cell of a CRN campaign consumes identical trial draws —
-        # that sharing is the whole point of common random numbers.
-        crn_seed=int(flip_seed),
         env_drift=env_drift,
         context=context.evaluation,
     )
@@ -336,23 +324,18 @@ def build_campaign(
     patterns: tuple[str, ...] = DEFAULT_PATTERNS,
     trials: int = DEFAULT_TRIALS,
     flip_seed: int = 0,
-    variance_reduction: str = "independent",
     env_drift: float = 0.0,
 ) -> Campaign:
     """Declare one job per (storage, profile, budget, hammer pattern, S) point.
 
     ``trials`` Monte-Carlo executions run inside every cell (0 disables the
     stochastic columns); ``flip_seed`` shifts every cell's trial stream at
-    once — the campaign axis the CI seed matrix sweeps.
-    ``variance_reduction`` selects the per-cell Monte-Carlo scheme
-    (:data:`repro.attacks.lowering.VARIANCE_REDUCTION_SCHEMES`): ``"crn"``
-    runs every cell on common random numbers keyed by ``flip_seed``,
-    ``"antithetic"`` pairs each cell's trials on complementary landing
-    draws.  ``env_drift`` scales every cell's landing probabilities by
-    ``1 - env_drift`` (temperature/voltage drift of the deployment); like
-    the scheme, it enters the cell keys only when non-default so historical
-    artifacts stay valid.  Either way the campaign stays a pure function of
-    its parameters, so serial and parallel runs agree byte for byte.
+    once — the campaign axis the CI seed matrix sweeps.  ``env_drift``
+    scales every cell's landing probabilities by ``1 - env_drift``
+    (temperature/voltage drift of the deployment); it enters the cell keys
+    only when non-zero, so nominal artifacts stay valid.  The campaign
+    stays a pure function of its parameters, so serial and parallel runs
+    agree byte for byte.
     """
     for name in profiles:
         get_profile(name)  # fail fast on unknown profile names
@@ -360,7 +343,7 @@ def build_campaign(
         get_pattern(name)  # fail fast on unknown pattern names
     if trials < 0:
         raise ConfigurationError(f"trials must be >= 0, got {trials}")
-    check_trial_options(variance_reduction, env_drift)
+    check_env_drift(env_drift)
     setting = get_setting(scale)
     r = _num_images(setting)
     jobs = [
@@ -378,7 +361,7 @@ def build_campaign(
             plan_seed=int(seed),
             trials=int(trials),
             flip_seed=int(flip_seed),
-            **_scheme_params(variance_reduction, env_drift),
+            **_drift_params(env_drift),
         )
         for storage in storages
         for profile in profiles

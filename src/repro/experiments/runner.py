@@ -30,12 +30,6 @@ flip seed for an independent replication of the whole grid::
     repro-experiments hardware_cost --scale ci --profile stochastic-trrespass \
         --trials 32 --flip-seed 1
 
-Hit the same confidence-interval width with fewer trials (antithetic pairs),
-or compare cells on common random numbers (crn)::
-
-    repro-experiments hardware_cost --scale ci --profile stochastic-ddr3 \
-        --trials 16 --variance-reduction antithetic
-
 Run the arms race — attacker profile × defense × flip budget — against a
 chosen defense subset, or replay the whole grid under environmental drift
 (hotter DRAM, lower landing probabilities)::
@@ -103,7 +97,6 @@ _CAMPAIGN_OPTIONS = {
     "hammer_pattern": "patterns",
     "trials": "trials",
     "flip_seed": "flip_seed",
-    "variance_reduction": "variance_reduction",
     "env_drift": "env_drift",
     "attacker": "attackers",
     "defense": "defenses",
@@ -224,15 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the per-cell Monte-Carlo flip sampling in hardware_cost "
         "and defense_matrix (default: 0).  Same seed = byte-identical tables, "
         "different seeds = independent replications",
-    )
-    parser.add_argument(
-        "--variance-reduction",
-        default=None,
-        choices=["independent", "crn", "antithetic"],
-        help="Monte-Carlo sampling scheme of the hardware_cost and "
-        "defense_matrix trials (default: independent).  crn = common random "
-        "numbers across cells (keyed by --flip-seed); antithetic = paired "
-        "complementary landing draws — the same CI width at fewer trials",
     )
     parser.add_argument(
         "--env-drift",
@@ -451,7 +435,6 @@ def main(argv: list[str] | None = None) -> int:
                         "hammer_patterns": list(args.hammer_pattern) if args.hammer_pattern else None,
                         "trials": args.trials,
                         "flip_seed": args.flip_seed,
-                        "variance_reduction": args.variance_reduction,
                         "env_drift": args.env_drift,
                         "attackers": list(args.attacker) if args.attacker else None,
                         "defenses": list(args.defense) if args.defense else None,

@@ -11,29 +11,23 @@ import numpy as np
 
 from repro.utils.errors import ConfigurationError
 
-__all__ = ["Adam"]
+__all__ = ["Adam", "BETA1", "BETA2", "EPS"]
+
+# Kingma & Ba's defaults, the only values the victims have ever trained with.
+BETA1 = 0.9  # decay of the first-moment (mean) estimate
+BETA2 = 0.999  # decay of the second-moment (uncentred variance) estimate
+EPS = 1e-8  # keeps the step finite where the second moment is zero
 
 
 class Adam:
     """Adam optimizer (Kingma & Ba, 2015) with per-parameter state keyed by
-    (layer, name)."""
+    (layer, name); β1, β2 and ε are the constants :data:`BETA1`,
+    :data:`BETA2` and :data:`EPS`."""
 
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        *,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, learning_rate: float = 0.001):
         if learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigurationError("beta1 and beta2 must be in [0, 1)")
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self._layers: list = []
         self._state: dict[tuple[int, str], dict[str, np.ndarray]] = {}
         self.iterations = 0
@@ -61,10 +55,10 @@ class Adam:
     def _apply(self, param: np.ndarray, grad: np.ndarray, state: dict) -> None:
         m = state.setdefault("m", np.zeros_like(param))
         v = state.setdefault("v", np.zeros_like(param))
-        m *= self.beta1
-        m += (1 - self.beta1) * grad
-        v *= self.beta2
-        v += (1 - self.beta2) * grad**2
-        m_hat = m / (1 - self.beta1**self.iterations)
-        v_hat = v / (1 - self.beta2**self.iterations)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        m *= BETA1
+        m += (1 - BETA1) * grad
+        v *= BETA2
+        v += (1 - BETA2) * grad**2
+        m_hat = m / (1 - BETA1**self.iterations)
+        v_hat = v / (1 - BETA2**self.iterations)
+        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)

@@ -94,9 +94,7 @@ class DiskCache:
         each entry (``0`` keeps the historical flat layout).  A store of
         millions of memoized campaign cells keeps O(1) lookups with two
         levels (``ab/cd/abcd....json``); without sharding a single flat
-        directory degrades on most filesystems.  Lookups in a sharded cache
-        fall back to the flat path, so pre-existing flat stores stay
-        readable in place.
+        directory degrades on most filesystems.
     """
 
     def __init__(
@@ -118,18 +116,8 @@ class DiskCache:
             base = base / key[2 * level : 2 * level + 2]
         return base / f"{key}{suffix}"
 
-    def _lookup_path(self, key: str, suffix: str) -> Path:
-        """Resolve reads: the sharded path, or the legacy flat one if only
-        that exists (stores written before sharding was enabled)."""
-        path = self._entry_path(key, suffix)
-        if self.shard_levels and not path.exists():
-            flat = self.directory / f"{key}{suffix}"
-            if flat.exists():
-                return flat
-        return path
-
     def _path_for(self, key: str) -> Path:
-        return self._lookup_path(key, ".npz")
+        return self._entry_path(key, ".npz")
 
     def key_for(self, config: dict[str, Any]) -> str:
         """Return the cache key for a configuration dictionary."""
@@ -155,7 +143,7 @@ class DiskCache:
         """Atomically store a dictionary of arrays under ``key``."""
         if not self.enabled:
             return
-        path = self._entry_path(key, ".npz")
+        path = self._path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
         try:
@@ -173,7 +161,7 @@ class DiskCache:
     # but live in ``.json`` files so they stay human-inspectable.
 
     def _json_path_for(self, key: str) -> Path:
-        return self._lookup_path(key, ".json")
+        return self._entry_path(key, ".json")
 
     def contains_json(self, key: str) -> bool:
         """Return whether a JSON entry exists for ``key``."""
@@ -204,7 +192,7 @@ class DiskCache:
         """
         if not self.enabled:
             return
-        path = self._entry_path(key, ".json")
+        path = self._json_path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         encoded = json.dumps(payload, sort_keys=True, default=str, allow_nan=False)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".json.tmp")

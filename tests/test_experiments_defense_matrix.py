@@ -199,15 +199,8 @@ class TestCellKeyDiscipline:
     def test_env_drift_enters_keys_only_when_non_default(self):
         nominal = defense_matrix.build_campaign("smoke")
         assert all("env_drift" not in dict(job.params) for job in nominal.jobs)
-        assert all(
-            "variance_reduction" not in dict(job.params) for job in nominal.jobs
-        )
         drifted = defense_matrix.build_campaign("smoke", env_drift=0.25)
         assert all(dict(job.params)["env_drift"] == 0.25 for job in drifted.jobs)
-        crn = defense_matrix.build_campaign("smoke", variance_reduction="crn")
-        assert all(
-            dict(job.params)["variance_reduction"] == "crn" for job in crn.jobs
-        )
 
     def test_hardware_cost_env_drift_same_discipline(self):
         nominal = hardware_cost.build_campaign("smoke")

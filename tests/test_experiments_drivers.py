@@ -72,10 +72,9 @@ class _CannedMetrics(dict):
 
 
 # Every experiment with its default options, plus the two lowering grids
-# under the non-default trial scheme and drift (extra cell parameters).
+# under a non-zero drift (an extra cell parameter).
 _ASSEMBLY_CASES = [(name, {}) for name in sorted(EXPERIMENTS)] + [
-    (name, {"variance_reduction": "crn", "env_drift": 0.1})
-    for name in ("hardware_cost", "defense_matrix")
+    (name, {"env_drift": 0.1}) for name in ("hardware_cost", "defense_matrix")
 ]
 
 
@@ -83,7 +82,7 @@ _ASSEMBLY_CASES = [(name, {}) for name in sorted(EXPERIMENTS)] + [
 @pytest.mark.parametrize(
     "name, options",
     _ASSEMBLY_CASES,
-    ids=[name + ("-crn-drift" if options else "") for name, options in _ASSEMBLY_CASES],
+    ids=[name + ("-drift" if options else "") for name, options in _ASSEMBLY_CASES],
 )
 def test_assemble_reads_every_job_and_nothing_else(name, options, scale):
     # No solve: each declared job gets canned metrics, and the table must be

@@ -54,12 +54,6 @@ class TestAdam:
         # Adam's first update is ~learning_rate regardless of gradient scale
         np.testing.assert_allclose(np.abs(w0 - layer.params["W"]), 0.01, rtol=1e-3)
 
-    def test_invalid_betas(self):
-        with pytest.raises(ConfigurationError):
-            Adam(beta1=1.0)
-        with pytest.raises(ConfigurationError):
-            Adam(beta2=-0.1)
-
     def test_invalid_learning_rate(self):
         with pytest.raises(ConfigurationError):
             Adam(learning_rate=0.0)

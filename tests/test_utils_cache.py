@@ -188,17 +188,6 @@ class TestSharding:
         cache.store_json(self.KEY, {"a": 1})
         assert (tmp_path / f"{self.KEY}.json").exists()
 
-    def test_legacy_flat_entry_readable_from_sharded_cache(self, tmp_path):
-        # A store written before sharding was enabled stays readable in place.
-        DiskCache(tmp_path).store_json(self.KEY, {"a": 1})
-        sharded = DiskCache(tmp_path, shard_levels=2)
-        assert sharded.contains_json(self.KEY)
-        assert sharded.load_json(self.KEY) == {"a": 1}
-        # New writes go to the sharded location; it then wins over the relic.
-        sharded.store_json(self.KEY, {"a": 2})
-        assert (tmp_path / "ab" / "cd" / f"{self.KEY}.json").exists()
-        assert sharded.load_json(self.KEY) == {"a": 2}
-
     def test_clear_reaches_all_shards(self, tmp_path):
         cache = DiskCache(tmp_path, shard_levels=2)
         cache.store_json(self.KEY, {"a": 1})
