@@ -16,6 +16,8 @@ from repro.attacks.lowering import (
     lower_attack,
     repair_plan,
     shared_repairs,
+    trial_ci,
+    trial_mean,
 )
 from repro.attacks.parameter_view import ParameterView
 from repro.attacks.targets import make_attack_plan
@@ -38,6 +40,28 @@ SMALL_ROWS = MemoryLayout(base_address=0, row_bytes=64)
 def attack_result(tiny_model, tiny_split):
     plan = make_attack_plan(tiny_split.test, num_targets=2, num_images=20, seed=0)
     return FaultSneakingAttack(tiny_model, FAST_CONFIG).attack(plan)
+
+
+class TestTrialSummaries:
+    """``trial_mean`` / ``trial_ci``: the per-trial summaries every mc column uses."""
+
+    def test_mean_skips_non_finite_entries(self):
+        assert trial_mean(np.array([0.25, np.nan, 0.75])) == 0.5
+        assert np.isnan(trial_mean(np.array([np.nan, np.nan])))
+        assert np.isnan(trial_mean(np.array([], dtype=np.float64)))
+
+    def test_ci_is_the_normal_half_width_over_single_trials(self):
+        values = np.array([0.0, 0.5, 1.0, 0.5])
+        expected = 1.96 * np.std(values, ddof=1) / np.sqrt(values.size)
+        assert trial_ci(values) == pytest.approx(expected, rel=1e-12)
+        # non-finite entries drop out of the count as well as the spread
+        assert trial_ci(np.append(values, np.nan)) == pytest.approx(expected, rel=1e-12)
+
+    def test_ci_degenerate_cases(self):
+        assert trial_ci(np.array([0.3])) == 0.0
+        # identical trials: exactly zero, never rounding noise
+        assert trial_ci(np.full(5, 0.1)) == 0.0
+        assert np.isnan(trial_ci(np.array([np.nan])))
 
 
 class TestHardwareBudget:

@@ -208,6 +208,21 @@ class TestCellKeyDiscipline:
         drifted = hardware_cost.build_campaign("smoke", env_drift=-0.1)
         assert all(dict(job.params)["env_drift"] == -0.1 for job in drifted.jobs)
 
+    @pytest.mark.parametrize("module", [defense_matrix, hardware_cost])
+    def test_zero_drift_keeps_nominal_cell_keys(self, module):
+        nominal = module.build_campaign("smoke")
+        explicit = module.build_campaign("smoke", env_drift=0.0)
+        assert [job.key for job in explicit.jobs] == [job.key for job in nominal.jobs]
+
+    def test_default_trials_is_hardware_costs(self):
+        # One constant, so the matrix's ``none`` rows line up with the
+        # hardware_cost table cell for cell.
+        assert defense_matrix.DEFAULT_TRIALS is hardware_cost.DEFAULT_TRIALS
+        matrix = defense_matrix.build_campaign("smoke")
+        cost = hardware_cost.build_campaign("smoke")
+        trials = {dict(job.params)["trials"] for job in matrix.jobs + cost.jobs}
+        assert trials == {hardware_cost.DEFAULT_TRIALS}
+
     def test_invalid_configurations_rejected(self):
         with pytest.raises(ConfigurationError):
             defense_matrix.build_campaign("smoke", attackers=("nope",))

@@ -6,7 +6,7 @@ import pytest
 from repro.nn.layers import Dense, ReLU, Softmax
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Sequential
-from repro.nn.optimizers import Adam
+from repro.nn.optimizers import BETA1, BETA2, EPS, Adam
 from repro.utils.errors import ConfigurationError
 
 RNG = np.random.default_rng(0)
@@ -53,6 +53,28 @@ class TestAdam:
         opt.step()
         # Adam's first update is ~learning_rate regardless of gradient scale
         np.testing.assert_allclose(np.abs(w0 - layer.params["W"]), 0.01, rtol=1e-3)
+
+    def test_hyperparameters_are_the_published_defaults(self):
+        # Kingma & Ba's defaults; victim archives trained before they became
+        # constants depend on these exact values.
+        assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-8)
+
+    def test_two_steps_match_the_reference_update(self):
+        model = Sequential([Dense(1, 1, seed=0, use_bias=False)])
+        opt = Adam(learning_rate=0.01).register(model)
+        layer = model.layers[0]
+        w = layer.params["W"].copy()
+        m = np.zeros_like(w)
+        v = np.zeros_like(w)
+        for t, g in enumerate((2.0, -0.5), start=1):
+            layer.grads["W"] = np.full_like(w, g)
+            opt.step()
+            m = BETA1 * m + (1 - BETA1) * g
+            v = BETA2 * v + (1 - BETA2) * g**2
+            m_hat = m / (1 - BETA1**t)
+            v_hat = v / (1 - BETA2**t)
+            w = w - 0.01 * m_hat / (np.sqrt(v_hat) + EPS)
+            np.testing.assert_allclose(layer.params["W"], w, rtol=1e-12)
 
     def test_invalid_learning_rate(self):
         with pytest.raises(ConfigurationError):

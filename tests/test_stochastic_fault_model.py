@@ -446,3 +446,58 @@ class TestHardwareCostStochasticAxes:
             assert record["mc keep"] == record["bit-true keep"]
             assert record["success ci95"] == 0.0
             assert record["flips landed"] == record["bit flips"]
+
+
+class TestIndependentTrialStream:
+    """The one Monte-Carlo stream: a fork of the master seed per trial."""
+
+    KWARGS = dict(storage="int8", profile="stochastic-ddr3")
+
+    def test_more_trials_extend_the_stream(self, attack_result):
+        # Forking draws the child seeds in trial order, so raising the trial
+        # count appends trials and leaves the earlier ones as they were.
+        short = lower_attack(attack_result, trials=4, rng=11, **self.KWARGS)
+        long = lower_attack(attack_result, trials=8, rng=11, **self.KWARGS)
+        short_stats, long_stats = short.trial_stats, long.trial_stats
+        assert long_stats.flips_landed[:4].tolist() == short_stats.flips_landed.tolist()
+        assert long_stats.keep_rates[:4].tolist() == short_stats.keep_rates.tolist()
+        for a, b in zip(short_stats.outcomes, long_stats.outcomes):
+            assert np.array_equal(a.landed, b.landed)
+
+    def test_generator_seed_matches_int_seed(self, attack_result):
+        by_int = lower_attack(attack_result, trials=4, rng=123, **self.KWARGS)
+        by_generator = lower_attack(
+            attack_result, trials=4, rng=np.random.default_rng(123), **self.KWARGS
+        )
+        assert np.array_equal(
+            by_int.trial_stats.flips_landed, by_generator.trial_stats.flips_landed
+        )
+        assert np.array_equal(
+            by_int.trial_stats.keep_rates, by_generator.trial_stats.keep_rates
+        )
+
+    @pytest.mark.parametrize("env_drift", [1.0, -1.0])
+    def test_env_drift_out_of_range_rejected(self, attack_result, env_drift):
+        with pytest.raises(ConfigurationError, match="env_drift"):
+            lower_attack(attack_result, trials=2, env_drift=env_drift, **self.KWARGS)
+
+    def test_drifted_campaign_assembles_end_to_end(self, session_registry):
+        # assemble() must read the cells the campaign declared under its
+        # drift key, or every drifted run dies on a key mismatch.
+        from repro.experiments import hardware_cost
+
+        kwargs = dict(
+            registry=session_registry,
+            seed=0,
+            storages=("int8",),
+            profiles=("stochastic-ddr3",),
+            trials=4,
+        )
+        nominal = hardware_cost.run("smoke", **kwargs)
+        drifted = hardware_cost.run("smoke", env_drift=0.3, **kwargs)
+        assert drifted.columns == nominal.columns
+        # The solver never sees the drift...
+        for column in ("S", "l0", "solver success"):
+            assert drifted.column(column) == nominal.column(column)
+        # ...while fewer flips land when landing probabilities shrink.
+        assert sum(drifted.column("flips landed")) < sum(nominal.column("flips landed"))

@@ -188,6 +188,16 @@ class TestSharding:
         cache.store_json(self.KEY, {"a": 1})
         assert (tmp_path / f"{self.KEY}.json").exists()
 
+    def test_sharded_cache_reads_only_its_own_layout(self, tmp_path):
+        # Reads and writes share one path: a flat entry is not a sharded hit.
+        DiskCache(tmp_path).store_json(self.KEY, {"a": 1})
+        sharded = DiskCache(tmp_path, shard_levels=2)
+        assert not sharded.contains_json(self.KEY)
+        assert sharded.load_json(self.KEY) is None
+        sharded.store_json(self.KEY, {"a": 2})
+        assert sharded.load_json(self.KEY) == {"a": 2}
+        assert DiskCache(tmp_path).load_json(self.KEY) == {"a": 1}
+
     def test_clear_reaches_all_shards(self, tmp_path):
         cache = DiskCache(tmp_path, shard_levels=2)
         cache.store_json(self.KEY, {"a": 1})
